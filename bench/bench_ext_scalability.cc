@@ -26,9 +26,14 @@
  *   --smoke             16x16 only, short window (CI)
  *   --jobs N, --seed N  the usual sweep knobs
  *
- * A full (non-smoke) run pins the table in BENCH_scaling.json.
+ * A full (non-smoke) run pins the table in BENCH_scaling.json. Every
+ * run checks that JSON document with jsonValid() and exits non-zero
+ * when it is malformed; values that are not finite (a saturated
+ * point's tail quantile overflows the latency histogram) and the
+ * traffic columns of infeasible points are written as null.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -39,7 +44,8 @@
 #include "net/analysis.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
+#include "sim/telemetry/json.hh"
 #include "workloads/packet_injector.hh"
 
 using namespace macrosim;
@@ -120,6 +126,14 @@ numberFlag(int &argc, char **argv, const char *name,
               " must be a positive integer, got ", v);
     out = static_cast<std::uint32_t>(v);
     return true;
+}
+
+/** @p v as a JSON number, or null when the point was not simulated
+ *  or @p v is not finite. */
+std::string
+jsonNumber(bool simulated, double v)
+{
+    return simulated && std::isfinite(v) ? std::to_string(v) : "null";
 }
 
 void
@@ -258,25 +272,26 @@ main(int argc, char **argv)
                       p.feas.totalLoss.value(),
                       p.feas.requiredLaunch.value(),
                       p.feas.margin.value(), p.laserW,
-                      p.simulated
-                          ? std::to_string(p.traffic.meanLatencyNs)
-                                .c_str()
-                          : "null",
-                      p.simulated
-                          ? std::to_string(p.traffic.p99LatencyNs)
-                                .c_str()
-                          : "null",
-                      p.simulated
-                          ? std::to_string(p.traffic.deliveredPct)
-                                .c_str()
-                          : "null",
-                      p.simulated ? std::to_string(p.energyMj).c_str()
-                                  : "null");
+                      jsonNumber(p.simulated, p.traffic.meanLatencyNs)
+                          .c_str(),
+                      jsonNumber(p.simulated, p.traffic.p99LatencyNs)
+                          .c_str(),
+                      jsonNumber(p.simulated, p.traffic.deliveredPct)
+                          .c_str(),
+                      jsonNumber(p.simulated, p.energyMj).c_str());
         json << (first ? "" : ",\n") << entry;
         first = false;
     }
     json << "\n  ]\n}\n";
 
+    std::string error;
+    if (!jsonValid(json.str(), &error)) {
+        std::fprintf(stderr,
+                     "bench_ext_scalability: scaling table is not valid "
+                     "JSON: %s\n",
+                     error.c_str());
+        return 1;
+    }
     if (!topt.smoke && !have_net && !have_rows && !have_cols)
         writeTextFile("BENCH_scaling.json", json.str());
     return sweepExitStatus();

@@ -28,10 +28,10 @@
 #include <vector>
 
 #include "harness.hh"
-#include "sweep.hh"
 
 #include "net/tracer.hh"
 #include "sim/logging.hh"
+#include "sim/sweep.hh"
 #include "sim/telemetry/json.hh"
 
 using namespace macrosim;

@@ -12,10 +12,10 @@
 #include <utility>
 
 #include "harness.hh"
-#include "sweep.hh"
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/sweep.hh"
 
 using namespace macrosim;
 using namespace macrosim::bench;

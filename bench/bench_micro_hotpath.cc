@@ -30,19 +30,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <new>
 #include <string>
 #include <vector>
 
-#include "fault/fault.hh"
-#include "fault/injector.hh"
 #include "harness.hh"
 #include "net/pt2pt.hh"
-#include "net/two_phase.hh"
 #include "sim/random.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
 #include "workloads/coherence.hh"
 #include "workloads/packet_injector.hh"
 
@@ -186,13 +181,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/**
- * Pre-PR baseline (same machine, RelWithDebInfo, commit 718bae9):
- * the coherence-steady-state cell's events/sec before the inline
- * callback + flat-table rework. The JSON reports the current run's
- * speedup against this pin so the >= 1.5x acceptance bar is visible
- * in every run.
- */
 /** Pre-PR coherence-steady-state throughput (std::function closures
  *  + node-based unordered_maps), measured on the reference machine
  *  with the same cell parameters. The speedup field in
@@ -372,495 +360,6 @@ runUniformRandom(bool smoke)
 }
 
 // ---------------------------------------------------------------
-// Cells 4-6: scalar vs batched execution of the per-tick inner
-// loops (see DESIGN.md section 14). The scalar side reproduces the
-// pre-batch implementation end to end — per-event InlineCallbacks
-// over the old AoS layout (fat per-channel objects, deque-of-Waiter
-// arbiters, per-link OpticalPath math) — while the batched side
-// runs the SoA kernels the subsystems now ship with. Both compute
-// bit-identical results (checksummed); the speedup pins the
-// combined layout + dispatch win.
-// ---------------------------------------------------------------
-
-/** Scalar vs batched throughput of one scenario. */
-struct BatchCellResult
-{
-    double scalarEventsPerSec = 0.0;
-    double batchedEventsPerSec = 0.0;
-    /** Heap allocations per event, batched steady state. */
-    double allocsPerEvent = 0.0;
-    /** Work checksums; scalar and batched must agree exactly. */
-    std::uint64_t scalarSink = 0;
-    std::uint64_t batchedSink = 0;
-
-    double
-    speedup() const
-    {
-        return scalarEventsPerSec > 0.0
-            ? batchedEventsPerSec / scalarEventsPerSec
-            : 0.0;
-    }
-};
-
-/**
- * Arbitration-sweep: the two-phase slot-evaluation pattern. 512
- * shared channels split into 64 groups of eight candidates; every
- * event scans its message's group for the earliest-free channel and
- * reserves it with the BusyResource::reserve() arithmetic. The
- * scalar side walks fat cache-line-sized channel objects (the
- * pre-SoA DataChannel layout) from per-event callbacks; the batched
- * side scans flat busy-until lanes from the drained kernel, with
- * the pending Message parked in a pool and a 4-byte index shipped
- * as the payload. Identical arithmetic, identical winners.
- */
-struct ArbSweepState
-{
-    static constexpr std::uint32_t channels = 512;
-    static constexpr std::uint32_t groupSize = 8;
-    static constexpr std::uint32_t groups = channels / groupSize;
-
-    /** The pre-SoA per-channel object: busy window plus the stat
-     *  fields that rode along in one 64-byte line. */
-    struct alignas(64) FatChannel
-    {
-        Tick busyUntil = 0;
-        Tick busyTicks = 0;
-        std::uint64_t reservations = 0;
-        std::uint64_t bytesCarried = 0;
-        std::uint32_t wavelengths = 128;
-        std::uint32_t active = 128;
-        Tick lastStart = 0;
-    };
-    std::vector<FatChannel> fat;
-
-    // The SoA replacement: one hot lane the candidate scan touches,
-    // cold stat lanes written only for the winner.
-    std::vector<Tick> busyUntil;
-    std::vector<Tick> busyTicks;
-    std::vector<std::uint64_t> reservations;
-    std::vector<std::uint64_t> bytesCarried;
-    std::vector<Tick> lastStart;
-
-    std::vector<Message> pool;
-    std::vector<std::uint32_t> free;
-    std::uint64_t sink = 0;
-
-    ArbSweepState()
-        : fat(channels), busyUntil(channels, 0),
-          busyTicks(channels, 0), reservations(channels, 0),
-          bytesCarried(channels, 0), lastStart(channels, 0)
-    {}
-
-    static std::uint32_t
-    groupOf(const Message &msg)
-    {
-        return (static_cast<std::uint32_t>(msg.src) * 61
-                + static_cast<std::uint32_t>(msg.dst))
-            % groups;
-    }
-
-    void
-    evaluateAoS(Tick now, const Message &msg)
-    {
-        const std::size_t base =
-            static_cast<std::size_t>(groupOf(msg)) * groupSize;
-        std::uint32_t best_i = 0;
-        Tick best = fat[base].busyUntil;
-        for (std::uint32_t i = 1; i < groupSize; ++i) {
-            if (fat[base + i].busyUntil < best) {
-                best = fat[base + i].busyUntil;
-                best_i = i;
-            }
-        }
-        FatChannel &ch = fat[base + best_i];
-        const Tick ser = 1 + msg.bytes / 320;
-        const Tick start = now > best ? now : best;
-        ch.busyUntil = start + ser;
-        ch.busyTicks += ser;
-        ch.reservations += 1;
-        ch.bytesCarried += msg.bytes;
-        ch.lastStart = start;
-        sink += static_cast<std::uint64_t>(start) + base + best_i;
-    }
-
-    void
-    evaluateSoA(Tick now, const Message &msg)
-    {
-        const std::size_t base =
-            static_cast<std::size_t>(groupOf(msg)) * groupSize;
-        std::uint32_t best_i = 0;
-        Tick best = busyUntil[base];
-        for (std::uint32_t i = 1; i < groupSize; ++i) {
-            if (busyUntil[base + i] < best) {
-                best = busyUntil[base + i];
-                best_i = i;
-            }
-        }
-        const std::size_t ch = base + best_i;
-        const Tick ser = 1 + msg.bytes / 320;
-        const Tick start = now > best ? now : best;
-        busyUntil[ch] = start + ser;
-        busyTicks[ch] += ser;
-        reservations[ch] += 1;
-        bytesCarried[ch] += msg.bytes;
-        lastStart[ch] = start;
-        sink += static_cast<std::uint64_t>(start) + ch;
-    }
-};
-
-std::uint64_t
-arbSweepRound(EventQueue &q, ArbSweepState &st, bool batched,
-              std::uint16_t kernel)
-{
-    constexpr int events = 4096;
-    const Tick base = q.now();
-    for (int i = 0; i < events; ++i) {
-        Message msg;
-        msg.src = static_cast<SiteId>(i % 64);
-        msg.dst = static_cast<SiteId>((i * 7) % 64);
-        msg.bytes = 64;
-        // ~64 same-tick events per tick: figure-6-like burst shape.
-        const Tick when = base + static_cast<Tick>(i / 64 + 1);
-        if (batched) {
-            std::uint32_t idx;
-            if (!st.free.empty()) {
-                idx = st.free.back();
-                st.free.pop_back();
-            } else {
-                idx = static_cast<std::uint32_t>(st.pool.size());
-                st.pool.emplace_back();
-            }
-            st.pool[idx] = msg;
-            q.scheduleBatch(when, kernel, idx);
-        } else {
-            q.schedule(
-                when,
-                [&st, msg, when] { st.evaluateAoS(when, msg); },
-                "bench.arb");
-        }
-    }
-    q.runUntil();
-    return events;
-}
-
-std::uint16_t
-registerArbKernel(EventQueue &q, ArbSweepState &st)
-{
-    return q.registerBatchKernel(
-        "bench.arb",
-        [](void *ctx, Tick when, const std::uint32_t *payloads,
-           std::size_t n) {
-            auto *s = static_cast<ArbSweepState *>(ctx);
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint32_t idx = payloads[i];
-                const Message msg = s->pool[idx];
-                s->free.push_back(idx);
-                s->evaluateSoA(when, msg);
-            }
-        },
-        &st);
-}
-
-BatchCellResult
-runArbitrationSweep(bool smoke)
-{
-    BatchCellResult r;
-    const double target = smoke ? 0.02 : 0.25;
-
-    // Differential phase: a fixed round count on fresh state; the
-    // two dispatch modes must produce the same work checksum.
-    for (const bool batched : {false, true}) {
-        EventQueue q;
-        ArbSweepState st;
-        const std::uint16_t kernel = registerArbKernel(q, st);
-        for (int i = 0; i < 4; ++i)
-            arbSweepRound(q, st, batched, kernel);
-        (batched ? r.batchedSink : r.scalarSink) = st.sink;
-    }
-
-    for (const bool batched : {false, true}) {
-        EventQueue q;
-        ArbSweepState st;
-        const std::uint16_t kernel = registerArbKernel(q, st);
-        arbSweepRound(q, st, batched, kernel); // warm-up
-        const std::uint64_t allocs0 = heapAllocs();
-        const Clock::time_point t0 = Clock::now();
-        std::uint64_t ops = 0;
-        do {
-            for (int i = 0; i < 8; ++i)
-                ops += arbSweepRound(q, st, batched, kernel);
-        } while (secondsSince(t0) < target);
-        const double seconds = secondsSince(t0);
-        const double rate = static_cast<double>(ops) / seconds;
-        if (batched) {
-            r.batchedEventsPerSec = rate;
-            r.allocsPerEvent = static_cast<double>(heapAllocs()
-                                                   - allocs0)
-                / static_cast<double>(ops);
-        } else {
-            r.scalarEventsPerSec = rate;
-        }
-    }
-    return r;
-}
-
-/**
- * Grant-scan: the token-ring pattern. 64 destination arbiters, each
- * with an eight-deep waiter queue; every grant event scans its
- * queue for the earliest token arrival (the armGrant() loop) and
- * rotates the token to the winner. The scalar side keeps the
- * pre-SoA Arbiter — a std::deque<Waiter> with a full Message
- * embedded in every entry, indexed per waiter exactly like the old
- * armGrant() — while the batched side scans the flat ready /
- * ring-position lanes the crossbar now keeps, with the destination
- * id riding the drain as payload. Identical arithmetic, identical
- * winners.
- */
-struct GrantScanState
-{
-    static constexpr std::uint32_t dsts = 64;
-    static constexpr std::uint32_t depth = 8;
-
-    /** The pre-SoA waiter: the queued packet rides in the arbiter. */
-    struct Waiter
-    {
-        Message msg;
-        Tick ready = 0;
-    };
-
-    /** The pre-SoA per-destination arbiter. */
-    struct Arbiter
-    {
-        std::uint32_t tokenPos = 0;
-        Tick tokenFree = 0;
-        std::deque<Waiter> waiting;
-    };
-    std::vector<Arbiter> arb;
-
-    // The SoA replacement: token state and waiter lanes, flat.
-    std::vector<Tick> tokenFree;
-    std::vector<std::uint32_t> tokenPos;
-    std::vector<Tick> wReady;
-    std::vector<std::uint32_t> wSrcPos;
-    std::uint64_t sink = 0;
-
-    GrantScanState()
-        : arb(dsts), tokenFree(dsts, 0), tokenPos(dsts, 0),
-          wReady(static_cast<std::size_t>(dsts) * depth, 0),
-          wSrcPos(static_cast<std::size_t>(dsts) * depth, 0)
-    {
-        for (std::uint32_t d = 0; d < dsts; ++d) {
-            for (std::uint32_t k = 0; k < depth; ++k) {
-                const std::size_t i =
-                    static_cast<std::size_t>(d) * depth + k;
-                wSrcPos[i] = static_cast<std::uint32_t>((i * 13)
-                                                        % 64);
-                wReady[i] = static_cast<Tick>(i % 29);
-                Waiter w;
-                w.msg.src = static_cast<SiteId>(wSrcPos[i]);
-                w.msg.dst = static_cast<SiteId>(d);
-                w.msg.bytes = 64;
-                w.ready = wReady[i];
-                arb[d].waiting.push_back(w);
-            }
-        }
-    }
-
-    void
-    scanAoS(Tick now, std::uint32_t dst)
-    {
-        // The pre-SoA armGrant() loop: index the deque per waiter
-        // and chase the embedded Message for the ring position.
-        Arbiter &a = arb[dst];
-        Tick best = maxTick;
-        std::uint32_t best_i = 0;
-        for (std::uint32_t i = 0; i < depth; ++i) {
-            const Waiter &w = a.waiting[i];
-            const std::uint32_t pos =
-                static_cast<std::uint32_t>(w.msg.src);
-            const std::uint32_t hops =
-                ((pos + 64 - a.tokenPos - 1) % 64) + 1;
-            Tick arrival = a.tokenFree + hops * 2;
-            const Tick ready = now + w.ready;
-            if (arrival < ready)
-                arrival = ready;
-            if (arrival < best) {
-                best = arrival;
-                best_i = i;
-            }
-        }
-        a.tokenPos =
-            static_cast<std::uint32_t>(a.waiting[best_i].msg.src);
-        a.tokenFree = best + 1;
-        sink += static_cast<std::uint64_t>(best) + best_i;
-    }
-
-    void
-    scanSoA(Tick now, std::uint32_t dst)
-    {
-        // Same loop over the flat lanes: earliest token passage,
-        // strict < tie-break in arrival order.
-        Tick best = maxTick;
-        std::uint32_t best_i = 0;
-        const std::size_t base =
-            static_cast<std::size_t>(dst) * depth;
-        for (std::uint32_t i = 0; i < depth; ++i) {
-            const std::uint32_t hops =
-                ((wSrcPos[base + i] + 64 - tokenPos[dst] - 1) % 64)
-                + 1;
-            Tick arrival = tokenFree[dst] + hops * 2;
-            const Tick ready = now + wReady[base + i];
-            if (arrival < ready)
-                arrival = ready;
-            if (arrival < best) {
-                best = arrival;
-                best_i = i;
-            }
-        }
-        tokenPos[dst] = wSrcPos[base + best_i];
-        tokenFree[dst] = best + 1;
-        sink += static_cast<std::uint64_t>(best) + best_i;
-    }
-};
-
-std::uint64_t
-grantScanRound(EventQueue &q, GrantScanState &st, bool batched,
-               std::uint16_t kernel)
-{
-    constexpr int rounds = 64;
-    const Tick base = q.now();
-    for (int t = 0; t < rounds; ++t) {
-        const Tick when = base + static_cast<Tick>(t + 1);
-        for (std::uint32_t dst = 0; dst < GrantScanState::dsts;
-             ++dst) {
-            if (batched) {
-                q.scheduleBatch(when, kernel, dst);
-            } else {
-                q.schedule(
-                    when,
-                    [&st, dst, when] { st.scanAoS(when, dst); },
-                    "bench.grant");
-            }
-        }
-    }
-    q.runUntil();
-    return static_cast<std::uint64_t>(rounds) * GrantScanState::dsts;
-}
-
-std::uint16_t
-registerGrantKernel(EventQueue &q, GrantScanState &st)
-{
-    return q.registerBatchKernel(
-        "bench.grant",
-        [](void *ctx, Tick when, const std::uint32_t *payloads,
-           std::size_t n) {
-            auto *s = static_cast<GrantScanState *>(ctx);
-            for (std::size_t i = 0; i < n; ++i)
-                s->scanSoA(when, payloads[i]);
-        },
-        &st);
-}
-
-BatchCellResult
-runGrantScan(bool smoke)
-{
-    BatchCellResult r;
-    const double target = smoke ? 0.02 : 0.25;
-
-    for (const bool batched : {false, true}) {
-        EventQueue q;
-        GrantScanState st;
-        const std::uint16_t kernel = registerGrantKernel(q, st);
-        for (int i = 0; i < 4; ++i)
-            grantScanRound(q, st, batched, kernel);
-        (batched ? r.batchedSink : r.scalarSink) = st.sink;
-    }
-
-    for (const bool batched : {false, true}) {
-        EventQueue q;
-        GrantScanState st;
-        const std::uint16_t kernel = registerGrantKernel(q, st);
-        grantScanRound(q, st, batched, kernel); // warm-up
-        const std::uint64_t allocs0 = heapAllocs();
-        const Clock::time_point t0 = Clock::now();
-        std::uint64_t ops = 0;
-        do {
-            for (int i = 0; i < 8; ++i)
-                ops += grantScanRound(q, st, batched, kernel);
-        } while (secondsSince(t0) < target);
-        const double seconds = secondsSince(t0);
-        const double rate = static_cast<double>(ops) / seconds;
-        if (batched) {
-            r.batchedEventsPerSec = rate;
-            r.allocsPerEvent = static_cast<double>(heapAllocs()
-                                                   - allocs0)
-                / static_cast<double>(ops);
-        } else {
-            r.scalarEventsPerSec = rate;
-        }
-    }
-    return r;
-}
-
-/**
- * Fault-margin-sweep: FaultInjector::sweepMargins() over every
- * faultable link of the full 8x8 two-phase topology, scalar object
- * path (an OpticalPath copy per link) vs the flat lane pass. An
- * "event" is one link margin re-evaluation.
- */
-BatchCellResult
-runFaultMarginSweep(bool smoke)
-{
-    BatchCellResult r;
-    const double target = smoke ? 0.02 : 0.25;
-    Simulator sim(11);
-    TwoPhaseArbitratedNetwork net(sim, simulatedConfig());
-    FaultInjector inj(sim, net, FaultSchedule{});
-    // Degrade a spread of lanes so the sweep folds nonzero terms.
-    const auto links = net.faultableLinks();
-    for (std::size_t i = 0; i < links.size(); i += 3) {
-        FaultEvent ev;
-        ev.kind = FaultKind::WaveguideCreep;
-        ev.target =
-            FaultTarget::channel(links[i].first, links[i].second);
-        ev.magnitudeDb = 0.25 + static_cast<double>(i % 7) * 0.05;
-        inj.apply(ev);
-    }
-    const std::uint64_t linksPerSweep = inj.trackedLinks();
-
-    for (const bool batched : {false, true}) {
-        inj.setBatching(batched);
-        double min_db = inj.sweepMargins(); // warm-up
-        const std::uint64_t allocs0 = heapAllocs();
-        const Clock::time_point t0 = Clock::now();
-        std::uint64_t ops = 0;
-        do {
-            for (int i = 0; i < 16; ++i) {
-                min_db = inj.sweepMargins();
-                ops += linksPerSweep;
-            }
-        } while (secondsSince(t0) < target);
-        const double seconds = secondsSince(t0);
-        const double rate = static_cast<double>(ops) / seconds;
-        // The sweep is a pure function of the (unchanging) lanes, so
-        // the min margin's bit pattern is the differential checksum.
-        std::uint64_t bits;
-        std::memcpy(&bits, &min_db, sizeof(bits));
-        if (batched) {
-            r.batchedEventsPerSec = rate;
-            r.batchedSink = bits;
-            r.allocsPerEvent = static_cast<double>(heapAllocs()
-                                                   - allocs0)
-                / static_cast<double>(ops);
-        } else {
-            r.scalarEventsPerSec = rate;
-            r.scalarSink = bits;
-        }
-    }
-    return r;
-}
-
-// ---------------------------------------------------------------
 // --jobs determinism check (test_determinism.cc discipline)
 // ---------------------------------------------------------------
 
@@ -925,52 +424,14 @@ main(int argc, char **argv)
     installSweepSignalHandlers();
     const bool smoke = stripSwitch(argc, argv, "smoke");
 
-    // --batch-smoke: only the scalar-vs-batched scenarios, with the
-    // differential checksum and allocation checks — the fast ctest
-    // entry meant to also run under TSan and UBSan configurations.
-    if (stripSwitch(argc, argv, "batch-smoke")) {
-        const BatchCellResult cells[] = {runArbitrationSweep(true),
-                                         runGrantScan(true),
-                                         runFaultMarginSweep(true)};
-        const char *names[] = {"arbitration-sweep", "grant-scan",
-                               "fault-margin-sweep"};
-        bool batch_ok = true;
-        for (int i = 0; i < 3; ++i) {
-            std::printf("%s: scalar %.3e ev/s, batched %.3e ev/s "
-                        "(%.2fx)\n",
-                        names[i], cells[i].scalarEventsPerSec,
-                        cells[i].batchedEventsPerSec,
-                        cells[i].speedup());
-            if (cells[i].scalarSink != cells[i].batchedSink) {
-                std::fprintf(stderr,
-                             "bench_micro_hotpath: %s checksum "
-                             "diverges between scalar and batched "
-                             "dispatch\n",
-                             names[i]);
-                batch_ok = false;
-            }
-            if (cells[i].allocsPerEvent > 0.0) {
-                std::fprintf(stderr,
-                             "bench_micro_hotpath: %s batched cell "
-                             "allocated %.6f times per event\n",
-                             names[i], cells[i].allocsPerEvent);
-                batch_ok = false;
-            }
-        }
-        return batch_ok ? 0 : 1;
-    }
-
     const CellResult sched = runScheduleHeavy(smoke);
     const CellResult coh = runCoherenceSteadyState(smoke);
     const CellResult uniform = runUniformRandom(smoke);
-    const BatchCellResult arb = runArbitrationSweep(smoke);
-    const BatchCellResult grant = runGrantScan(smoke);
-    const BatchCellResult margin = runFaultMarginSweep(smoke);
     const double speedup = baselineCoherenceEventsPerSec > 0.0
         ? coh.eventsPerSec / baselineCoherenceEventsPerSec
         : 0.0;
 
-    char json[1536];
+    char json[512];
     std::snprintf(
         json, sizeof(json),
         "{\"bench\":\"hotpath\","
@@ -980,24 +441,10 @@ main(int argc, char **argv)
         "\"coherence_steady_allocs_per_event\":%.6f,"
         "\"uniform_random_events_per_sec\":%.6e,"
         "\"baseline_coherence_steady_events_per_sec\":%.6e,"
-        "\"coherence_steady_speedup\":%.3f,"
-        "\"arbitration_sweep_scalar_events_per_sec\":%.6e,"
-        "\"arbitration_sweep_batched_events_per_sec\":%.6e,"
-        "\"arbitration_sweep_speedup\":%.3f,"
-        "\"grant_scan_scalar_events_per_sec\":%.6e,"
-        "\"grant_scan_batched_events_per_sec\":%.6e,"
-        "\"grant_scan_speedup\":%.3f,"
-        "\"fault_margin_sweep_scalar_links_per_sec\":%.6e,"
-        "\"fault_margin_sweep_batched_links_per_sec\":%.6e,"
-        "\"fault_margin_sweep_speedup\":%.3f}",
+        "\"coherence_steady_speedup\":%.3f}",
         sched.eventsPerSec, sched.allocsPerEvent, coh.eventsPerSec,
         coh.allocsPerEvent, uniform.eventsPerSec,
-        baselineCoherenceEventsPerSec, speedup,
-        arb.scalarEventsPerSec, arb.batchedEventsPerSec,
-        arb.speedup(), grant.scalarEventsPerSec,
-        grant.batchedEventsPerSec, grant.speedup(),
-        margin.scalarEventsPerSec, margin.batchedEventsPerSec,
-        margin.speedup());
+        baselineCoherenceEventsPerSec, speedup);
     std::printf("%s\n", json);
     std::fflush(stdout);
     if (!smoke) {
@@ -1023,35 +470,6 @@ main(int argc, char **argv)
                          "(budget %.1f)\n",
                          sched.allocsPerEvent, allocBudgetPerEvent);
             ok = false;
-        }
-        // The batched dispatch scenarios must match their scalar
-        // references exactly — same work, same checksum — and stay
-        // allocation-free in the batched steady state.
-        const struct
-        {
-            const char *name;
-            const BatchCellResult *cell;
-        } scenarios[] = {{"arbitration-sweep", &arb},
-                         {"grant-scan", &grant},
-                         {"fault-margin-sweep", &margin}};
-        for (const auto &[name, cell] : scenarios) {
-            if (cell->scalarSink != cell->batchedSink) {
-                std::fprintf(stderr,
-                             "bench_micro_hotpath: %s checksum "
-                             "diverges between scalar and batched "
-                             "dispatch\n",
-                             name);
-                ok = false;
-            }
-            if (cell->allocsPerEvent > allocBudgetPerEvent) {
-                std::fprintf(stderr,
-                             "bench_micro_hotpath: %s batched cell "
-                             "allocated %.6f times per event "
-                             "(budget %.1f)\n",
-                             name, cell->allocsPerEvent,
-                             allocBudgetPerEvent);
-                ok = false;
-            }
         }
         if (!checkJobsDeterminism())
             ok = false;

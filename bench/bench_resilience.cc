@@ -31,7 +31,7 @@
 #include "harness.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
 #include "workloads/packet_injector.hh"
 #include "workloads/patterns.hh"
 

@@ -13,7 +13,7 @@
 #include "sim/telemetry/json.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
-#include "sweep.hh"
+#include "sim/sweep.hh"
 
 namespace macrosim::bench
 {

@@ -16,13 +16,9 @@ FaultInjector::FaultInjector(Simulator &sim, Network &net,
                        .margin(params.launch, params.sensitivity)
                        .value())
 {
-    batching_ = batchDispatchDefault();
-    injectKernel_ = sim_.events().registerBatchKernel(
-        "fault.inject", &FaultInjector::injectBatch, this);
-
     // Flatten the base path once: the per-element loss terms, in path
     // order, are exactly what totalLoss() folds — keeping them as a
-    // dense array lets evaluateFlat() replay the identical operation
+    // dense array lets foldMargin() replay the identical operation
     // sequence without rebuilding (and heap-copying) the path.
     baseExtraDb_ = params_.basePath.extraLoss().value();
     elemLossDb_.reserve(params_.basePath.elements().size());
@@ -99,65 +95,34 @@ FaultInjector::arm()
     armed_ = true;
     armedEvents_ = schedule_.ordered();
     for (std::size_t i = 0; i < armedEvents_.size(); ++i) {
-        if (batching_) {
-            sim_.events().scheduleBatch(
-                armedEvents_[i].at, injectKernel_,
-                static_cast<std::uint32_t>(i));
-        } else {
-            sim_.events().schedule(armedEvents_[i].at,
-                                   [this, i] { apply(armedEvents_[i]); },
-                                   "fault.inject");
-        }
+        sim_.events().schedule(armedEvents_[i].at,
+                               [this, i] { apply(armedEvents_[i]); },
+                               "fault.inject");
     }
 }
 
-void
-FaultInjector::injectBatch(void *ctx, Tick when,
-                           const std::uint32_t *payloads,
-                           std::size_t count)
-{
-    (void)when;
-    auto *inj = static_cast<FaultInjector *>(ctx);
-    for (std::size_t i = 0; i < count; ++i)
-        inj->apply(inj->armedEvents_[payloads[i]]);
-}
-
 double
-FaultInjector::evaluateScalar(const Health &h) const
+FaultInjector::foldMargin(double droop_db, double drop_db, double wg_db,
+                          double rx_db) const
 {
-    // The accumulated soft degradation re-runs the section 2 budget:
-    // added component loss through deratedPath(), dimmer launch,
-    // deafer receiver. This is the reference arithmetic the flat
-    // lanes must reproduce bit for bit.
-    return params_.basePath
-        .deratedPath(Decibel(h.dropDb + h.wgDb))
-        .margin(params_.launch - Decibel(h.droopDb),
-                params_.sensitivity + Decibel(h.rxDb))
-        .value();
-}
-
-double
-FaultInjector::evaluateFlat(std::uint32_t i) const
-{
-    // Same operation sequence as evaluateScalar: totalLoss() starts
-    // from the extra (derate) loss and folds each element's term in
-    // path order; margin is (launch - loss) - sensitivity. Keeping
-    // the fold order makes the two paths bit-identical despite FP
+    // The accumulated soft degradation re-runs the section 2 budget,
+    // basePath.deratedPath(drop + wg).margin(launch - droop,
+    // sensitivity + rx), in that object path's operation order:
+    // totalLoss() starts from the extra (derate) loss and folds each
+    // element's term in path order; margin is (launch - loss) -
+    // sensitivity. Keeping the fold order makes the result
+    // bit-identical to the photonics arithmetic despite FP
     // non-associativity.
-    double total = baseExtraDb_ + (dropDb_[i] + wgDb_[i]);
+    double total = baseExtraDb_ + (drop_db + wg_db);
     for (const double term : elemLossDb_)
         total += term;
-    return ((launchDbm_ - droopDb_[i]) - total)
-        - (sensitivityDbm_ + rxDb_[i]);
+    return ((launchDbm_ - droop_db) - total) - (sensitivityDbm_ + rx_db);
 }
 
 double
 FaultInjector::marginOfLane(std::uint32_t i) const
 {
-    if (batching_)
-        return evaluateFlat(i);
-    return evaluateScalar(Health{droopDb_[i], dropDb_[i], wgDb_[i],
-                                 rxDb_[i], killed_[i] != 0});
+    return foldMargin(droopDb_[i], dropDb_[i], wgDb_[i], rxDb_[i]);
 }
 
 LinkHealth
@@ -178,24 +143,10 @@ FaultInjector::sweepMargins()
             .margin(params_.launch, params_.sensitivity)
             .value();
     }
-    if (batching_) {
-        // One flat pass over the lanes: the hot loop the compiler can
-        // vectorize — no path copies, no Decibel temporaries.
-        const std::size_t n = laneKeys_.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            double total = baseExtraDb_ + (dropDb_[i] + wgDb_[i]);
-            for (const double term : elemLossDb_)
-                total += term;
-            marginDb_[i] = ((launchDbm_ - droopDb_[i]) - total)
-                - (sensitivityDbm_ + rxDb_[i]);
-        }
-    } else {
-        for (std::size_t i = 0; i < laneKeys_.size(); ++i) {
-            marginDb_[i] = evaluateScalar(
-                Health{droopDb_[i], dropDb_[i], wgDb_[i], rxDb_[i],
-                       killed_[i] != 0});
-        }
-    }
+    // One flat pass over the lanes: no path copies, no Decibel
+    // temporaries.
+    for (std::uint32_t i = 0; i < marginDb_.size(); ++i)
+        marginDb_[i] = marginOfLane(i);
     double min = marginDb_[0];
     for (const double m : marginDb_)
         min = m < min ? m : min;
@@ -209,7 +160,7 @@ FaultInjector::marginDbOf(const FaultTarget &target) const
     if (it != laneIndex_.end())
         return marginOfLane(it->second);
     // Unknown target: fresh health, base margin.
-    return evaluateScalar(Health{});
+    return foldMargin(0.0, 0.0, 0.0, 0.0);
 }
 
 void

@@ -13,9 +13,6 @@ Network::Network(Simulator &sim, const MacrochipConfig &config)
     : sim_(sim), config_(config), geometry_(config.geometry()),
       handlers_(config.siteCount())
 {
-    batching_ = batchDispatchDefault();
-    deliverKernel_ = sim_.events().registerBatchKernel(
-        "net.deliver", &Network::deliverBatch, this);
 }
 
 void
@@ -69,38 +66,9 @@ Network::deliverAt(Message msg, Tick when)
         pdesRoute(msg.dst, ev, "net.deliver");
         return;
     }
-    if (batching_) {
-        std::uint32_t idx;
-        if (!deliverFree_.empty()) {
-            idx = deliverFree_.back();
-            deliverFree_.pop_back();
-        } else {
-            idx = static_cast<std::uint32_t>(deliverPool_.size());
-            deliverPool_.emplace_back();
-        }
-        deliverPool_[idx] = msg;
-        sim_.events().scheduleBatch(when, deliverKernel_, idx);
-        return;
-    }
     sim_.events().schedule(when, [this, msg]() mutable {
         finishDelivery(msg);
     }, "net.deliver");
-}
-
-void
-Network::deliverBatch(void *ctx, Tick when,
-                      const std::uint32_t *payloads, std::size_t count)
-{
-    (void)when;
-    Network *net = static_cast<Network *>(ctx);
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t idx = payloads[i];
-        // Copy out and recycle before the handler runs: handlers may
-        // inject follow-on traffic that claims the freed pool entry.
-        const Message msg = net->deliverPool_[idx];
-        net->deliverFree_.push_back(idx);
-        net->finishDelivery(msg);
-    }
 }
 
 void

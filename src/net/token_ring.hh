@@ -100,12 +100,6 @@ class TokenRingCrossbar : public Network
     /** Fire the grant chosen by armGrant(). */
     void grant(SiteId dst, std::size_t waiter_idx);
 
-    /** Batch kernel draining a tick's worth of grant events; each
-     *  payload is a destination site whose armed grant fires. */
-    static void grantBatch(void *ctx, Tick when,
-                           const std::uint32_t *payloads,
-                           std::size_t count);
-
     /** Claim a waiter-pool slot (ctz over the free-mask words),
      *  growing the pool a word at a time. */
     std::uint32_t allocWaiter();
@@ -132,15 +126,13 @@ class TokenRingCrossbar : public Network
     std::vector<std::uint32_t> ringPos_;  ///< site -> ring index
 
     /** Per-destination arbiter state as parallel arrays (index =
-     *  destination site). The grant-scan and the batched grant kernel
-     *  read one field across many destinations, so
-     *  structure-of-arrays keeps those passes dense. */
+     *  destination site). The grant scan and the stat reductions read
+     *  one field across many destinations, so structure-of-arrays
+     *  keeps those passes dense. */
     std::vector<std::uint32_t> arbTokenPos_; ///< Ring idx, last holder.
     std::vector<Tick> arbTokenFree_;    ///< When the token departed.
     std::vector<Tick> arbBusyTicks_;    ///< Cumulative token hold.
     std::vector<EventId> arbGrantEvent_;
-    /** Index (within arbWaiting_[dst]) the armed grant will take. */
-    std::vector<std::uint32_t> arbGrantIdx_;
     /** Masked bundle width; 0 means the full engineered width. */
     std::vector<std::uint32_t> arbMasked_;
 
@@ -161,8 +153,6 @@ class TokenRingCrossbar : public Network
     std::vector<std::uint32_t> wSrcPos_;
     std::vector<std::uint64_t> wFree_;
     std::vector<std::vector<std::uint32_t>> arbWaiting_;
-
-    std::uint16_t grantKernel_ = 0;
 };
 
 } // namespace macrosim

@@ -32,8 +32,6 @@ TwoPhaseArbitratedNetwork::TwoPhaseArbitratedNetwork(
     chLastSender_.assign(n_channels, ~SiteId(0));
     chDown_.assign(n_channels, 0);
     chMasked_.assign(n_channels, 0);
-    slotKernel_ = sim.events().registerBatchKernel(
-        "net.2phase.slot", &TwoPhaseArbitratedNetwork::slotBatch, this);
     const std::size_t instances = alt_ ? 2 : 1;
     trees_.resize(static_cast<std::size_t>(config.siteCount())
                   * config.cols * instances);
@@ -177,22 +175,6 @@ TwoPhaseArbitratedNetwork::arbitrate(Message msg, Tick post_time)
     // Both arbitration messages are 8 B optical control transfers.
     energy().countOpticalTransfer(2 * controlMessageBytes);
 
-    if (batching()) {
-        std::uint32_t idx;
-        if (!slotFree_.empty()) {
-            idx = slotFree_.back();
-            slotFree_.pop_back();
-        } else {
-            idx = static_cast<std::uint32_t>(pendingSlots_.size());
-            pendingSlots_.emplace_back();
-        }
-        PendingSlot &p = pendingSlots_[idx];
-        p.msg = std::move(msg);
-        p.slotStart = slot_start;
-        p.ser = ser;
-        sim().events().scheduleBatch(slot_start, slotKernel_, idx);
-        return;
-    }
     sim().events().schedule(slot_start,
                             [this, msg = std::move(msg), slot_start,
                              ser]() mutable {
@@ -200,23 +182,6 @@ TwoPhaseArbitratedNetwork::arbitrate(Message msg, Tick post_time)
                                              ser);
                             },
                             "net.2phase.slot");
-}
-
-void
-TwoPhaseArbitratedNetwork::slotBatch(void *ctx, Tick when,
-                                     const std::uint32_t *payloads,
-                                     std::size_t count)
-{
-    (void)when;
-    auto *net = static_cast<TwoPhaseArbitratedNetwork *>(ctx);
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t idx = payloads[i];
-        // Move out and recycle first: transmitSlot may re-arbitrate,
-        // which claims a pool entry for the rescheduled slot.
-        PendingSlot rec = std::move(net->pendingSlots_[idx]);
-        net->slotFree_.push_back(idx);
-        net->transmitSlot(std::move(rec.msg), rec.slotStart, rec.ser);
-    }
 }
 
 BusyResource *

@@ -1,7 +1,6 @@
 #include "sim/event.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -15,11 +14,6 @@ namespace macrosim
 
 namespace
 {
-
-/** See batchDispatchDefault(). Atomic because sweep cells construct
- *  networks concurrently while a test harness may have flipped the
- *  default before launching them. */
-std::atomic<bool> g_batchDispatchDefault{true};
 
 /** Split an EventId into (gen, slot index); slot is biased by one so
  *  invalidEventId (0) never decodes to a valid slot. */
@@ -43,18 +37,6 @@ makeId(std::uint32_t gen, std::uint32_t slot)
 }
 
 } // namespace
-
-bool
-batchDispatchDefault()
-{
-    return g_batchDispatchDefault.load(std::memory_order_relaxed);
-}
-
-void
-setBatchDispatchDefault(bool on)
-{
-    g_batchDispatchDefault.store(on, std::memory_order_relaxed);
-}
 
 std::uint32_t
 EventQueue::allocSlot(Callback cb, const char *tag)
@@ -82,7 +64,6 @@ EventQueue::freeSlot(std::uint32_t slot)
 {
     Slot &s = slots_[slot];
     s.cb = nullptr;
-    s.kernel = 0;
     s.tombstone = false;
     ++s.gen; // stale EventIds now fail the generation check
     freeSlots_.push_back(slot);
@@ -130,46 +111,6 @@ EventQueue::scheduleKeyed(Tick when, std::uint64_t key, Callback cb,
     return makeId(slots_[slot].gen, slot);
 }
 
-std::uint16_t
-EventQueue::registerBatchKernel(const char *tag, BatchKernel fn,
-                                void *ctx)
-{
-    if (fn == nullptr)
-        panic("EventQueue::registerBatchKernel: null kernel");
-    if (kernels_.size() >=
-        std::numeric_limits<std::uint16_t>::max()) {
-        panic("EventQueue::registerBatchKernel: kernel id space "
-              "exhausted (", kernels_.size(), " kernels)");
-    }
-    kernels_.push_back(BatchKernelEntry{fn, ctx, tag});
-    return static_cast<std::uint16_t>(kernels_.size());
-}
-
-EventId
-EventQueue::scheduleBatch(Tick when, std::uint16_t kernel,
-                          std::uint32_t payload)
-{
-    if (when < now_) {
-        panic("EventQueue::scheduleBatch: tried to schedule at tick ",
-              when, " which is before now (", now_, ")");
-    }
-    if (kernel == 0 || kernel > kernels_.size()) {
-        panic("EventQueue::scheduleBatch: unregistered kernel id ",
-              kernel);
-    }
-    const std::uint32_t slot =
-        allocSlot(Callback(), kernels_[kernel - 1].tag);
-    slots_[slot].payload = payload;
-    slots_[slot].kernel = kernel;
-    heap_.push_back(HeapRecord{when, nextSeq_++, slot, kernel});
-    siftUp(heap_.size() - 1);
-    ++pending_;
-    ++stats_.scheduled;
-    if (pending_ > stats_.peakPending)
-        stats_.peakPending = pending_;
-    return makeId(slots_[slot].gen, slot);
-}
-
 Tick
 EventQueue::peekNextTick()
 {
@@ -184,14 +125,12 @@ EventQueue::cancel(EventId id)
     if (biased == 0 || biased > slots_.size())
         return false;
     Slot &s = slots_[biased - 1];
-    // A live slot holds a callback or a batch kernel id;
-    // executed/cancelled/free slots hold neither, and recycled slots
+    // Executed/cancelled/free slots hold no callback; recycled slots
     // fail the generation check.
-    if ((!s.cb && s.kernel == 0) || s.tombstone || idGen(id) != s.gen)
+    if (!s.cb || s.tombstone || idGen(id) != s.gen)
         return false;
     s.tombstone = true;
     s.cb = nullptr; // release captured state immediately
-    s.kernel = 0;
     --pending_;
     ++tombstones_;
     ++stats_.cancelled;
@@ -258,26 +197,6 @@ EventQueue::skipCancelled()
 }
 
 void
-EventQueue::noteExecuted(Tick when, std::uint64_t count)
-{
-    stats_.executed += count;
-    if (burst_ > 0 && when == lastExecTick_) {
-        burst_ += count;
-    } else {
-        // Crossing a tick boundary completes the previous tick: its
-        // event count is final, so report it before restarting the
-        // burst. Same-tick events always execute consecutively (the
-        // heap is tick-ordered), so burst_ *is* the per-tick count.
-        if (burst_ > 0)
-            completeTick();
-        burst_ = count;
-    }
-    lastExecTick_ = when;
-    if (burst_ > stats_.maxSameTickBurst)
-        stats_.maxSameTickBurst = burst_;
-}
-
-void
 EventQueue::completeTick()
 {
     if (tickObs_ != nullptr)
@@ -299,7 +218,21 @@ EventQueue::executeRoot()
     freeSlot(root.slot);
     popRoot();
     --pending_;
-    noteExecuted(root.when, 1);
+    ++stats_.executed;
+    if (burst_ > 0 && root.when == lastExecTick_) {
+        ++burst_;
+    } else {
+        // Crossing a tick boundary completes the previous tick: its
+        // event count is final, so report it before restarting the
+        // burst. Same-tick events always execute consecutively (the
+        // heap is tick-ordered), so burst_ *is* the per-tick count.
+        if (burst_ > 0)
+            completeTick();
+        burst_ = 1;
+    }
+    lastExecTick_ = root.when;
+    if (burst_ > stats_.maxSameTickBurst)
+        stats_.maxSameTickBurst = burst_;
     // All bookkeeping is consistent before the callback runs, so it
     // may freely schedule() and cancel() (and grow the arena).
     if (!profiling_) {
@@ -315,50 +248,6 @@ EventQueue::executeRoot()
     ProfileBucket &bucket = profileBucketFor(tag);
     ++bucket.count;
     bucket.wallNs += ns;
-}
-
-std::uint64_t
-EventQueue::executeBatchRun()
-{
-    const std::uint16_t kernel = heap_[0].kernel;
-    const Tick when = heap_[0].when;
-    now_ = when;
-    batchScratch_.clear();
-    do {
-        const std::uint32_t slot = heap_[0].slot;
-        batchScratch_.push_back(slots_[slot].payload);
-        freeSlot(slot);
-        popRoot();
-        // Tombstones between run members would be skipped by the
-        // scalar path too, so dropping them preserves run maximality
-        // without reordering anything.
-        skipCancelled();
-    } while (!heap_.empty() && heap_[0].when == when &&
-             heap_[0].kernel == kernel);
-    const std::uint64_t n = batchScratch_.size();
-    pending_ -= static_cast<std::size_t>(n);
-    noteExecuted(when, n);
-    ++stats_.batchRuns;
-    stats_.batchEvents += n;
-    // Bookkeeping is consistent before the kernel runs, so it may
-    // schedule()/scheduleBatch()/cancel() freely; anything it adds
-    // at this tick forms a later run, exactly as the per-event path
-    // would order it.
-    const BatchKernelEntry &k = kernels_[kernel - 1];
-    if (!profiling_) {
-        k.fn(k.ctx, when, batchScratch_.data(), batchScratch_.size());
-        return n;
-    }
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point t0 = Clock::now();
-    k.fn(k.ctx, when, batchScratch_.data(), batchScratch_.size());
-    const double ns =
-        std::chrono::duration<double, std::nano>(Clock::now() - t0)
-            .count();
-    ProfileBucket &bucket = profileBucketFor(k.tag);
-    bucket.count += n;
-    bucket.wallNs += ns;
-    return n;
 }
 
 EventQueue::ProfileBucket &
@@ -421,10 +310,7 @@ EventQueue::runOne()
     skipCancelled();
     if (heap_.empty())
         return false;
-    if (heap_[0].kernel != 0)
-        executeBatchRun();
-    else
-        executeRoot();
+    executeRoot();
     return true;
 }
 
@@ -439,12 +325,8 @@ EventQueue::runUntil(Tick limit)
         skipCancelled();
         if (heap_.empty() || heap_[0].when > limit)
             break;
-        if (heap_[0].kernel != 0) {
-            ran += executeBatchRun();
-        } else {
-            executeRoot();
-            ++ran;
-        }
+        executeRoot();
+        ++ran;
     }
     return ran;
 }
@@ -482,12 +364,6 @@ EventQueue::regStats(StatRegistry &registry,
     });
     registry.add(prefix + ".max_same_tick_burst", [s] {
         return static_cast<double>(s->maxSameTickBurst);
-    });
-    registry.add(prefix + ".batch_runs", [s] {
-        return static_cast<double>(s->batchRuns);
-    });
-    registry.add(prefix + ".batch_events", [s] {
-        return static_cast<double>(s->batchEvents);
     });
     // Bucket ge_N counts completed ticks whose burst size lies in
     // [N, 2N); the last bucket is unbounded above.

@@ -14,21 +14,6 @@
  * callback immediately (captured state, e.g. Message payloads, is
  * freed promptly); tombstoned heap records are skipped at pop time
  * and swept out wholesale when they exceed half the heap.
- *
- * Batched ("coalesced tick") execution: same-tick bursts of
- * homogeneous events are the dominant structure of the hot loops
- * (EventQueueStats' burst histogram quantifies it per workload), and
- * dispatching each through its own InlineCallback wastes the
- * homogeneity. A registrant may registerBatchKernel() a flat
- * function and then scheduleBatch() events that carry only a 32-bit
- * payload (an index into the registrant's structure-of-arrays
- * state). When a maximal run of same-tick records of one kernel
- * reaches the top of the heap, the queue invokes the kernel ONCE
- * with the payloads in execution order instead of N callbacks —
- * per-event dispatch, callback relocation and arena traffic drop out
- * while the observable execution order, stats and tick-observer
- * stream stay exactly those of the equivalent per-event path (see
- * DESIGN.md §14 for the ordering argument).
  */
 
 #ifndef MACROSIM_SIM_EVENT_HH
@@ -62,30 +47,6 @@ using EventId = std::uint64_t;
 constexpr EventId invalidEventId = 0;
 
 /**
- * A batch kernel: invoked once per maximal same-tick run of events
- * scheduled with scheduleBatch() for the same kernel id. @p payloads
- * holds the 32-bit payloads in exact execution (schedule) order.
- * Kernels may schedule()/scheduleBatch()/cancel() freely — the
- * queue's bookkeeping is consistent before the call — but must not
- * assume anything about @p count beyond count >= 1.
- */
-using BatchKernel = void (*)(void *ctx, Tick when,
-                             const std::uint32_t *payloads,
-                             std::size_t count);
-
-/**
- * Process-wide default for whether subsystems route their per-tick
- * bulk work through batch kernels (scheduleBatch) or the per-event
- * scalar reference path (schedule + InlineCallback). Batched is the
- * default; tests and benches flip it to compare the two paths on
- * networks they construct indirectly (figure/campaign helpers).
- * Read once at subsystem construction, so flipping it mid-simulation
- * affects only subsequently built objects.
- */
-bool batchDispatchDefault();
-void setBatchDispatchDefault(bool on);
-
-/**
  * Observability counters for one EventQueue. Plain fields keep the
  * hot path branch-free; registration with a StatGroup happens via
  * EventQueue::regStats().
@@ -109,10 +70,6 @@ struct EventQueueStats
     std::uint64_t compactions = 0;
     /** Longest run of consecutively executed same-tick events. */
     std::uint64_t maxSameTickBurst = 0;
-    /** Batch-kernel invocations (each retires a whole run). */
-    std::uint64_t batchRuns = 0;
-    /** Events retired through batch kernels (subset of executed). */
-    std::uint64_t batchEvents = 0;
     /** Same-tick burst-size histogram over completed ticks. A tick
      *  completes when a later tick's first event executes or
      *  flushTickObserver() runs, same as the tick observer. */
@@ -144,8 +101,7 @@ class EventQueue
   public:
     /** Scheduled callbacks live inline in the slot arena — captures
      *  must fit InlineCallback's buffer (compile-time checked), so
-     *  schedule()/execute never touch the heap. std::function still
-     *  converts via a deprecated shim for one release. */
+     *  schedule()/execute never touch the heap. */
     using Callback = InlineCallback;
 
     EventQueue() = default;
@@ -198,34 +154,6 @@ class EventQueue
                           const char *tag = nullptr);
 
     /**
-     * Register a batch kernel under @p tag (profiler attribution;
-     * must outlive the queue, string literals). Returns the kernel id
-     * to pass to scheduleBatch(). Registration order is per-queue and
-     * deterministic; ids start at 1.
-     */
-    std::uint16_t registerBatchKernel(const char *tag, BatchKernel fn,
-                                      void *ctx);
-
-    /**
-     * Schedule one batch event: at tick @p when the registered kernel
-     * receives @p payload, coalesced with every adjacent same-tick
-     * event of the same kernel into a single invocation. Ordering is
-     * identical to schedule(): batch events take the next insertion
-     * sequence number, so they interleave with plain events exactly
-     * where an equivalent schedule() call would, and coalesced runs
-     * never reorder across a plain event or a tick boundary.
-     *
-     * The returned id works with cancel(). Cancellation drops the
-     * payload on the floor — registrants whose payloads index pooled
-     * state must either not cancel or use self-describing payloads.
-     *
-     * @pre when >= now(); @p kernel was returned by
-     *      registerBatchKernel() on this queue.
-     */
-    EventId scheduleBatch(Tick when, std::uint16_t kernel,
-                          std::uint32_t payload);
-
-    /**
      * Timestamp of the earliest pending event, or maxTick when the
      * queue is empty. Sweeps cancelled tombstones off the top, hence
      * non-const. The PDES horizon protocol publishes this as the
@@ -253,9 +181,7 @@ class EventQueue
     std::size_t size() const { return pending_; }
 
     /**
-     * Run the next pending event (advancing now()). If the next event
-     * is a batch record, its whole coalesced run executes as one unit
-     * (a run is indivisible — it is one kernel invocation).
+     * Run the next pending event (advancing now()).
      *
      * @return true if an event ran; false if the queue was empty.
      */
@@ -361,10 +287,6 @@ class EventQueue
          *  profiling is off so the profiler can be flipped on
          *  mid-simulation. */
         const char *tag = nullptr;
-        /** Batch payload; meaningful only when kernel != 0. */
-        std::uint32_t payload = 0;
-        /** Owning batch kernel id; 0 = plain callback slot. */
-        std::uint16_t kernel = 0;
         std::uint32_t gen = 0;
         bool tombstone = false;
     };
@@ -385,17 +307,12 @@ class EventQueue
         ProfileBucket bucket;
     };
 
-    /** Heap record: 24 bytes, trivially copyable, no callback. The
-     *  kernel id rides in what used to be tail padding, so batch
-     *  coalescing can test run membership without touching the slot
-     *  arena. */
+    /** Heap record: 24 bytes, trivially copyable, no callback. */
     struct HeapRecord
     {
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
-        /** 0 = plain callback record; else batch kernel id. */
-        std::uint16_t kernel = 0;
     };
 
     /** Keyed records set this bit in `seq`, with the caller's key in
@@ -422,18 +339,8 @@ class EventQueue
     /** Drop tombstoned records off the top of the heap. */
     void skipCancelled();
 
-    /** Pop and run the root record. @pre root is pending and plain. */
+    /** Pop and run the root record. @pre root is pending. */
     void executeRoot();
-
-    /** Pop and run the maximal same-(tick, kernel) run at the top of
-     *  the heap through its batch kernel. @pre root is pending and a
-     *  batch record. @return events retired. */
-    std::uint64_t executeBatchRun();
-
-    /** Burst bookkeeping shared by the scalar and batch paths:
-     *  account @p count events executing at @p when, completing the
-     *  previous tick (observer + histogram) on a boundary cross. */
-    void noteExecuted(Tick when, std::uint64_t count);
 
     /** Report the in-progress tick to the observer and histogram. */
     void completeTick();
@@ -458,19 +365,6 @@ class EventQueue
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
     EventQueueStats stats_;
-
-    /** One registered batch kernel (id = index + 1). */
-    struct BatchKernelEntry
-    {
-        BatchKernel fn;
-        void *ctx;
-        const char *tag;
-    };
-
-    std::vector<BatchKernelEntry> kernels_;
-    /** Payload staging for the run being drained; reused across runs
-     *  so steady state stays allocation-free. */
-    std::vector<std::uint32_t> batchScratch_;
 
     /** Bucket for @p tag, interning it on first sight. */
     ProfileBucket &profileBucketFor(const char *tag);

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -318,6 +317,30 @@ TEST(EventQueue, TombstoneCompactionPreservesOrder)
         EXPECT_EQ(order[i], expected[i].second);
 }
 
+TEST(EventQueue, BurstHistogramBucketsByPowerOfTwo)
+{
+    EventQueue q;
+    int fired = 0;
+    // Tick 1: burst of 1. Tick 2: burst of 3 (bucket [2,4)).
+    // Tick 3: burst of 8 (bucket [8,16)).
+    q.schedule(1, [&fired] { ++fired; }, "t");
+    for (int i = 0; i < 3; ++i)
+        q.schedule(2, [&fired] { ++fired; }, "t");
+    for (int i = 0; i < 8; ++i)
+        q.schedule(3, [&fired] { ++fired; }, "t");
+    while (q.runOne()) {}
+    EXPECT_EQ(fired, 12);
+    // The final tick stays buffered until the flush.
+    q.flushTickObserver();
+
+    const EventQueueStats &s = q.stats();
+    EXPECT_EQ(s.burstHist[0], 1u); // [1, 2)
+    EXPECT_EQ(s.burstHist[1], 1u); // [2, 4)
+    EXPECT_EQ(s.burstHist[2], 0u); // [4, 8)
+    EXPECT_EQ(s.burstHist[3], 1u); // [8, 16)
+    EXPECT_EQ(s.maxSameTickBurst, 8u);
+}
+
 TEST(EventQueue, RegStatsDumpsThroughStatGroup)
 {
     EventQueue q;
@@ -435,23 +458,6 @@ TEST(InlineCallback, DestroysCapturePromptly)
         EXPECT_EQ(token.use_count(), 1);
     }
     EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(InlineCallback, DeprecatedStdFunctionShimStillWorks)
-{
-    // One-release compatibility: out-of-tree std::function callers
-    // keep compiling (with a deprecation warning) and keep running.
-    int hits = 0;
-    std::function<void()> fn = [&hits] { ++hits; };
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EventQueue q;
-    q.schedule(1, fn);
-    InlineCallback empty_shim{std::function<void()>{}};
-#pragma GCC diagnostic pop
-    EXPECT_FALSE(empty_shim); // empty function -> empty callback
-    q.runUntil();
-    EXPECT_EQ(hits, 1);
 }
 
 TEST(Simulator, RunAdvancesTime)

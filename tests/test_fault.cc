@@ -2,12 +2,15 @@
  * @file
  * Fault-injection subsystem tests: deterministic schedules, link
  * margin re-evaluation through the section 2 budget arithmetic,
- * fault.* telemetry, protocol retry/timeout behaviour, and sweep
- * determinism across worker-thread counts.
+ * fault.* telemetry, protocol retry/timeout behaviour, sweep
+ * determinism across worker-thread counts, the flat margin fold
+ * against the photonics reference, and packet accounting on
+ * arbitrated topologies with dead and masked channels.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -15,9 +18,10 @@
 #include "fault/injector.hh"
 #include "harness.hh"
 #include "net/pt2pt.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/sweep.hh"
 #include "sim/telemetry/trace.hh"
-#include "sweep.hh"
 #include "workloads/coherence.hh"
 #include "workloads/message_passing.hh"
 #include "workloads/packet_injector.hh"
@@ -321,6 +325,277 @@ TEST(FaultSweep, BitIdenticalForAnyJobsCount)
         bit = bit || c.dropped > 0 || c.retried > 0
             || c.minMargin < 4.0;
     EXPECT_TRUE(bit);
+}
+
+
+// ----------------------------------------------- flat margin fold
+
+/** Accumulated soft degradation of one channel, replayed alongside
+ *  the injector so the test can price it independently. */
+struct Degradation
+{
+    double droopDb = 0.0;
+    double dropDb = 0.0;
+    double wgDb = 0.0;
+    double rxDb = 0.0;
+    bool killed = false;
+
+    void
+    apply(const FaultEvent &ev)
+    {
+        switch (ev.kind) {
+          case FaultKind::LaserDroop:
+            droopDb += ev.magnitudeDb;
+            break;
+          case FaultKind::RingDrift:
+            dropDb += ev.magnitudeDb;
+            break;
+          case FaultKind::WaveguideCreep:
+            wgDb += ev.magnitudeDb;
+            break;
+          case FaultKind::ReceiverDegrade:
+            rxDb += ev.magnitudeDb;
+            break;
+          case FaultKind::ChannelKill:
+            killed = true;
+            break;
+          case FaultKind::Repair:
+            *this = Degradation{};
+            break;
+          case FaultKind::SiteKill:
+            break;
+        }
+    }
+
+    /** The section 2 budget through the photonics object path. */
+    double
+    referenceMarginDb(const FaultModelParams &p) const
+    {
+        return p.basePath.deratedPath(Decibel(dropDb + wgDb))
+            .margin(p.launch - Decibel(droopDb),
+                    p.sensitivity + Decibel(rxDb))
+            .value();
+    }
+};
+
+/** Every tracked link's margin, the sweep minimum and the down /
+ *  derated counters must equal what the photonics reference implies
+ *  for @p state — margins bit for bit, not within a tolerance. */
+void
+expectMatchesReference(FaultInjector &inj, const FaultModelParams &p,
+                       const std::vector<std::pair<SiteId, SiteId>> &links,
+                       const std::vector<Degradation> &state)
+{
+    double min = state[0].referenceMarginDb(p);
+    std::uint64_t down = 0;
+    std::uint64_t derated = 0;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+        const double ref = state[i].referenceMarginDb(p);
+        EXPECT_EQ(inj.marginDbOf(FaultTarget::channel(links[i].first,
+                                                      links[i].second)),
+                  ref)
+            << "link " << i;
+        min = ref < min ? ref : min;
+        if (state[i].killed || ref < 0.0)
+            ++down;
+        else if (ref < p.derateThreshold.value())
+            ++derated;
+    }
+    EXPECT_EQ(inj.sweepMargins(), min);
+    EXPECT_EQ(inj.linksDown(), down);
+    EXPECT_EQ(inj.linksDerated(), derated);
+}
+
+TEST(FaultMarginFold, FuzzedStatesMatchPhotonicsReference)
+{
+    setQuiet(true);
+    Simulator sim;
+    auto net = makeNetwork(NetId::PointToPoint, sim, simulatedConfig());
+    const FaultModelParams params;
+    FaultInjector inj(sim, *net, FaultSchedule{}, params);
+    const auto links = net->faultableLinks();
+    ASSERT_EQ(inj.trackedLinks(), links.size());
+    std::vector<Degradation> state(links.size());
+
+    std::mt19937_64 rng(1234);
+    std::uniform_real_distribution<double> mag(0.05, 6.0);
+    const FaultKind kinds[] = {
+        FaultKind::LaserDroop,   FaultKind::RingDrift,
+        FaultKind::WaveguideCreep, FaultKind::ReceiverDegrade,
+        FaultKind::ChannelKill,  FaultKind::Repair,
+    };
+    double min_seen = Degradation{}.referenceMarginDb(params);
+    for (int step = 0; step < 400; ++step) {
+        const std::size_t li = rng() % links.size();
+        FaultEvent ev;
+        ev.kind = kinds[rng() % std::size(kinds)];
+        ev.target = FaultTarget::channel(links[li].first,
+                                         links[li].second);
+        ev.magnitudeDb = mag(rng);
+        inj.apply(ev);
+        state[li].apply(ev);
+        const double ref = state[li].referenceMarginDb(params);
+        EXPECT_EQ(inj.marginDbOf(ev.target), ref) << "step " << step;
+        min_seen = ref < min_seen ? ref : min_seen;
+    }
+    expectMatchesReference(inj, params, links, state);
+    EXPECT_EQ(inj.minMarginDb(), min_seen);
+}
+
+TEST(FaultMarginFold, KillAllRepairAllMatchesPhotonicsReference)
+{
+    setQuiet(true);
+    Simulator sim;
+    auto net = makeNetwork(NetId::TokenRing, sim, simulatedConfig());
+    const FaultModelParams params;
+    FaultInjector inj(sim, *net, FaultSchedule{}, params);
+    const auto links = net->faultableLinks();
+    std::vector<Degradation> state(links.size());
+
+    // Drift every bundle into the derate band, kill them all, then
+    // repair them all: the counters walk derated -> down -> healthy
+    // and the repair zeroes every lane.
+    for (const FaultKind kind : {FaultKind::RingDrift,
+                                 FaultKind::ChannelKill,
+                                 FaultKind::Repair}) {
+        for (std::size_t i = 0; i < links.size(); ++i) {
+            FaultEvent ev;
+            ev.kind = kind;
+            ev.target = FaultTarget::channel(links[i].first,
+                                             links[i].second);
+            ev.magnitudeDb = 3.0;
+            inj.apply(ev);
+            state[i].apply(ev);
+        }
+        SCOPED_TRACE(faultKindName(kind));
+        expectMatchesReference(inj, params, links, state);
+    }
+    EXPECT_EQ(inj.linksDown(), 0u);
+    EXPECT_EQ(inj.linksDerated(), 0u);
+    EXPECT_EQ(inj.repairs(), links.size());
+    Degradation drifted;
+    drifted.dropDb = 3.0;
+    EXPECT_EQ(inj.minMarginDb(), drifted.referenceMarginDb(params));
+}
+
+// -------------------------------------------- degraded arbitration
+
+constexpr std::uint32_t degradedMaxAttempts = 3;
+
+/**
+ * A short uniform open-loop cell on @p id with @p masked links at
+ * half width and @p dead links down, under a bounded retry policy.
+ * After the drain every injected packet is accounted for, and —
+ * health being static — every retry belongs to a packet that went on
+ * to exhaust its attempts and drop. Returns the network's stats.
+ */
+NetworkStats
+runDegradedCell(NetId id, double load,
+                const std::vector<std::pair<SiteId, SiteId>> &masked,
+                const std::vector<std::pair<SiteId, SiteId>> &dead,
+                Network::Handler observer = {})
+{
+    Simulator sim(17);
+    auto net = makeNetwork(id, sim, simulatedConfig());
+    RetryPolicy retry;
+    retry.backoffBase = 16;
+    retry.maxAttempts = degradedMaxAttempts;
+    net->setRetryPolicy(retry);
+    LinkHealth half;
+    half.bandwidthFraction = 0.5;
+    for (const auto &[a, b] : masked)
+        EXPECT_TRUE(net->applyLinkHealth(a, b, half));
+    LinkHealth down;
+    down.down = true;
+    for (const auto &[a, b] : dead)
+        EXPECT_TRUE(net->applyLinkHealth(a, b, down));
+    net->setDeliveryObserver(std::move(observer));
+
+    InjectorConfig cfg;
+    cfg.pattern = TrafficPattern::Uniform;
+    cfg.load = load;
+    cfg.warmup = 200 * tickNs;
+    cfg.window = 800 * tickNs;
+    cfg.seed = 17;
+    (void)runOpenLoop(sim, *net, cfg);
+
+    const NetworkStats &s = net->stats();
+    EXPECT_TRUE(sim.events().empty());
+    EXPECT_GT(s.delivered.value(), 0u);
+    EXPECT_EQ(s.injected.value(),
+              s.delivered.value() + s.dropped.value());
+    EXPECT_EQ(s.retries.value(),
+              (degradedMaxAttempts - 1) * s.dropped.value());
+    if (!dead.empty()) {
+        EXPECT_GT(s.dropped.value(), 0u);
+    }
+    return s;
+}
+
+TEST(DegradedArbitration, DeadAndMaskedChannelsConservePackets)
+{
+    setQuiet(true);
+    for (const NetId id : {NetId::TokenRing, NetId::TwoPhase}) {
+        SCOPED_TRACE(netName(id));
+        Simulator probe;
+        const auto links =
+            makeNetwork(id, probe, simulatedConfig())->faultableLinks();
+        // A third of the channels at half width, another third dead.
+        std::vector<std::pair<SiteId, SiteId>> masked, dead;
+        for (std::size_t i = 0; i < links.size(); ++i) {
+            if (i % 3 == 1)
+                masked.push_back(links[i]);
+            else if (i % 3 == 2)
+                dead.push_back(links[i]);
+        }
+        runDegradedCell(id, 0.1, masked, dead);
+    }
+}
+
+TEST(DegradedArbitration, SingleLiveChannelConservesPackets)
+{
+    setQuiet(true);
+    // Every channel but the first is dead: the grant scan and slot
+    // evaluation collapse to the 1-of-N extreme while drops dominate.
+    for (const NetId id : {NetId::TokenRing, NetId::TwoPhase}) {
+        SCOPED_TRACE(netName(id));
+        Simulator probe;
+        const auto links =
+            makeNetwork(id, probe, simulatedConfig())->faultableLinks();
+        const std::vector<std::pair<SiteId, SiteId>> dead(
+            links.begin() + 1, links.end());
+        const NetworkStats s =
+            runDegradedCell(id, 0.05, {}, dead);
+        EXPECT_GT(s.dropped.value(), s.delivered.value());
+    }
+}
+
+TEST(DegradedArbitration, MaskedTokenRingBundleHoldsAtMaskedWidth)
+{
+    setQuiet(true);
+    // Mask every other destination bundle to half its wavelengths:
+    // the sender's token hold (reported as the packet's
+    // serialization) is the serialization time at the width the
+    // bundle has left.
+    const std::uint32_t full = simulatedConfig().rxPerSite;
+    std::vector<std::pair<SiteId, SiteId>> masked;
+    for (SiteId d = 0; d < simulatedConfig().siteCount(); d += 2)
+        masked.emplace_back(d, d);
+    std::uint64_t masked_seen = 0;
+    std::uint64_t full_seen = 0;
+    runDegradedCell(
+        NetId::TokenRing, 0.1, masked, {},
+        [&](const Message &m) {
+            if (m.src == m.dst)
+                return; // electrical loopback, no bundle
+            const bool is_masked = m.dst % 2 == 0;
+            const std::uint32_t width = is_masked ? full / 2 : full;
+            EXPECT_EQ(m.serialization,
+                      OpticalChannel(width, 0).serialization(m.bytes));
+            ++(is_masked ? masked_seen : full_seen);
+        });
+    EXPECT_GT(masked_seen, 0u);
+    EXPECT_GT(full_seen, 0u);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include "net/limited_pt2pt.hh"
 #include "net/pt2pt.hh"
 #include "net/token_ring.hh"
+#include "net/two_phase.hh"
 #include "sim/pdes_scheduler.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -368,18 +369,48 @@ TEST(PdesInjector, ForwardedTopologyIsLpCountInvariant)
 
 TEST(PdesInjector, ColocatedTopologyCollapsesToOneLp)
 {
-    const PdesNetworkFactory factory =
+    const PdesNetworkFactory factories[] = {
         [](Simulator &sim) -> std::unique_ptr<Network> {
             return std::make_unique<TokenRingCrossbar>(
                 sim, simulatedConfig());
-        };
+        },
+        [](Simulator &sim) -> std::unique_ptr<Network> {
+            return std::make_unique<TwoPhaseArbitratedNetwork>(
+                sim, simulatedConfig());
+        },
+    };
     InjectorConfig cfg = pdesCfg(0.02, 21);
     cfg.window = 800 * tickNs;
-    const PdesInjectorResult a = runOpenLoopPdes(factory, cfg, 4, 4);
-    EXPECT_EQ(a.effectiveLps, 1u);
-    EXPECT_EQ(a.crossPosts, 0u);
-    const PdesInjectorResult b = runOpenLoopPdes(factory, cfg, 1, 1);
-    expectIdentical(a.result, b.result);
+    for (const PdesNetworkFactory &factory : factories) {
+        const PdesInjectorResult a = runOpenLoopPdes(factory, cfg, 4, 4);
+        EXPECT_EQ(a.effectiveLps, 1u);
+        EXPECT_EQ(a.crossPosts, 0u);
+        const PdesInjectorResult b = runOpenLoopPdes(factory, cfg, 1, 1);
+        expectIdentical(a.result, b.result);
+    }
+}
+
+TEST(BatchDifferential, PdesResultsIdenticalAcrossLpCounts)
+{
+    // The keyed PDES ordering contract must hold for the two-phase
+    // slot and channel lanes whether one LP or four run the model.
+    InjectorConfig cfg;
+    cfg.pattern = TrafficPattern::Uniform;
+    cfg.load = 0.05;
+    cfg.warmup = 200 * tickNs;
+    cfg.window = 600 * tickNs;
+    cfg.seed = 23;
+    const PdesNetworkFactory factory =
+        [](Simulator &sim) -> std::unique_ptr<Network> {
+        return std::make_unique<TwoPhaseArbitratedNetwork>(
+            sim, simulatedConfig());
+    };
+    const PdesInjectorResult one =
+        runOpenLoopPdes(factory, cfg, /*lps=*/1, /*threads=*/1);
+    const PdesInjectorResult four =
+        runOpenLoopPdes(factory, cfg, /*lps=*/4, /*threads=*/2);
+    EXPECT_GE(four.effectiveLps, 1u);
+    expectIdentical(one.result, four.result);
 }
 
 // ------------------------------------------------------ coherence PDES

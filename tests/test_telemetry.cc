@@ -17,11 +17,11 @@
 #include "net/pt2pt.hh"
 #include "net/tracer.hh"
 #include "sim/logging.hh"
+#include "sim/sweep.hh"
 #include "sim/telemetry/json.hh"
 #include "sim/telemetry/registry.hh"
 #include "sim/telemetry/sampler.hh"
 #include "sim/telemetry/trace.hh"
-#include "sweep.hh"
 #include "workloads/packet_injector.hh"
 
 namespace
