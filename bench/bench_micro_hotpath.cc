@@ -19,25 +19,30 @@
  *  - uniform-random: a fig6-style open-loop packet-injector cell at
  *    moderate load, the paper's load-sweep inner loop.
  *
- * --smoke runs reduced rounds and enforces the allocation budget
- * plus a --jobs determinism check (the sweep discipline of
- * test_determinism.cc: per-cell seeds derived from cell identity,
- * results compared for exact equality across jobs counts); it is
- * wired into ctest and meant to run under MACROSIM_SANITIZE=address.
+ * Every run fails if a cell's timed region runs no events, and writes
+ * a non-finite value as null. --smoke runs reduced rounds and
+ * enforces the allocation budget plus a --jobs determinism check
+ * (the sweep discipline of test_determinism.cc: per-cell seeds
+ * derived from cell identity, results compared for exact equality
+ * across jobs counts); it is wired into ctest and meant to run under
+ * MACROSIM_SANITIZE=address.
  */
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness.hh"
 #include "net/pt2pt.hh"
 #include "sim/random.hh"
 #include "sim/sweep.hh"
+#include "sim/telemetry/json.hh"
 #include "workloads/coherence.hh"
 #include "workloads/packet_injector.hh"
 
@@ -168,6 +173,8 @@ namespace
 
 struct CellResult
 {
+    /** Events the timed region ran. */
+    std::uint64_t events = 0;
     double eventsPerSec = 0.0;
     /** Heap allocations per executed event in the steady state. */
     double allocsPerEvent = 0.0;
@@ -179,6 +186,17 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/** @p v formatted by @p fmt, or null when it is not finite. */
+std::string
+jsonNumber(const char *fmt, double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    return buf;
 }
 
 /** Pre-PR coherence-steady-state throughput (std::function closures
@@ -234,6 +252,7 @@ runScheduleHeavy(bool smoke)
     const std::uint64_t allocs = heapAllocs() - allocs0;
 
     CellResult r;
+    r.events = ops;
     r.eventsPerSec = static_cast<double>(ops) / seconds;
     r.allocsPerEvent =
         static_cast<double>(allocs) / static_cast<double>(ops);
@@ -298,13 +317,14 @@ runCoherenceSteadyState(bool smoke)
                         budget);
 
         // Prime: 4 outstanding accesses per site, then let the
-        // engine reach steady state before the timed region.
+        // engine reach steady state before the timed region. The
+        // smoke budget drains by about 6.5 us, so it primes for 2 us.
         const SiteId sites = net.config().siteCount();
         for (int depth = 0; depth < 4; ++depth) {
             for (SiteId s = 0; s < sites; ++s)
                 loop.issue(s);
         }
-        sim.run(sim.now() + 40 * tickUs);
+        sim.run(sim.now() + (smoke ? 2 : 40) * tickUs);
 
         const std::uint64_t ev0 = sim.events().executed();
         const std::uint64_t allocs0 = heapAllocs();
@@ -316,6 +336,7 @@ runCoherenceSteadyState(bool smoke)
     }
 
     CellResult r;
+    r.events = events;
     r.eventsPerSec = static_cast<double>(events) / seconds;
     r.allocsPerEvent =
         static_cast<double>(allocs) / static_cast<double>(events);
@@ -355,6 +376,7 @@ runUniformRandom(bool smoke)
         events += sim.events().executed();
     }
     CellResult r;
+    r.events = events;
     r.eventsPerSec = static_cast<double>(events) / seconds;
     return r;
 }
@@ -435,19 +457,46 @@ main(int argc, char **argv)
     std::snprintf(
         json, sizeof(json),
         "{\"bench\":\"hotpath\","
-        "\"schedule_heavy_events_per_sec\":%.6e,"
-        "\"schedule_heavy_allocs_per_event\":%.6f,"
-        "\"coherence_steady_events_per_sec\":%.6e,"
-        "\"coherence_steady_allocs_per_event\":%.6f,"
-        "\"uniform_random_events_per_sec\":%.6e,"
-        "\"baseline_coherence_steady_events_per_sec\":%.6e,"
-        "\"coherence_steady_speedup\":%.3f}",
-        sched.eventsPerSec, sched.allocsPerEvent, coh.eventsPerSec,
-        coh.allocsPerEvent, uniform.eventsPerSec,
-        baselineCoherenceEventsPerSec, speedup);
+        "\"schedule_heavy_events_per_sec\":%s,"
+        "\"schedule_heavy_allocs_per_event\":%s,"
+        "\"coherence_steady_events_per_sec\":%s,"
+        "\"coherence_steady_allocs_per_event\":%s,"
+        "\"uniform_random_events_per_sec\":%s,"
+        "\"baseline_coherence_steady_events_per_sec\":%s,"
+        "\"coherence_steady_speedup\":%s}",
+        jsonNumber("%.6e", sched.eventsPerSec).c_str(),
+        jsonNumber("%.6f", sched.allocsPerEvent).c_str(),
+        jsonNumber("%.6e", coh.eventsPerSec).c_str(),
+        jsonNumber("%.6f", coh.allocsPerEvent).c_str(),
+        jsonNumber("%.6e", uniform.eventsPerSec).c_str(),
+        jsonNumber("%.6e", baselineCoherenceEventsPerSec).c_str(),
+        jsonNumber("%.3f", speedup).c_str());
+    std::string error;
+    if (!jsonValid(json, &error)) {
+        std::fprintf(stderr,
+                     "bench_micro_hotpath: result is not valid JSON: "
+                     "%s\n",
+                     error.c_str());
+        return 1;
+    }
     std::printf("%s\n", json);
     std::fflush(stdout);
-    if (!smoke) {
+
+    // A cell whose timed region ran nothing measured nothing.
+    bool ok = true;
+    const std::pair<const char *, const CellResult *> cells[] = {
+        {"schedule-heavy", &sched},
+        {"coherence-steady-state", &coh},
+        {"uniform-random", &uniform}};
+    for (const auto &[cell, result] : cells) {
+        if (result->events == 0) {
+            std::fprintf(stderr,
+                         "bench_micro_hotpath: %s cell timed 0 events\n",
+                         cell);
+            ok = false;
+        }
+    }
+    if (!smoke && ok) {
         if (std::FILE *f = std::fopen("BENCH_hotpath.json", "w")) {
             std::fprintf(f, "%s\n", json);
             std::fclose(f);
@@ -458,7 +507,6 @@ main(int argc, char **argv)
         }
     }
 
-    bool ok = true;
     if (smoke) {
         // Steady-state allocation budget: the schedule/execute path
         // must not allocate at all once warmed up.

@@ -1,5 +1,7 @@
 #include "net/token_ring.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace macrosim
@@ -8,11 +10,32 @@ namespace macrosim
 namespace
 {
 
-/** Index of the lowest set bit. @pre word != 0. */
-inline unsigned
-lowestSetBit(std::uint64_t word)
+/**
+ * Call @p visit(i) for each set bit i of @p words in [lo, hi), lowest
+ * first, while it returns true. @return false if a visit stopped the
+ * walk.
+ */
+template <typename Visit>
+bool
+forEachSetBit(const std::uint64_t *words, std::uint32_t lo,
+              std::uint32_t hi, Visit &&visit)
 {
-    return static_cast<unsigned>(__builtin_ctzll(word));
+    if (lo >= hi)
+        return true;
+    const std::uint32_t last = (hi - 1) >> 6;
+    for (std::uint32_t w = lo >> 6; w <= last; ++w) {
+        std::uint64_t bits = words[w];
+        if (w == lo >> 6)
+            bits &= ~std::uint64_t(0) << (lo & 63);
+        if (w == last && (hi & 63) != 0)
+            bits &= (std::uint64_t(1) << (hi & 63)) - 1;
+        for (; bits != 0; bits &= bits - 1) {
+            if (!visit(w * 64 + static_cast<std::uint32_t>(
+                                    __builtin_ctzll(bits))))
+                return false;
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -31,8 +54,10 @@ TokenRingCrossbar::TokenRingCrossbar(Simulator &sim,
     arbGrantEvent_.assign(sites, invalidEventId);
     arbMasked_.assign(sites, 0);
     downMask_.assign((sites + 63) / 64, 0);
-    waitingMask_.assign((sites + 63) / 64, 0);
-    arbWaiting_.resize(sites);
+    maskWords_ = static_cast<std::uint32_t>((sites + 63) / 64);
+    qHead_.assign(sites * sites, noWaiter);
+    qTail_.assign(sites * sites, noWaiter);
+    occupied_.assign(sites * maskWords_, 0);
 
     // Serpentine (boustrophedon) ring order so consecutive ring
     // positions are physically adjacent sites.
@@ -54,8 +79,8 @@ TokenRingCrossbar::registerStats(StatRegistry &registry,
     registry.add(prefix + ".grants", [this] {
         return static_cast<double>(grants_);
     });
-    // Whole-word popcounts over the flag masks: how many bundles are
-    // dead, and how many have senders queued, right now.
+    // How many bundles are dead, and how many have senders queued,
+    // right now.
     registry.add(prefix + ".down_channels", [this] {
         std::uint64_t n = 0;
         for (const std::uint64_t w : downMask_)
@@ -64,8 +89,12 @@ TokenRingCrossbar::registerStats(StatRegistry &registry,
     });
     registry.add(prefix + ".waiting_channels", [this] {
         std::uint64_t n = 0;
-        for (const std::uint64_t w : waitingMask_)
-            n += static_cast<std::uint64_t>(__builtin_popcountll(w));
+        for (SiteId d = 0; d < config().siteCount(); ++d) {
+            const std::uint64_t *words =
+                &occupied_[std::size_t{d} * maskWords_];
+            n += std::any_of(words, words + maskWords_,
+                             [](std::uint64_t w) { return w != 0; });
+        }
         return static_cast<double>(n);
     });
     // One bundle (== channel) per destination site: report each
@@ -138,28 +167,22 @@ TokenRingCrossbar::applyLinkHealth(SiteId a, SiteId b,
 std::uint32_t
 TokenRingCrossbar::allocWaiter()
 {
-    for (std::size_t w = 0; w < wFree_.size(); ++w) {
-        if (wFree_[w] != 0) {
-            const unsigned bit = lowestSetBit(wFree_[w]);
-            wFree_[w] &= ~(std::uint64_t(1) << bit);
-            return static_cast<std::uint32_t>(w * 64 + bit);
-        }
+    if (freeHead_ != noWaiter) {
+        const std::uint32_t slot = freeHead_;
+        freeHead_ = wNext_[slot];
+        return slot;
     }
-    // Grow the pool one 64-slot word at a time; claim the word's
-    // first slot.
-    const std::uint32_t base =
-        static_cast<std::uint32_t>(wFree_.size() * 64);
-    wFree_.push_back(~std::uint64_t(1));
-    wMsg_.resize(wMsg_.size() + 64);
-    wReady_.resize(wReady_.size() + 64, 0);
-    wSrcPos_.resize(wSrcPos_.size() + 64, 0);
-    return base;
+    wMsg_.emplace_back();
+    wReady_.push_back(0);
+    wNext_.push_back(noWaiter);
+    return static_cast<std::uint32_t>(wNext_.size() - 1);
 }
 
 void
 TokenRingCrossbar::freeWaiter(std::uint32_t slot)
 {
-    wFree_[slot >> 6] |= std::uint64_t(1) << (slot & 63);
+    wNext_[slot] = freeHead_;
+    freeHead_ = slot;
 }
 
 void
@@ -170,61 +193,80 @@ TokenRingCrossbar::route(Message msg)
         return;
     }
     const SiteId dst = msg.dst;
+    const std::uint32_t pos = ringPos_[msg.src];
     const std::uint32_t slot = allocWaiter();
-    wSrcPos_[slot] = ringPos_[msg.src];
     wReady_[slot] = now();
+    wNext_[slot] = noWaiter;
     wMsg_[slot] = std::move(msg);
-    arbWaiting_[dst].push_back(slot);
-    setBit(waitingMask_, dst, true);
+    const std::size_t q = queueOf(dst, pos);
+    if (qHead_[q] == noWaiter) {
+        qHead_[q] = slot;
+        setBit(occupied_, occupiedBit(dst, pos), true);
+    } else {
+        wNext_[qTail_[q]] = slot;
+    }
+    qTail_[q] = slot;
     armGrant(dst);
 }
 
 void
 TokenRingCrossbar::armGrant(SiteId dst)
 {
-    const std::vector<std::uint32_t> &queue = arbWaiting_[dst];
-    if (queue.empty())
-        return;
-    // Recompute the earliest token passage among all waiters; a newly
-    // arrived waiter may be reached by the token before the currently
-    // scheduled one. The scan walks the pool's flat ready/ring-
-    // position lanes in arrival order, so ties resolve exactly as the
-    // old per-arbiter deque did.
-    if (arbGrantEvent_[dst] != invalidEventId) {
-        sim().events().cancel(arbGrantEvent_[dst]);
-        arbGrantEvent_[dst] = invalidEventId;
-    }
+    // The next grant goes to the queue head the token reaches first.
+    // A queue's waiters are ready in order, so its head is reached no
+    // later than the rest and, on a tie, arrived first. Walk the
+    // non-empty positions in forward ring order from the one after
+    // the token's (its own comes last, a full loop on): every first-
+    // pass arrival (<= tokenFree + loop) beats every later-loop one,
+    // and first-pass arrivals grow along the walk, so the first head
+    // ready for its first pass wins. Failing that the token idled
+    // past every head: take the minimum. Arrivals at distinct
+    // positions differ mod the loop, so they never tie.
+    const std::uint32_t n = ringSize();
+    const std::uint32_t from = arbTokenPos_[dst];
+    const Tick first_loop_end = arbTokenFree_[dst] + tokenRoundTrip();
     Tick best = maxTick;
-    std::uint32_t best_idx = 0;
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(queue.size()); ++i) {
-        const std::uint32_t slot = queue[i];
+    std::uint32_t best_pos = noWaiter;
+    const auto visit = [&](std::uint32_t pos) {
         const Tick arrival =
-            tokenArrival(dst, wSrcPos_[slot], wReady_[slot]);
+            tokenArrival(dst, pos, wReady_[qHead_[queueOf(dst, pos)]]);
         if (arrival < best) {
             best = arrival;
-            best_idx = i;
+            best_pos = pos;
         }
-    }
+        return arrival > first_loop_end;
+    };
+    const std::uint64_t *occupied =
+        &occupied_[std::size_t{dst} * maskWords_];
+    if (forEachSetBit(occupied, from + 1, n, visit))
+        forEachSetBit(occupied, 0, from + 1, visit);
+    if (best_pos == noWaiter)
+        return;
+    // Re-arm even when the scheduled grant still wins: the new
+    // event's place among same-tick events is part of the model's
+    // event order.
+    if (arbGrantEvent_[dst] != invalidEventId)
+        sim().events().cancel(arbGrantEvent_[dst]);
     arbGrantEvent_[dst] = sim().events().schedule(
-        best, [this, dst, best_idx] { grant(dst, best_idx); },
+        best, [this, dst, best_pos] { grant(dst, best_pos); },
         "net.tring.grant");
 }
 
 void
-TokenRingCrossbar::grant(SiteId dst, std::size_t waiter_idx)
+TokenRingCrossbar::grant(SiteId dst, std::uint32_t pos)
 {
-    std::vector<std::uint32_t> &queue = arbWaiting_[dst];
     arbGrantEvent_[dst] = invalidEventId;
-    if (waiter_idx >= queue.size())
-        panic("TokenRingCrossbar::grant: stale waiter index");
-    const std::uint32_t slot = queue[waiter_idx];
+    const std::size_t q = queueOf(dst, pos);
+    const std::uint32_t slot = qHead_[q];
+    if (slot == noWaiter) {
+        panic("TokenRingCrossbar::grant: no waiter at ring position ",
+              pos, " for site ", dst);
+    }
+    qHead_[q] = wNext_[slot];
+    if (qHead_[q] == noWaiter)
+        setBit(occupied_, occupiedBit(dst, pos), false);
     Message msg = std::move(wMsg_[slot]);
-    queue.erase(queue.begin()
-                + static_cast<std::ptrdiff_t>(waiter_idx));
     freeWaiter(slot);
-    if (queue.empty())
-        setBit(waitingMask_, dst, false);
 
     if (testBit(downMask_, dst)) {
         // The bundle failed while this waiter held a grant slot.
@@ -236,13 +278,12 @@ TokenRingCrossbar::grant(SiteId dst, std::size_t waiter_idx)
     // The sender holds the token while it streams the packet onto
     // the destination's bundle, then re-injects it at its own ring
     // position. Masked (degraded) wavelengths stretch the hold.
-    const std::uint32_t src_pos = ringPos_[msg.src];
     const std::uint32_t width = arbMasked_[dst]
         ? arbMasked_[dst] : bundleLambdas_;
     const Tick hold = OpticalChannel(width, 0)
         .serialization(msg.bytes);
     const Tick hold_end = now() + hold;
-    arbTokenPos_[dst] = src_pos;
+    arbTokenPos_[dst] = pos;
     arbTokenFree_[dst] = hold_end;
     arbBusyTicks_[dst] += hold;
     ++grants_;
@@ -251,7 +292,7 @@ TokenRingCrossbar::grant(SiteId dst, std::size_t waiter_idx)
     // Data flows forward along the serpentine bundle to the
     // destination site.
     const Tick data_prop =
-        static_cast<Tick>(forwardHops(src_pos, ringPos_[dst])) * hop_;
+        static_cast<Tick>(forwardHops(pos, ringPos_[dst])) * hop_;
     chargeOpticalHop(msg);
     deliverAt(std::move(msg), hold_end + data_prop);
 

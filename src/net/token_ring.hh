@@ -97,22 +97,40 @@ class TokenRingCrossbar : public Network
     /** (Re)schedule the next grant for destination @p dst. */
     void armGrant(SiteId dst);
 
-    /** Fire the grant chosen by armGrant(). */
-    void grant(SiteId dst, std::size_t waiter_idx);
+    /** Fire the grant armGrant() chose: the head of ring position
+     *  @p pos's queue to @p dst. */
+    void grant(SiteId dst, std::uint32_t pos);
 
-    /** Claim a waiter-pool slot (ctz over the free-mask words),
-     *  growing the pool a word at a time. */
+    /** Queue (head/tail array index) of senders at ring position
+     *  @p pos waiting for @p dst's token. */
+    std::size_t
+    queueOf(SiteId dst, std::uint32_t pos) const
+    {
+        return std::size_t{dst} * ringSize() + pos;
+    }
+
+    /** Bit of ring position @p pos in @p dst's words of occupied_. */
+    std::size_t
+    occupiedBit(SiteId dst, std::uint32_t pos) const
+    {
+        return std::size_t{dst} * maskWords_ * 64 + pos;
+    }
+
+    /** Claim a waiter-pool slot from the free list, growing the pool
+     *  by one slot when it is empty. */
     std::uint32_t allocWaiter();
     void freeWaiter(std::uint32_t slot);
 
-    /** Bit helpers over the per-destination flag words. */
+    static constexpr std::uint32_t noWaiter = ~std::uint32_t(0);
+
+    /** Bit helpers over packed flag words. */
     static bool
-    testBit(const std::vector<std::uint64_t> &words, std::uint32_t i)
+    testBit(const std::vector<std::uint64_t> &words, std::size_t i)
     {
         return (words[i >> 6] >> (i & 63)) & 1u;
     }
     static void
-    setBit(std::vector<std::uint64_t> &words, std::uint32_t i, bool on)
+    setBit(std::vector<std::uint64_t> &words, std::size_t i, bool on)
     {
         if (on)
             words[i >> 6] |= std::uint64_t(1) << (i & 63);
@@ -126,9 +144,8 @@ class TokenRingCrossbar : public Network
     std::vector<std::uint32_t> ringPos_;  ///< site -> ring index
 
     /** Per-destination arbiter state as parallel arrays (index =
-     *  destination site). The grant scan and the stat reductions read
-     *  one field across many destinations, so structure-of-arrays
-     *  keeps those passes dense. */
+     *  destination site), so the stat reductions read one dense
+     *  field across many destinations. */
     std::vector<std::uint32_t> arbTokenPos_; ///< Ring idx, last holder.
     std::vector<Tick> arbTokenFree_;    ///< When the token departed.
     std::vector<Tick> arbBusyTicks_;    ///< Cumulative token hold.
@@ -136,23 +153,29 @@ class TokenRingCrossbar : public Network
     /** Masked bundle width; 0 means the full engineered width. */
     std::vector<std::uint32_t> arbMasked_;
 
-    /** Dead-bundle and has-waiters flags packed into 64-bit words
-     *  (bit = destination): route()/grant() test single bits, and
-     *  summary stats reduce whole words instead of branching per
-     *  destination. */
+    /** Dead bundles packed into 64-bit words (bit = destination). */
     std::vector<std::uint64_t> downMask_;
-    std::vector<std::uint64_t> waitingMask_;
 
-    /** Waiter pool as parallel arrays; free slots are set bits in
-     *  wFree_, claimed with ctz. The per-destination queues hold pool
-     *  indices in arrival order, so the grant scan walks flat
-     *  ready/ring-position lanes while tie-breaking stays exactly
-     *  the old deque's insertion order. */
+    /**
+     * Waiters queue in one FIFO per (destination, ring position):
+     * intrusive singly-linked lists through the pool's wNext_ lane,
+     * with head/tail pool indices at queueOf(dst, pos) and, per
+     * destination, maskWords_ words whose set bits are the non-empty
+     * positions. Waiters join a queue at now(), so ready ticks never
+     * decrease along it: its head is the one the token can serve
+     * first, and armGrant() reads the heads only.
+     */
+    std::uint32_t maskWords_ = 0;
+    std::vector<std::uint32_t> qHead_;
+    std::vector<std::uint32_t> qTail_;
+    std::vector<std::uint64_t> occupied_;
+
+    /** Waiter pool as parallel lanes; free slots form a list through
+     *  wNext_ starting at freeHead_. */
     std::vector<Message> wMsg_;
     std::vector<Tick> wReady_;
-    std::vector<std::uint32_t> wSrcPos_;
-    std::vector<std::uint64_t> wFree_;
-    std::vector<std::vector<std::uint32_t>> arbWaiting_;
+    std::vector<std::uint32_t> wNext_;
+    std::uint32_t freeHead_ = noWaiter;
 };
 
 } // namespace macrosim

@@ -17,6 +17,7 @@
 #include "net/pt2pt.hh"
 #include "net/token_ring.hh"
 #include "net/two_phase.hh"
+#include "sim/random.hh"
 
 namespace
 {
@@ -425,6 +426,8 @@ TEST(TokenRing, TokenVisitsWaitersInRingOrder)
 {
     Simulator sim;
     TokenRingCrossbar net(sim, simulatedConfig());
+    StatGroup group;
+    net.registerStats(group, "net");
     std::vector<SiteId> order;
     net.setDefaultHandler([&](const Message &m) {
         order.push_back(m.src);
@@ -438,11 +441,251 @@ TEST(TokenRing, TokenVisitsWaitersInRingOrder)
         m.dst = 9;
         net.inject(m);
     }
+    EXPECT_EQ(group.value("net.waiting_channels"), 1.0);
     sim.run();
+    EXPECT_EQ(group.value("net.waiting_channels"), 0.0);
     ASSERT_EQ(order.size(), 3u);
     // Token starts conceptually at position 0: first pass reaches
     // site 2 first, then 4, then 6.
     EXPECT_EQ(order, (std::vector<SiteId>{2, 4, 6}));
+}
+
+/**
+ * A hand-built token-ring schedule on the 8x8 ring: senders, named by
+ * ring position, queue 64 B packets for destination 9 at chosen
+ * ticks; deliveries are recorded as (source ring position, tick).
+ */
+struct RingSchedule
+{
+    using Deliveries = std::vector<std::pair<std::uint32_t, Tick>>;
+
+    Simulator sim;
+    TokenRingCrossbar net{sim, simulatedConfig()};
+    const Tick loop = net.tokenRoundTrip();
+    const Tick hop = loop / net.ringSize();
+    const Tick hold =
+        OpticalChannel(simulatedConfig().rxPerSite, 0).serialization(64);
+    const SiteId dst = 9;
+    Deliveries got;
+
+    RingSchedule()
+    {
+        net.setDefaultHandler([this](const Message &m) {
+            got.emplace_back(net.ringPosition(m.src), m.delivered);
+        });
+    }
+
+    void
+    send(std::uint32_t pos, Tick at)
+    {
+        SiteId src = 0;
+        while (net.ringPosition(src) != pos)
+            ++src;
+        sim.events().schedule(at, [this, src] {
+            Message m;
+            m.src = src;
+            m.dst = dst;
+            m.bytes = 64;
+            net.inject(m);
+        }, "test.inject");
+    }
+
+    /** Delivery of a packet from @p pos whose grant fired at @p at:
+     *  the hold, then forward hops to the destination. */
+    Tick
+    deliveredAt(std::uint32_t pos, Tick at) const
+    {
+        const std::uint32_t n = net.ringSize();
+        const std::uint32_t to = net.ringPosition(dst);
+        return at + hold + ((to + n - pos - 1) % n + 1) * hop;
+    }
+};
+
+TEST(TokenRing, IdleTokenReachesNoHeadOnFirstPass)
+{
+    // The token has idled at position 0 since t=0. Three senders
+    // queue at once, ten loops and 20 hops (plus a tick) later: every
+    // first pass is long gone, so each waits for a later loop, and
+    // the first position the token reaches after the injection (30)
+    // wins; the others then follow in ring order.
+    RingSchedule r;
+    for (const std::uint32_t pos : {5u, 30u, 50u})
+        r.send(pos, 10 * r.loop + 20 * r.hop + 1);
+    r.sim.run();
+
+    const Tick g1 = 10 * r.loop + 30 * r.hop;
+    const Tick g2 = g1 + r.hold + 20 * r.hop;
+    const Tick g3 = g2 + r.hold + 19 * r.hop;
+    EXPECT_EQ(r.got, (RingSchedule::Deliveries{
+                         {30, r.deliveredAt(30, g1)},
+                         {50, r.deliveredAt(50, g2)},
+                         {5, r.deliveredAt(5, g3)},
+                     }));
+}
+
+TEST(TokenRing, WaiterAtTokenPositionWaitsAFullLoop)
+{
+    // Position 10 queues two packets at t=0; the first is granted
+    // when the token first passes (10 hops). Its twin is then a full
+    // loop away (h = n), so a sender queued at position 40 goes first.
+    {
+        RingSchedule r;
+        r.send(10, 0);
+        r.send(10, 0);
+        r.send(40, 0);
+        r.sim.run();
+        const Tick g1 = 10 * r.hop;
+        const Tick g2 = g1 + r.hold + 30 * r.hop;
+        const Tick g3 = g2 + r.hold + 34 * r.hop;
+        EXPECT_EQ(r.got, (RingSchedule::Deliveries{
+                             {10, r.deliveredAt(10, g1)},
+                             {40, r.deliveredAt(40, g2)},
+                             {10, r.deliveredAt(10, g3)},
+                         }));
+    }
+    // With nothing else ready for its first pass the twin wins, a
+    // loop on. A sender at position 20 queues 15 hops after the token
+    // left position 10, so it missed its first pass and waits for the
+    // second loop -- later than the twin.
+    {
+        RingSchedule r;
+        const Tick g1 = 10 * r.hop;
+        const Tick t1 = g1 + r.hold;
+        r.send(10, 0);
+        r.send(10, 0);
+        r.send(20, t1 + 15 * r.hop);
+        r.sim.run();
+        const Tick g2 = t1 + r.loop;
+        const Tick g3 = g2 + r.hold + 10 * r.hop;
+        EXPECT_EQ(r.got, (RingSchedule::Deliveries{
+                             {10, r.deliveredAt(10, g1)},
+                             {10, r.deliveredAt(10, g2)},
+                             {20, r.deliveredAt(20, g3)},
+                         }));
+    }
+}
+
+// Token-ring storms on grids whose ring spans one to nine 64-bit
+// position-mask words: 8x8 and 3x5 (one word), 9x9 (two), 1x65 (the
+// last position alone in the second word) and 24x24 (nine). Each run
+// hashes every delivery in order. The digests were recorded with the
+// grant scan these per-position FIFOs replaced, which rescanned every
+// waiter of a destination in arrival order.
+
+enum class StormTraffic
+{
+    /** 4 packets/ns per site to uniform destinations: more than a
+     *  token grants (one per hold + hop) on every grid. */
+    Saturated,
+    /** 1 packet/ns per site, half of it to two destinations. */
+    Hotspot,
+    /** Two packets per site over 64 token loops: the token idles and
+     *  grants take the later-loop fallback. */
+    Sparse,
+};
+
+std::uint64_t
+tokenRingStormDigest(std::uint32_t rows, std::uint32_t cols,
+                     StormTraffic traffic)
+{
+    const MacrochipConfig cfg = scaledConfig(rows, cols);
+    const SiteId sites = cfg.siteCount();
+    Simulator sim;
+    TokenRingCrossbar net(sim, cfg);
+    net.setRetryPolicy(RetryPolicy{50 * tickNs, 3});
+    std::uint64_t digest = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+    net.setDefaultHandler([&](const Message &m) {
+        for (const std::uint64_t v :
+             {std::uint64_t{m.src}, std::uint64_t{m.dst}, m.injected,
+              m.delivered, m.serialization}) {
+            digest = hashCombine(digest, v);
+        }
+        ++delivered;
+    });
+    net.setDropHandler([&](const Message &) { ++dropped; });
+
+    Tick span = 30 * tickNs;
+    std::uint64_t packets = 4 * 30 * std::uint64_t{sites};
+    if (traffic == StormTraffic::Hotspot) {
+        packets = 30 * std::uint64_t{sites};
+    } else if (traffic == StormTraffic::Sparse) {
+        span = 64 * net.tokenRoundTrip();
+        packets = 2 * std::uint64_t{sites};
+    }
+    Rng rng(hashCombine(rows * 1000 + cols,
+                        static_cast<std::uint64_t>(traffic)));
+    const SiteId hot[2] = {sites / 4, 3 * sites / 4};
+    for (std::uint64_t i = 0; i < packets; ++i) {
+        Message m;
+        m.src = static_cast<SiteId>(rng.below(sites));
+        if (traffic == StormTraffic::Hotspot && rng.chance(0.5)) {
+            m.dst = hot[rng.below(2)];
+        } else {
+            m.dst = static_cast<SiteId>(
+                (m.src + 1 + rng.below(sites - 1)) % sites);
+        }
+        m.bytes = 64;
+        m.cookie = i;
+        sim.events().schedule(rng.below(span),
+                              [&net, m] { net.inject(m); },
+                              "test.inject");
+    }
+    // Kill one bundle for the second quarter of the span and mask
+    // another to half width from a third of the way on.
+    const SiteId killed = sites / 2;
+    const SiteId masked = sites / 3;
+    sim.events().schedule(span / 4, [&net, killed] {
+        net.applyLinkHealth(killed, killed, LinkHealth{true, 1.0});
+    }, "test.fault");
+    sim.events().schedule(span / 2, [&net, killed] {
+        net.applyLinkHealth(killed, killed, LinkHealth{});
+    }, "test.fault");
+    sim.events().schedule(span / 3, [&net, masked] {
+        net.applyLinkHealth(masked, masked, LinkHealth{false, 0.5});
+    }, "test.fault");
+    sim.run();
+
+    EXPECT_EQ(net.stats().injected.value(), packets);
+    EXPECT_EQ(delivered + dropped, packets);
+    EXPECT_EQ(sim.events().size(), 0u);
+    return hashCombine(hashCombine(digest, delivered), dropped);
+}
+
+TEST(TokenRing, SaturatedStormsMatchParentDigests)
+{
+    struct Case
+    {
+        std::uint32_t rows;
+        std::uint32_t cols;
+        StormTraffic traffic;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {8, 8, StormTraffic::Saturated, 0x7da557c26587cf60ULL},
+        {8, 8, StormTraffic::Hotspot, 0x2da35df639cee4caULL},
+        {8, 8, StormTraffic::Sparse, 0xdd8bd2145c65b5b2ULL},
+        {3, 5, StormTraffic::Saturated, 0xec2e373a31778686ULL},
+        {3, 5, StormTraffic::Hotspot, 0x0f10b2718e72f1ecULL},
+        {3, 5, StormTraffic::Sparse, 0x2b992f17c6d93614ULL},
+        {9, 9, StormTraffic::Saturated, 0x3b03afdd149e735fULL},
+        {9, 9, StormTraffic::Hotspot, 0xc6e673f10fb4f4cbULL},
+        {9, 9, StormTraffic::Sparse, 0x0bacfe8a62303685ULL},
+        {1, 65, StormTraffic::Saturated, 0xe295fd356e8ccaafULL},
+        {1, 65, StormTraffic::Hotspot, 0xb90ee2c61947a112ULL},
+        {1, 65, StormTraffic::Sparse, 0xb32f972909424badULL},
+        {24, 24, StormTraffic::Saturated, 0x963f4677406764ffULL},
+        {24, 24, StormTraffic::Hotspot, 0xa43ca041af2392c6ULL},
+        {24, 24, StormTraffic::Sparse, 0xadd5036af26a9516ULL},
+    };
+    for (const Case &c : cases) {
+        const std::uint64_t got =
+            tokenRingStormDigest(c.rows, c.cols, c.traffic);
+        EXPECT_EQ(got, c.digest)
+            << c.rows << "x" << c.cols << " traffic "
+            << static_cast<int>(c.traffic) << ": 0x" << std::hex << got;
+    }
 }
 
 TEST(TokenRing, Table6Counts)
