@@ -47,17 +47,17 @@ main()
     };
 
     std::printf("%-16s %8s", "collective", "bytes");
-    for (const NetId id : allNetworks)
-        std::printf(" %17s", netName(id).c_str());
+    for (const NetSel id : allNetworks)
+        std::printf(" %17s", netDisplayName(id).c_str());
     std::printf("\n");
 
     for (const auto &w : workloads) {
         std::printf("%-16s %8u",
                     std::string(to_string(w.collective)).c_str(),
                     w.bytes);
-        for (const NetId id : allNetworks) {
+        for (const NetSel id : allNetworks) {
             Simulator sim(5);
-            auto net = makeNetwork(id, sim, simulatedConfig());
+            auto net = makeNetworkFor(id, sim, simulatedConfig());
             MpiWorkloadSpec spec;
             spec.collective = w.collective;
             spec.messageBytes = w.bytes;

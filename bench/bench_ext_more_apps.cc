@@ -27,8 +27,8 @@ main(int argc, char **argv)
     std::printf("Extended application kernels: speedup vs "
                 "circuit-switched / latency per op (ns)\n\n");
     std::printf("%-10s", "workload");
-    for (const NetId id : allNetworks)
-        std::printf(" %22s", netName(id).c_str());
+    for (const NetSel id : allNetworks)
+        std::printf(" %22s", netDisplayName(id).c_str());
     std::printf("\n");
 
     for (WorkloadSpec spec : extendedWorkloads()) {
@@ -39,9 +39,9 @@ main(int argc, char **argv)
             double opLat;
         };
         std::vector<Row> rows;
-        for (const NetId id : allNetworks) {
+        for (const NetSel id : allNetworks) {
             Simulator sim(3);
-            auto net = makeNetwork(id, sim, simulatedConfig());
+            auto net = makeNetworkFor(id, sim, simulatedConfig());
             TraceCpuSystem cpu(sim, *net, spec, 5);
             const TraceCpuResult r = cpu.run();
             rows.push_back({r.runtime, r.opLatencyNs});

@@ -63,7 +63,7 @@ struct GridSpec
 struct Point
 {
     GridSpec grid;
-    NetId id = NetId::PointToPoint;
+    NetSel id = NetSel::PointToPoint;
     LinkFeasibility feas;
     double laserW = 0.0;
     double staticW = 0.0;
@@ -73,17 +73,17 @@ struct Point
 };
 
 Point
-runPoint(GridSpec grid, NetId id, std::uint64_t seed,
+runPoint(GridSpec grid, NetSel id, std::uint64_t seed,
          const TelemetryOptions &topt)
 {
     const std::string label = std::to_string(grid.rows) + "x"
         + std::to_string(grid.cols);
     const std::uint64_t cell_seed =
-        deriveSeed(seed, "scale-" + label, netName(id));
+        deriveSeed(seed, "scale-" + label, netDisplayName(id));
 
     const MacrochipConfig cfg = scaledConfig(grid.rows, grid.cols);
     Simulator sim(cell_seed);
-    auto net = makeNetwork(id, sim, cfg);
+    auto net = makeNetworkFor(id, sim, cfg);
 
     Point p;
     p.grid = grid;
@@ -109,7 +109,7 @@ runPoint(GridSpec grid, NetId id, std::uint64_t seed,
     p.simulated = true;
 
     if (simStatsEnabled())
-        dumpSimStats(netName(id) + " @ " + label, sim);
+        dumpSimStats(netDisplayName(id) + " @ " + label, sim);
     return p;
 }
 
@@ -192,11 +192,11 @@ main(int argc, char **argv)
         grids = {g};
     }
 
-    std::vector<NetId> nets(extendedNetworks.begin(),
+    std::vector<NetSel> nets(extendedNetworks.begin(),
                             extendedNetworks.end());
     if (have_net) {
-        NetId only;
-        if (!service::netFromString(net_flag, &only))
+        NetSel only;
+        if (!netFromString(net_flag, &only))
             fatal("bench_ext_scalability: unknown --network '",
                   net_flag, "' (try tring, cswitch, pt2pt, lpt2pt, "
                   "2phase, hermes)");
@@ -213,9 +213,9 @@ main(int argc, char **argv)
 
     std::vector<SweepJob<Point>> sweep;
     for (const GridSpec grid : grids) {
-        for (const NetId id : nets) {
+        for (const NetSel id : nets) {
             sweep.push_back(SweepJob<Point>{
-                netName(id) + " @ " + std::to_string(grid.rows) + "x"
+                netDisplayName(id) + " @ " + std::to_string(grid.rows) + "x"
                     + std::to_string(grid.cols),
                 [grid, id, seed, &topt] {
                     return runPoint(grid, id, seed, topt);
@@ -238,7 +238,7 @@ main(int argc, char **argv)
                           "%ux%u,%s,yes,%.2f,%.2f,%.2f,%.1f,%.1f,"
                           "%.1f,%.1f,%.2f,%.3f\n",
                           p.grid.rows, p.grid.cols,
-                          netName(p.id).c_str(),
+                          netDisplayName(p.id).c_str(),
                           p.feas.totalLoss.value(),
                           p.feas.requiredLaunch.value(),
                           p.feas.margin.value(), p.laserW, p.staticW,
@@ -250,7 +250,7 @@ main(int argc, char **argv)
                           "%ux%u,%s,infeasible,%.2f,%.2f,%.2f,%.1f,"
                           "%.1f,-,-,-,-\n",
                           p.grid.rows, p.grid.cols,
-                          netName(p.id).c_str(),
+                          netDisplayName(p.id).c_str(),
                           p.feas.totalLoss.value(),
                           p.feas.requiredLaunch.value(),
                           p.feas.margin.value(), p.laserW,
@@ -267,7 +267,7 @@ main(int argc, char **argv)
                       "\"p99_ns\": %s, \"delivered_pct\": %s, "
                       "\"energy_mj\": %s}",
                       p.grid.rows, p.grid.cols,
-                      netName(p.id).c_str(),
+                      netDisplayName(p.id).c_str(),
                       p.feas.feasible ? "true" : "false",
                       p.feas.totalLoss.value(),
                       p.feas.requiredLaunch.value(),

@@ -36,15 +36,15 @@ main(int argc, char **argv)
     std::printf("Figure 10: Energy-Delay Product, Normalized to "
                 "Point-to-Point\n\n");
     std::printf("%-14s", "workload");
-    for (const NetId id : allNetworks)
-        std::printf(" %16s", netName(id).c_str());
+    for (const NetSel id : allNetworks)
+        std::printf(" %16s", netDisplayName(id).c_str());
     std::printf("\n");
 
     for (const WorkloadSpec &spec : figureWorkloads(instr)) {
         const double p2p_edp =
-            find(matrix, spec.name, NetId::PointToPoint).edp;
+            find(matrix, spec.name, NetSel::PointToPoint).edp;
         std::printf("%-14s", spec.name.c_str());
-        for (const NetId id : allNetworks) {
+        for (const NetSel id : allNetworks) {
             const auto &r = find(matrix, spec.name, id);
             std::printf(" %16.1f", r.edp / p2p_edp);
         }
@@ -54,9 +54,9 @@ main(int argc, char **argv)
     std::printf("\nlog10 of the same (the paper plots a log axis):\n");
     for (const WorkloadSpec &spec : figureWorkloads(instr)) {
         const double p2p_edp =
-            find(matrix, spec.name, NetId::PointToPoint).edp;
+            find(matrix, spec.name, NetSel::PointToPoint).edp;
         std::printf("%-14s", spec.name.c_str());
-        for (const NetId id : allNetworks) {
+        for (const NetSel id : allNetworks) {
             const auto &r = find(matrix, spec.name, id);
             std::printf(" %16.2f", std::log10(r.edp / p2p_edp));
         }

@@ -49,7 +49,7 @@ struct PatternSweep
 /** One (pattern, network) curve: its load points up to saturation. */
 struct Curve
 {
-    NetId id;
+    NetSel id;
     std::vector<InjectorResult> points;
     double maxSustainedPct = 0.0;
     CellTelemetry telemetry;
@@ -82,7 +82,7 @@ constexpr std::uint32_t pidsPerCurve = 16;
  * its own pid (pid_base + point index).
  */
 Curve
-traceCurve(const PatternSweep &sweep, NetId id,
+traceCurve(const PatternSweep &sweep, NetSel id,
            std::uint32_t pid_base, const TelemetryOptions &topt,
            std::uint64_t seed)
 {
@@ -91,10 +91,10 @@ traceCurve(const PatternSweep &sweep, NetId id,
     std::uint32_t point = 0;
     for (const double load : sweep.loads) {
         Simulator sim(seed);
-        auto net = makeNetwork(id, sim, simulatedConfig());
+        auto net = makeNetworkFor(id, sim, simulatedConfig());
 
         std::ostringstream label_os;
-        label_os << to_string(sweep.pattern) << " / " << netName(id)
+        label_os << to_string(sweep.pattern) << " / " << netDisplayName(id)
                  << " @ " << load * 100.0 << "%";
         const std::string label = label_os.str();
         const std::uint32_t pid = pid_base + point++;
@@ -177,10 +177,10 @@ main(int argc, char **argv)
             std::string(to_string(sweep.pattern));
 
         std::vector<SweepJob<Curve>> curve_jobs;
-        for (const NetId id : fig6Networks) {
+        for (const NetSel id : fig6Networks) {
             const std::uint32_t pid_base = curve_idx++ * pidsPerCurve;
             curve_jobs.push_back(SweepJob<Curve>{
-                pattern_name + " / " + netName(id),
+                pattern_name + " / " + netDisplayName(id),
                 [&sweep, id, pid_base, &topt, seed] {
                     return traceCurve(sweep, id, pid_base, topt,
                                       seed);
@@ -195,7 +195,7 @@ main(int argc, char **argv)
             for (const InjectorResult &r : curve.points) {
                 std::printf("%s,%s,%.2f,%.1f,%.1f,%.2f\n",
                             pattern_name.c_str(),
-                            netName(curve.id).c_str(),
+                            netDisplayName(curve.id).c_str(),
                             r.offeredLoadPct, r.meanLatencyNs,
                             r.p99LatencyNs, r.deliveredPct);
             }
@@ -207,7 +207,7 @@ main(int argc, char **argv)
                     pattern_name.c_str());
         for (const Curve &curve : curves) {
             std::printf("#   %-24s %6.2f%%\n",
-                        netName(curve.id).c_str(),
+                        netDisplayName(curve.id).c_str(),
                         curve.maxSustainedPct);
         }
         std::printf("\n");

@@ -43,17 +43,17 @@ main(int argc, char **argv)
 
     std::printf("Figure 7: Speedup vs. Circuit-Switched Network\n\n");
     std::printf("%-14s", "workload");
-    for (const NetId id : allNetworks)
-        std::printf(" %16s", netName(id).c_str());
+    for (const NetSel id : allNetworks)
+        std::printf(" %16s", netDisplayName(id).c_str());
     std::printf("\n");
 
     for (const WorkloadSpec &spec : figureWorkloads(instr)) {
         const double cs_runtime =
             static_cast<double>(find(matrix, spec.name,
-                                     NetId::CircuitSwitched)
+                                     NetSel::CircuitSwitched)
                                     .runtime);
         std::printf("%-14s", spec.name.c_str());
-        for (const NetId id : allNetworks) {
+        for (const NetSel id : allNetworks) {
             const auto &r = find(matrix, spec.name, id);
             std::printf(" %16.2f",
                         cs_runtime / static_cast<double>(r.runtime));

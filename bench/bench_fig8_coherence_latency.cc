@@ -35,13 +35,13 @@ main(int argc, char **argv)
 
     std::printf("Figure 8: Latency per Coherence Operation (ns)\n\n");
     std::printf("%-14s", "workload");
-    for (const NetId id : allNetworks)
-        std::printf(" %16s", netName(id).c_str());
+    for (const NetSel id : allNetworks)
+        std::printf(" %16s", netDisplayName(id).c_str());
     std::printf("\n");
 
     for (const WorkloadSpec &spec : figureWorkloads(instr)) {
         std::printf("%-14s", spec.name.c_str());
-        for (const NetId id : allNetworks) {
+        for (const NetSel id : allNetworks) {
             std::printf(" %16.1f",
                         find(matrix, spec.name, id).opLatencyNs);
         }

@@ -43,7 +43,7 @@ namespace
 
 struct Cell
 {
-    NetId id = NetId::PointToPoint;
+    NetSel id = NetSel::PointToPoint;
     std::uint32_t faults = 0;
     std::uint64_t injected = 0;
     std::uint64_t delivered = 0;
@@ -55,14 +55,14 @@ struct Cell
 };
 
 Cell
-runCell(NetId id, std::uint32_t faults, std::uint64_t seed,
+runCell(NetSel id, std::uint32_t faults, std::uint64_t seed,
         const TelemetryOptions &topt)
 {
     const std::uint64_t cell_seed = deriveSeed(
-        seed, "resilience-f" + std::to_string(faults), netName(id));
+        seed, "resilience-f" + std::to_string(faults), netDisplayName(id));
 
     Simulator sim(cell_seed);
-    auto net = makeNetwork(id, sim, simulatedConfig());
+    auto net = makeNetworkFor(id, sim, simulatedConfig());
 
     RetryPolicy retry;
     retry.backoffBase = 50 * tickNs;
@@ -99,7 +99,7 @@ runCell(NetId id, std::uint32_t faults, std::uint64_t seed,
     cell.minMarginDb = injector.minMarginDb();
 
     if (simStatsEnabled()) {
-        dumpSimStats(netName(id) + " @ " + std::to_string(faults)
+        dumpSimStats(netDisplayName(id) + " @ " + std::to_string(faults)
                      + " faults", sim);
     }
     return cell;
@@ -128,9 +128,9 @@ main(int argc, char **argv)
 
     std::vector<SweepJob<Cell>> sweep;
     for (const std::uint32_t faults : rates) {
-        for (const NetId id : extendedNetworks) {
+        for (const NetSel id : extendedNetworks) {
             sweep.push_back(SweepJob<Cell>{
-                netName(id) + " @ " + std::to_string(faults)
+                netDisplayName(id) + " @ " + std::to_string(faults)
                     + " faults",
                 [id, faults, seed, &topt] {
                     return runCell(id, faults, seed, topt);
@@ -145,7 +145,7 @@ main(int argc, char **argv)
     for (const Cell &c : cells) {
         std::printf("%s,%u,%llu,%llu,%llu,%llu,%.3f,%.2f,%.1f,"
                     "%.2f\n",
-                    netName(c.id).c_str(), c.faults,
+                    netDisplayName(c.id).c_str(), c.faults,
                     static_cast<unsigned long long>(c.injected),
                     static_cast<unsigned long long>(c.delivered),
                     static_cast<unsigned long long>(c.dropped),

@@ -25,8 +25,8 @@ main()
 
     Simulator sim;
     const MacrochipConfig cfg = simulatedConfig();
-    for (const NetId id : allNetworks) {
-        auto net = makeNetwork(id, sim, cfg);
+    for (const NetSel id : allNetworks) {
+        auto net = makeNetworkFor(id, sim, cfg);
         for (const LaserPowerSpec &spec : net->opticalPower()) {
             std::printf("%-26s %11.2fx %12.1f %14llu\n",
                         spec.name.c_str(), spec.lossFactor,
@@ -38,9 +38,9 @@ main()
 
     std::printf("\nTotal static power (lasers + ring tuning + switch "
                 "bias):\n");
-    for (const NetId id : allNetworks) {
-        auto net = makeNetwork(id, sim, cfg);
-        std::printf("%-26s %12.1f W\n", netName(id).c_str(),
+    for (const NetSel id : allNetworks) {
+        auto net = makeNetworkFor(id, sim, cfg);
+        std::printf("%-26s %12.1f W\n", netDisplayName(id).c_str(),
                     net->staticWatts());
     }
     return 0;

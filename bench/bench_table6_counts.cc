@@ -45,9 +45,9 @@ main()
 
     Simulator sim;
     const MacrochipConfig cfg = simulatedConfig();
-    for (const NetId id : allNetworks) {
-        auto net = makeNetwork(id, sim, cfg);
-        printRow(netName(id).c_str(), net->componentCounts());
+    for (const NetSel id : allNetworks) {
+        auto net = makeNetworkFor(id, sim, cfg);
+        printRow(netDisplayName(id).c_str(), net->componentCounts());
     }
     // The two-phase arbitration subnetwork gets its own row in the
     // paper's table.

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "service/campaign.hh"
 #include "sim/logging.hh"
 #include "sim/sweep.hh"
 
@@ -235,8 +236,8 @@ campaignArgs(int &argc, char **argv)
     if (stripValueFlag(argc, argv, "networks", &text)) {
         spec.networks.clear();
         for (const std::string &name : splitList(text)) {
-            service::NetSel net;
-            if (!service::netFromString(name, &net))
+            NetSel net;
+            if (!netFromString(name, &net))
                 fatal("--networks: unknown network '", name, "'");
             spec.networks.push_back(net);
         }
@@ -258,8 +259,6 @@ campaignArgs(int &argc, char **argv)
     stripNumberFlag(argc, argv, "instr", &spec.instructionsPerCore);
     if (stripValueFlag(argc, argv, "workloads", &text))
         spec.workloads = splitList(text);
-    if (stripSwitch(argc, argv, "cell-stats"))
-        spec.emitCellStats = true;
     spec.seed = seedArg(argc, argv, spec.seed);
     return spec;
 }

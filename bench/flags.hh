@@ -1,15 +1,11 @@
 /**
  * @file
- * Command-line flag parsing shared by every bench binary and the
- * macrosim service tools.
+ * Command-line flag parsing shared by every bench binary and
+ * macrosimctl.
  *
  * All strippers remove the flag (and its value) from argv in place,
  * so each bench's positional arguments (e.g. instructions/core)
  * keep their historical position no matter which flags were given.
- *
- * The campaign option table (campaignArgs()) is the same one
- * macrosimctl uses to build a SubmitCampaign request, so an offline
- * bench invocation and a daemon submission describe identical work.
  */
 
 #ifndef MACROSIM_BENCH_FLAGS_HH
@@ -19,9 +15,13 @@
 #include <cstdint>
 #include <string>
 
-#include "service/campaign.hh"
 #include "sim/sweep.hh"
 #include "sim/ticks.hh"
+
+namespace macrosim::service
+{
+struct CampaignSpec;
+}
 
 namespace macrosim::bench
 {
@@ -139,8 +139,9 @@ BenchFlags benchFlags(int &argc, char **argv,
                       std::uint64_t seed_fallback);
 
 /**
- * Build a CampaignSpec from the shared campaign option table,
- * stripping the flags from argv (fatal() on malformed values):
+ * Build a CampaignSpec from the campaign option table of
+ * `macrosimctl run`, stripping the flags from argv (fatal() on
+ * malformed values):
  *
  *   --kind=injector|matrix   campaign kind (default injector)
  *   --patterns=a,b           injector traffic patterns
@@ -150,7 +151,6 @@ BenchFlags benchFlags(int &argc, char **argv,
  *   --window-ns=N            injector measurement window
  *   --instr=N                matrix instructions per core
  *   --workloads=a,b          matrix workload names
- *   --cell-stats             snapshot each cell's StatRegistry
  *   --seed=N                 root seed (MACROSIM_SEED fallback)
  *   --smoke                  the smokeInjector() preset (other
  *                            campaign flags then refine it)

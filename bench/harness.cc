@@ -18,18 +18,6 @@
 namespace macrosim::bench
 {
 
-std::string
-netName(NetId id)
-{
-    return service::netDisplayName(id);
-}
-
-std::unique_ptr<Network>
-makeNetwork(NetId id, Simulator &sim, const MacrochipConfig &cfg)
-{
-    return service::makeNetworkFor(id, sim, cfg);
-}
-
 std::vector<WorkloadSpec>
 figureWorkloads(std::uint64_t instr_per_core)
 {
@@ -59,8 +47,8 @@ runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed,
     std::vector<SweepJob<TraceCpuResult>> cells;
     std::uint32_t cell_idx = 0;
     for (const WorkloadSpec &spec : workloads) {
-        for (const NetId id : allNetworks) {
-            const std::string net_name = netName(id);
+        for (const NetSel id : allNetworks) {
+            const std::string net_name = netDisplayName(id);
             // The cell's streams depend only on (root seed,
             // workload, network): bit-identical for any jobs value.
             const std::uint64_t cell_seed =
@@ -75,7 +63,7 @@ runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed,
                     const std::string label =
                         spec.name + " on " + net_name;
                     Simulator sim(cell_seed);
-                    auto net = makeNetwork(id, sim, simulatedConfig());
+                    auto net = makeNetworkFor(id, sim, simulatedConfig());
 
                     const bool tracing = slot && opts.tracing();
                     std::unique_ptr<MessageTracer> tracer;
@@ -112,7 +100,7 @@ runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed,
                     if (progress) {
                         std::ostringstream line;
                         line << "  [matrix] " << spec.name << " on "
-                             << netName(id) << ": runtime "
+                             << netDisplayName(id) << ": runtime "
                              << r.runtimeNs() << " ns";
                         sweepLog(line.str());
                     }
@@ -162,9 +150,9 @@ runWorkloadMatrixWithTelemetry(std::uint64_t instr_per_core,
 
 const TraceCpuResult &
 find(const std::vector<TraceCpuResult> &matrix,
-     const std::string &workload, NetId net)
+     const std::string &workload, NetSel net)
 {
-    const std::string wanted = netName(net);
+    const std::string wanted = netDisplayName(net);
     for (const auto &r : matrix) {
         if (r.workload == workload && r.network == wanted)
             return r;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared support for the per-table / per-figure bench binaries:
- * network factories, the figure 7-10 workload matrix, and table
- * printing helpers.
+ * the figure network lists, the figure 7-10 workload matrix, and
+ * table printing helpers.
  */
 
 #ifndef MACROSIM_BENCH_HARNESS_HH
@@ -16,12 +16,12 @@
 
 #include "flags.hh"
 #include "net/circuit_switched.hh"
+#include "net/factory.hh"
 #include "net/hermes.hh"
 #include "net/limited_pt2pt.hh"
 #include "net/pt2pt.hh"
 #include "net/token_ring.hh"
 #include "net/two_phase.hh"
-#include "service/campaign.hh"
 #include "sim/telemetry/sampler.hh"
 #include "sim/telemetry/trace.hh"
 #include "workloads/packet_injector.hh"
@@ -30,23 +30,16 @@
 namespace macrosim::bench
 {
 
-/**
- * The network selector moved into the service layer (the campaign
- * types share it with macrosimd); the benches keep their historical
- * spelling. Enumerator names are unchanged.
- */
-using NetId = service::NetSel;
-
 /** Figure order: the paper's legend ordering. */
-constexpr std::array<NetId, 6> allNetworks = {
-    NetId::TokenRing,    NetId::CircuitSwitched, NetId::PointToPoint,
-    NetId::LimitedPtToPt, NetId::TwoPhase,       NetId::TwoPhaseAlt,
+constexpr std::array<NetSel, 6> allNetworks = {
+    NetSel::TokenRing,    NetSel::CircuitSwitched, NetSel::PointToPoint,
+    NetSel::LimitedPtToPt, NetSel::TwoPhase,       NetSel::TwoPhaseAlt,
 };
 
 /** The five networks of figure 6 (no ALT variant there). */
-constexpr std::array<NetId, 5> fig6Networks = {
-    NetId::TokenRing, NetId::CircuitSwitched, NetId::PointToPoint,
-    NetId::LimitedPtToPt, NetId::TwoPhase,
+constexpr std::array<NetSel, 5> fig6Networks = {
+    NetSel::TokenRing, NetSel::CircuitSwitched, NetSel::PointToPoint,
+    NetSel::LimitedPtToPt, NetSel::TwoPhase,
 };
 
 /**
@@ -55,17 +48,10 @@ constexpr std::array<NetId, 5> fig6Networks = {
  * studies. The figure benches keep the paper-exact lists above so
  * their outputs stay byte-identical to the seed.
  */
-constexpr std::array<NetId, 6> extendedNetworks = {
-    NetId::TokenRing, NetId::CircuitSwitched, NetId::PointToPoint,
-    NetId::LimitedPtToPt, NetId::TwoPhase, NetId::Hermes,
+constexpr std::array<NetSel, 6> extendedNetworks = {
+    NetSel::TokenRing, NetSel::CircuitSwitched, NetSel::PointToPoint,
+    NetSel::LimitedPtToPt, NetSel::TwoPhase, NetSel::Hermes,
 };
-
-/** Display name ("Token Ring"), via service::netDisplayName(). */
-std::string netName(NetId id);
-
-/** Topology factory, via service::makeNetworkFor(). */
-std::unique_ptr<Network> makeNetwork(NetId id, Simulator &sim,
-                                     const MacrochipConfig &cfg);
 
 /** Figure 7 x-axis order: six applications then five synthetics. */
 std::vector<WorkloadSpec> figureWorkloads(std::uint64_t instr_per_core);
@@ -128,7 +114,7 @@ runWorkloadMatrixWithTelemetry(std::uint64_t instr_per_core,
 /** Locate a result in the matrix. */
 const TraceCpuResult &find(const std::vector<TraceCpuResult> &matrix,
                            const std::string &workload,
-                           NetId net);
+                           NetSel net);
 
 /** Instructions per core: argv[1] if given, else @p fallback. */
 std::uint64_t instructionsArg(int argc, char **argv,

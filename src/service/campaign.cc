@@ -1,18 +1,10 @@
 #include "service/campaign.hh"
 
-#include <array>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <sstream>
 
-#include "net/circuit_switched.hh"
-#include "net/hermes.hh"
-#include "net/limited_pt2pt.hh"
-#include "net/pt2pt.hh"
-#include "net/token_ring.hh"
-#include "net/two_phase.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/sweep.hh"
@@ -22,13 +14,6 @@ namespace macrosim::service
 
 namespace
 {
-
-constexpr std::array<NetSel, 7> allNetSels = {
-    NetSel::TokenRing,    NetSel::CircuitSwitched,
-    NetSel::PointToPoint, NetSel::LimitedPtToPt,
-    NetSel::TwoPhase,     NetSel::TwoPhaseAlt,
-    NetSel::Hermes,
-};
 
 /** %.17g: enough digits that distinct doubles print distinctly. */
 std::string
@@ -40,71 +25,6 @@ fmtDouble(double v)
 }
 
 } // namespace
-
-std::string
-netDisplayName(NetSel id)
-{
-    switch (id) {
-      case NetSel::TokenRing: return "Token Ring";
-      case NetSel::CircuitSwitched: return "Circuit-Switched";
-      case NetSel::PointToPoint: return "Point-to-Point";
-      case NetSel::LimitedPtToPt: return "Limited Point-to-Point";
-      case NetSel::TwoPhase: return "2-Phase Arb.";
-      case NetSel::TwoPhaseAlt: return "2-Phase Arb. ALT";
-      case NetSel::Hermes: return "Hermes";
-    }
-    return "?";
-}
-
-std::string
-netShortName(NetSel id)
-{
-    switch (id) {
-      case NetSel::TokenRing: return "tring";
-      case NetSel::CircuitSwitched: return "cswitch";
-      case NetSel::PointToPoint: return "pt2pt";
-      case NetSel::LimitedPtToPt: return "lpt2pt";
-      case NetSel::TwoPhase: return "2phase";
-      case NetSel::TwoPhaseAlt: return "2phase-alt";
-      case NetSel::Hermes: return "hermes";
-    }
-    return "?";
-}
-
-bool
-netFromString(std::string_view name, NetSel *out)
-{
-    for (const NetSel id : allNetSels) {
-        if (name == netShortName(id) || name == netDisplayName(id)) {
-            *out = id;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::unique_ptr<Network>
-makeNetworkFor(NetSel id, Simulator &sim, const MacrochipConfig &cfg)
-{
-    switch (id) {
-      case NetSel::TokenRing:
-        return std::make_unique<TokenRingCrossbar>(sim, cfg);
-      case NetSel::CircuitSwitched:
-        return std::make_unique<CircuitSwitchedTorus>(sim, cfg);
-      case NetSel::PointToPoint:
-        return std::make_unique<PointToPointNetwork>(sim, cfg);
-      case NetSel::LimitedPtToPt:
-        return std::make_unique<LimitedPointToPointNetwork>(sim, cfg);
-      case NetSel::TwoPhase:
-        return std::make_unique<TwoPhaseArbitratedNetwork>(sim, cfg);
-      case NetSel::TwoPhaseAlt:
-        return std::make_unique<TwoPhaseArbitratedNetwork>(sim, cfg,
-                                                          true);
-      case NetSel::Hermes:
-        return std::make_unique<HermesNetwork>(sim, cfg);
-    }
-    panic("makeNetworkFor: bad id");
-}
 
 std::size_t
 CampaignSpec::cellCount() const
@@ -120,7 +40,6 @@ CampaignSpec::fingerprint() const
     std::uint64_t h = 0x6d616372736d6331ULL; // "macrsmc1"
     h = hashCombine(h, static_cast<std::uint64_t>(kind));
     h = hashCombine(h, seed);
-    h = hashCombine(h, static_cast<std::uint64_t>(emitCellStats));
     h = hashCombine(h, patterns.size());
     for (const std::string &p : patterns)
         h = hashCombine(h, p);
@@ -144,7 +63,6 @@ CampaignSpec::encode(BinSerializer &s) const
 {
     s.u8(static_cast<std::uint8_t>(kind));
     s.u64(seed);
-    s.boolean(emitCellStats);
     s.varint(patterns.size());
     for (const std::string &p : patterns)
         s.str(p);
@@ -167,7 +85,6 @@ CampaignSpec::decode(BinDeserializer &d)
 {
     kind = static_cast<CampaignKind>(d.u8());
     seed = d.u64();
-    emitCellStats = d.boolean();
     std::uint64_t n = d.varint();
     if (!d.ok() || n > d.remaining())
         return false;
@@ -384,11 +301,6 @@ CellOutcome::encode(BinSerializer &s) const
     } else {
         encodeTrace(s, trace);
     }
-    s.varint(stats.size());
-    for (const auto &[name, value] : stats) {
-        s.str(name);
-        s.f64(value);
-    }
 }
 
 bool
@@ -406,15 +318,6 @@ CellOutcome::decode(BinDeserializer &d)
         decodeTrace(d, trace);
     } else {
         return false;
-    }
-    const std::uint64_t n = d.varint();
-    if (!d.ok() || n > d.remaining())
-        return false;
-    stats.clear();
-    for (std::uint64_t i = 0; i < n && d.ok(); ++i) {
-        std::string name = d.str();
-        const double value = d.f64();
-        stats.emplace_back(std::move(name), value);
     }
     return d.ok();
 }
@@ -512,54 +415,47 @@ runCampaignCell(const CampaignSpec &spec, const CampaignCell &cell)
         cfg.window = spec.windowNs * tickNs;
         cfg.seed = cell_seed;
         out.injector = runOpenLoop(sim, *net, cfg);
-        if (spec.emitCellStats)
-            out.stats = sim.telemetry().snapshot();
     } else {
         WorkloadSpec w = workloadByName(cell.workload);
         w.instructionsPerCore = spec.instructionsPerCore;
         // Identical derivation to bench::runWorkloadMatrix, so a
-        // daemon matrix campaign reproduces the figure benches'
-        // per-cell streams bit for bit.
+        // matrix campaign reproduces the figure benches' per-cell
+        // streams bit for bit.
         const std::uint64_t cell_seed = deriveSeed(
             spec.seed, w.name, netDisplayName(cell.net));
         Simulator sim(cell_seed);
         auto net = makeNetworkFor(cell.net, sim, simulatedConfig());
         TraceCpuSystem cpu(sim, *net, w, mix64(cell_seed));
         out.trace = cpu.run();
-        if (spec.emitCellStats)
-            out.stats = sim.telemetry().snapshot();
     }
     return out;
 }
 
 CampaignResult
-runCampaignOffline(const CampaignSpec &spec, std::size_t jobs,
-                   const CampaignHooks &hooks,
-                   const std::map<std::uint32_t, CellOutcome> *prior,
-                   bool progressLog)
+runCampaign(const CampaignSpec &spec, std::size_t jobs,
+            const std::function<void(const CellOutcome &)> &cellDone,
+            const std::map<std::uint32_t, CellOutcome> *prior,
+            bool progressLog)
 {
     const std::string problem = spec.validate();
     if (!problem.empty())
-        fatal("runCampaignOffline: invalid campaign: ", problem);
+        fatal("runCampaign: invalid campaign: ", problem);
 
     const std::vector<CampaignCell> cells = enumerateCells(spec);
-    const std::size_t total = cells.size();
 
     CampaignResult result;
     result.spec = spec;
-    result.cells.resize(total);
+    result.cells.resize(cells.size());
 
     // Splice prior (journaled) outcomes in and collect the cells
     // that still need to run.
     std::vector<const CampaignCell *> pending;
-    std::size_t priorDone = 0;
     for (const CampaignCell &cell : cells) {
         bool replayed = false;
         if (prior != nullptr) {
             const auto it = prior->find(cell.index);
             if (it != prior->end() && !it->second.skipped) {
                 result.cells[cell.index] = it->second;
-                ++priorDone;
                 replayed = true;
             }
         }
@@ -567,51 +463,26 @@ runCampaignOffline(const CampaignSpec &spec, std::size_t jobs,
             pending.push_back(&cell);
     }
 
-    // Completion-side bookkeeping, serialized under one mutex: the
-    // journal append (hooks.cellDone) and the progress event
-    // (hooks.progress) see cells in completion order.
+    // cellDone (the journal append) sees cells in completion order,
+    // one at a time.
     std::mutex doneMutex;
-    std::size_t doneCells = priorDone;
-    std::size_t ranCells = 0;
-    const auto runStart = std::chrono::steady_clock::now();
-
     std::vector<SweepJob<CellOutcome>> sweep;
     sweep.reserve(pending.size());
     for (const CampaignCell *cell : pending) {
         sweep.push_back(SweepJob<CellOutcome>{
-            cell->label, [&spec, cell, &hooks, &doneMutex,
-                          &doneCells, &ranCells, runStart, total] {
+            cell->label, [&spec, cell, &cellDone, &doneMutex] {
                 CellOutcome out = runCampaignCell(spec, *cell);
-                std::lock_guard<std::mutex> lock(doneMutex);
-                if (hooks.cellDone)
-                    hooks.cellDone(out);
-                ++doneCells;
-                ++ranCells;
-                if (hooks.progress) {
-                    const double elapsed_s =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now()
-                            - runStart)
-                            .count();
-                    CampaignProgress p;
-                    p.cellIndex = out.index;
-                    p.label = out.label;
-                    p.done = doneCells;
-                    p.total = total;
-                    p.cellWallNs = 0.0; // filled by observer users
-                    p.etaSec = doneCells < total && ranCells > 0
-                        ? elapsed_s / static_cast<double>(ranCells)
-                            * static_cast<double>(total - doneCells)
-                        : 0.0;
-                    hooks.progress(p);
+                if (cellDone) {
+                    std::lock_guard<std::mutex> lock(doneMutex);
+                    cellDone(out);
                 }
                 return out;
             }});
     }
 
     SweepRunner runner(jobs, progressLog);
-    SweepOutcome<CellOutcome> outcome = runner.runCancellable(
-        "campaign", std::move(sweep), hooks.cancel);
+    SweepOutcome<CellOutcome> outcome =
+        runner.runCancellable("campaign", std::move(sweep));
 
     for (std::size_t i = 0; i < pending.size(); ++i) {
         const CampaignCell &cell = *pending[i];

@@ -1,7 +1,7 @@
 /**
  * @file
- * Campaign spec/result types shared by the bench binaries and the
- * macrosimd daemon (DESIGN.md §13).
+ * Campaigns: declarative sweeps run in-process by `macrosimctl run`
+ * (DESIGN.md §13).
  *
  * A *campaign* is a declarative description of a sweep: which cells
  * to run (pattern × network × load for the injector kind, workload ×
@@ -11,71 +11,35 @@
  * derived purely from (root seed, cell identity) via deriveSeed() —
  * the same splitmix64 derivation the figure benches use. Because
  * every cell is a pure function of the spec, a campaign's result
- * table is bit-identical whether the cells ran offline through
- * SweepRunner, through the daemon's job queue, across any --jobs
- * count, or split across a kill/--resume cycle (the journal stores
- * each double's exact bit pattern).
- *
- * The bench harness shares the network factory below (NetSel is
- * bench::NetId), so "Token Ring" means the same constructor here,
- * in fig6, and in a daemon campaign.
+ * table is bit-identical across any --jobs count and across any
+ * kill/--resume split (the journal stores each double's exact bit
+ * pattern).
  */
 
 #ifndef MACROSIM_SERVICE_CAMPAIGN_HH
 #define MACROSIM_SERVICE_CAMPAIGN_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "arch/config.hh"
+#include "net/factory.hh"
 #include "service/wire.hh"
 #include "sim/simulator.hh"
 #include "workloads/packet_injector.hh"
 #include "workloads/trace_cpu.hh"
 
-namespace macrosim
-{
-class Network;
-}
-
 namespace macrosim::service
 {
 
-/**
- * The canonical network selector: the paper's five architectures,
- * the ALT arbitration variant, and the hermes extension. The bench
- * harness aliases this as NetId, so enumerator names follow the
- * original bench enum.
- */
-enum class NetSel : std::uint8_t
-{
-    TokenRing = 0,
-    CircuitSwitched = 1,
-    PointToPoint = 2,
-    LimitedPtToPt = 3,
-    TwoPhase = 4,
-    TwoPhaseAlt = 5,
-    Hermes = 6,
-};
-
-/** Display name, as printed in every figure/table ("Token Ring"). */
-std::string netDisplayName(NetSel id);
-
-/** Short flag-friendly name ("tring", "pt2pt", "2phase-alt"…). */
-std::string netShortName(NetSel id);
-
-/** Parse either the short or the display name. */
-bool netFromString(std::string_view name, NetSel *out);
-
-/** Construct the selected topology (the shared factory). */
-std::unique_ptr<Network> makeNetworkFor(NetSel id, Simulator &sim,
-                                        const MacrochipConfig &cfg);
+// perfbench/ is frozen with the benchmark and spells these service::.
+using macrosim::makeNetworkFor;
+using macrosim::NetSel;
+using macrosim::netDisplayName;
+using macrosim::netShortName;
 
 enum class CampaignKind : std::uint8_t
 {
@@ -92,8 +56,6 @@ struct CampaignSpec
 {
     CampaignKind kind = CampaignKind::InjectorSweep;
     std::uint64_t seed = 17;
-    /** Snapshot each cell's StatRegistry into its outcome/event. */
-    bool emitCellStats = false;
 
     /* InjectorSweep */
     std::vector<std::string> patterns; ///< to_string(TrafficPattern)
@@ -122,7 +84,7 @@ struct CampaignSpec
     std::string validate() const;
 
     /** The small deterministic campaign behind --smoke and the
-     *  service e2e test: uniform × {tring, pt2pt, 2phase} ×
+     *  service_e2e_smoke test: uniform × {tring, pt2pt, 2phase} ×
      *  {1%, 2%} with a short measurement window. */
     static CampaignSpec smokeInjector();
 };
@@ -156,8 +118,6 @@ struct CellOutcome
     bool skipped = false;
     InjectorResult injector;
     TraceCpuResult trace;
-    /** StatRegistry snapshot (when the spec asked for it). */
-    std::vector<std::pair<std::string, double>> stats;
 
     void encode(BinSerializer &s) const;
     bool decode(BinDeserializer &d);
@@ -173,8 +133,7 @@ struct CampaignResult
     /**
      * Render the canonical CSV result table. Doubles print as
      * %.17g, so two tables are byte-identical iff the results are
-     * bit-identical — the acceptance check for daemon-vs-offline
-     * and kill/resume runs.
+     * bit-identical — the acceptance check for kill/resume runs.
      */
     std::string table() const;
 };
@@ -183,46 +142,24 @@ struct CampaignResult
 CellOutcome runCampaignCell(const CampaignSpec &spec,
                             const CampaignCell &cell);
 
-/** Per-cell completion report, forwarded to progress subscribers. */
-struct CampaignProgress
-{
-    std::uint32_t cellIndex = 0;
-    std::string label;
-    std::size_t done = 0;  ///< cells finished so far (incl. prior)
-    std::size_t total = 0; ///< cells in the campaign
-    double cellWallNs = 0.0;
-    double etaSec = 0.0;
-};
-
-/**
- * Observation and control hooks for a campaign run. cellDone and
- * progress are invoked from sweep worker threads but serialized
- * under one internal mutex, in cell *completion* order — the
- * journal append path hangs off cellDone. cancel, when set and
- * flipped true, cooperatively skips cells that have not started;
- * running cells drain normally (their results are still journaled).
- */
-struct CampaignHooks
-{
-    std::function<void(const CellOutcome &)> cellDone;
-    std::function<void(const CampaignProgress &)> progress;
-    const std::atomic<bool> *cancel = nullptr;
-};
-
 /**
  * Run a campaign through the SweepRunner thread pool and return the
  * assembled result (cells in index order).
  *
  * @p jobs is the worker count (0 = MACROSIM_JOBS / hardware).
+ * @p cellDone, when set, sees every cell that ran, in completion
+ * order: it is called from sweep worker threads but serialized under
+ * one internal mutex, which is what the journal append relies on.
  * @p prior maps cell index → outcome for cells already completed
- * (journal replay on --resume); those cells are not re-run, their
- * outcomes are spliced into the result, and they count as done in
- * progress reports. The returned table is bit-identical for any
- * (jobs, prior) split of the same spec.
+ * (journal replay on --resume); those cells are not re-run and their
+ * outcomes are spliced into the result. The returned table is
+ * bit-identical for any (jobs, prior) split of the same spec.
+ * SIGINT/SIGTERM (installSweepSignalHandlers()) skip the cells that
+ * have not started; running cells finish and reach @p cellDone.
  */
-CampaignResult runCampaignOffline(
+CampaignResult runCampaign(
     const CampaignSpec &spec, std::size_t jobs,
-    const CampaignHooks &hooks = {},
+    const std::function<void(const CellOutcome &)> &cellDone = {},
     const std::map<std::uint32_t, CellOutcome> *prior = nullptr,
     bool progressLog = false);
 

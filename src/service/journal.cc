@@ -2,41 +2,39 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <vector>
-
-#include "service/protocol.hh"
 
 namespace macrosim::service
 {
 
 bool
-JournalWriter::create(const std::string &path, std::uint64_t jobId,
-                      const CampaignSpec &spec)
+JournalWriter::create(const std::string &path, const CampaignSpec &spec)
 {
     close();
     file_ = std::fopen(path.c_str(), "wb");
     if (file_ == nullptr)
         return false;
-    path_ = path;
 
     BinSerializer body;
     body.u32(journalMagic);
-    body.u64(jobId);
     body.u64(spec.fingerprint());
     spec.encode(body);
-    return writeFrame(encodeFrame(
-        static_cast<std::uint16_t>(MsgId::JournalHeader), body));
+    return writeFrame(encodeFrame(journalHeaderFrame, body));
 }
 
 bool
-JournalWriter::openAppend(const std::string &path)
+JournalWriter::openAppend(const std::string &path,
+                          std::uintmax_t validBytes)
 {
     close();
-    file_ = std::fopen(path.c_str(), "ab");
-    if (file_ == nullptr)
+    std::error_code ec;
+    std::filesystem::resize_file(path, validBytes, ec);
+    if (ec)
         return false;
-    path_ = path;
-    return true;
+    file_ = std::fopen(path.c_str(), "ab");
+    return file_ != nullptr;
 }
 
 bool
@@ -46,8 +44,7 @@ JournalWriter::append(const CellOutcome &cell)
         return false;
     BinSerializer body;
     cell.encode(body);
-    return writeFrame(encodeFrame(
-        static_cast<std::uint16_t>(MsgId::JournalCell), body));
+    return writeFrame(encodeFrame(journalCellFrame, body));
 }
 
 void
@@ -57,7 +54,6 @@ JournalWriter::close()
         std::fclose(file_);
         file_ = nullptr;
     }
-    path_.clear();
 }
 
 bool
@@ -66,8 +62,8 @@ JournalWriter::writeFrame(const std::vector<std::uint8_t> &frame)
     if (std::fwrite(frame.data(), 1, frame.size(), file_)
         != frame.size())
         return false;
-    // Flush to the OS: a daemon killed an instant later loses only
-    // a record that never finished fwrite, which the reader drops.
+    // Flush to the OS: a run killed an instant later loses only a
+    // record that never finished fwrite, which the reader drops.
     return std::fflush(file_) == 0;
 }
 
@@ -86,8 +82,11 @@ readJournal(const std::string &path)
     FrameReader reader;
     char buf[1 << 16];
     std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0)
+    std::uintmax_t fileBytes = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
         reader.feed(buf, n);
+        fileBytes += n;
+    }
     std::fclose(file);
 
     bool sawHeader = false;
@@ -108,8 +107,7 @@ readJournal(const std::string &path)
             break;
         }
         if (!sawHeader) {
-            if (frame.id
-                != static_cast<std::uint16_t>(MsgId::JournalHeader)) {
+            if (frame.id != journalHeaderFrame) {
                 out.error = "not a campaign journal (first frame id "
                             + std::to_string(frame.id) + ")";
                 return out;
@@ -119,17 +117,16 @@ readJournal(const std::string &path)
                 out.error = "bad journal magic";
                 return out;
             }
-            out.jobId = d.u64();
             out.fingerprint = d.u64();
             if (!out.spec.decode(d) || !d.ok()) {
                 out.error = "journal header spec undecodable";
                 return out;
             }
             sawHeader = true;
+            out.validBytes = fileBytes - reader.buffered();
             continue;
         }
-        if (frame.id
-            != static_cast<std::uint16_t>(MsgId::JournalCell)) {
+        if (frame.id != journalCellFrame) {
             out.error = "unexpected journal frame id "
                         + std::to_string(frame.id);
             out.truncatedTail = true;
@@ -145,6 +142,7 @@ readJournal(const std::string &path)
             break;
         }
         out.cells[cell.index] = std::move(cell);
+        out.validBytes = fileBytes - reader.buffered();
     }
 
     if (!sawHeader) {
@@ -154,12 +152,6 @@ readJournal(const std::string &path)
     }
     out.valid = true;
     return out;
-}
-
-std::string
-journalFileName(std::uint64_t jobId)
-{
-    return "job" + std::to_string(jobId) + ".mjr";
 }
 
 } // namespace macrosim::service

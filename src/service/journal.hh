@@ -2,14 +2,15 @@
  * @file
  * Campaign checkpoint journal (DESIGN.md §13).
  *
- * One journal file per job, reusing the wire frame format on disk:
+ * One journal file per `macrosimctl run --journal=FILE`, reusing the
+ * wire frame format on disk:
  *
- *   [JournalHeader frame: magic, job id, spec fingerprint, spec]
- *   [JournalCell frame: CellOutcome]*
+ *   [header frame: magic, spec fingerprint, spec]
+ *   [cell frame: CellOutcome]*
  *
- * The writer appends one JournalCell frame per completed cell, in
+ * The writer appends one cell frame per completed cell, in
  * completion order, and fflush()es after every append — a killed
- * daemon therefore loses at most the record that was mid-write, and
+ * run therefore loses at most the record that was mid-write, and
  * the reader tolerates exactly that: a truncated trailing frame
  * ends replay cleanly (everything before it is recovered).
  *
@@ -34,10 +35,14 @@ namespace macrosim::service
 /** First field of the header frame; rejects non-journals early. */
 constexpr std::uint32_t journalMagic = 0x4D4A524Eu; // 'MJRN'
 
+/** Frame ids of the two journal records. */
+constexpr std::uint16_t journalHeaderFrame = 192;
+constexpr std::uint16_t journalCellFrame = 193;
+
 /**
- * Append-side of a job's journal. Not internally synchronized: the
- * campaign runner already serializes cellDone hooks under its
- * completion mutex (campaign.hh).
+ * Append-side of a journal. Not internally synchronized: runCampaign
+ * already serializes its cellDone calls under its completion mutex
+ * (campaign.hh).
  */
 class JournalWriter
 {
@@ -52,28 +57,26 @@ class JournalWriter
      * Create (truncate) @p path and write the header frame.
      * @return Whether the file opened and the header hit the OS.
      */
-    bool create(const std::string &path, std::uint64_t jobId,
-                const CampaignSpec &spec);
+    bool create(const std::string &path, const CampaignSpec &spec);
 
     /**
-     * Open an existing journal for appending further cell records
-     * (the --resume path; the header is already on disk).
+     * Reopen a journal that readJournal() recovered, for appending
+     * further cell records (the --resume path; the header is already
+     * on disk). The file is first cut back to @p validBytes, so a
+     * record left half-written by a killed run cannot swallow the
+     * records appended after it.
      */
-    bool openAppend(const std::string &path);
+    bool openAppend(const std::string &path, std::uintmax_t validBytes);
 
     /** Append one completed cell, flushed before returning. */
     bool append(const CellOutcome &cell);
 
     void close();
 
-    bool isOpen() const { return file_ != nullptr; }
-    const std::string &path() const { return path_; }
-
   private:
     bool writeFrame(const std::vector<std::uint8_t> &frame);
 
     std::FILE *file_ = nullptr;
-    std::string path_;
 };
 
 /** Everything recovered from one journal file. */
@@ -81,13 +84,15 @@ struct JournalContents
 {
     bool valid = false;
     std::string error; ///< why valid is false (or a tail warning)
-    std::uint64_t jobId = 0;
     std::uint64_t fingerprint = 0;
     CampaignSpec spec;
     /** Completed cells by index; duplicates keep the later record. */
     std::map<std::uint32_t, CellOutcome> cells;
     /** Whether a truncated trailing frame was dropped (benign). */
     bool truncatedTail = false;
+    /** Length of the intact prefix: the header and every recovered
+     *  cell record (what openAppend() keeps). */
+    std::uintmax_t validBytes = 0;
 };
 
 /**
@@ -97,9 +102,6 @@ struct JournalContents
  * record stops replay at the last good frame with valid == true.
  */
 JournalContents readJournal(const std::string &path);
-
-/** The journal filename for a job: "job<id>.mjr". */
-std::string journalFileName(std::uint64_t jobId);
 
 } // namespace macrosim::service
 

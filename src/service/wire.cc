@@ -67,16 +67,6 @@ BinDeserializer::str()
     return s;
 }
 
-bool
-BinDeserializer::bytes(std::vector<std::uint8_t> &out, std::size_t n)
-{
-    if (!need(n))
-        return false;
-    out.assign(p_, p_ + n);
-    p_ += n;
-    return true;
-}
-
 std::vector<std::uint8_t>
 encodeFrame(std::uint16_t id, const BinSerializer &body)
 {
@@ -124,7 +114,7 @@ FrameReader::next(Frame *out, std::string *error)
     const std::uint16_t id = header.u16();
     if (!versionCompatible(version)) {
         if (error) {
-            *error = "incompatible protocol version "
+            *error = "incompatible frame version "
                      + std::to_string(version >> 8) + "."
                      + std::to_string(version & 0xFF) + " (mine is "
                      + std::to_string(protoMajor) + "."

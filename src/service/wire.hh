@@ -1,7 +1,7 @@
 /**
  * @file
- * Compact binary serialization for the macrosimd wire protocol and
- * the campaign journal (DESIGN.md §13).
+ * Compact binary serialization and framing for the campaign journal
+ * (DESIGN.md §13).
  *
  * Layout rules, chosen for bit-exactness and cross-version safety:
  *
@@ -17,9 +17,9 @@
  *    value round-trips bit-exactly (the checkpoint/resume
  *    bit-identity guarantee rests on this).
  *
- * Framing: every protocol message and journal record is one frame,
+ * Framing: every journal record is one frame,
  *
- *    [u32 payload length][u16 version][u16 message id][body]
+ *    [u32 payload length][u16 version][u16 frame id][body]
  *
  * where the length counts everything after itself (version + id +
  * body). The version is (major << 8) | minor. A reader rejects a
@@ -121,7 +121,6 @@ class BinSerializer
     const std::uint8_t *data() const { return buf_.data(); }
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
     std::vector<std::uint8_t> take() { return std::move(buf_); }
-    void clear() { buf_.clear(); }
 
   private:
     std::vector<std::uint8_t> buf_;
@@ -130,7 +129,7 @@ class BinSerializer
 /**
  * Bounds-checked binary reader. Any out-of-range read latches
  * ok() == false and returns a zero value; callers may therefore
- * decode a whole message unconditionally and check ok() once.
+ * decode a whole record unconditionally and check ok() once.
  */
 class BinDeserializer
 {
@@ -181,9 +180,6 @@ class BinDeserializer
 
     std::string str();
 
-    /** Read @p n raw bytes into @p out (resized). */
-    bool bytes(std::vector<std::uint8_t> &out, std::size_t n);
-
     bool ok() const { return ok_; }
 
     std::size_t
@@ -218,7 +214,7 @@ class BinDeserializer
     bool ok_ = true;
 };
 
-/** One decoded frame: version + message id + body bytes. */
+/** One decoded frame: version + frame id + body bytes. */
 struct Frame
 {
     std::uint16_t version = protoVersion;
@@ -228,14 +224,14 @@ struct Frame
 
 /**
  * Encode a full frame (length prefix + header + body) ready for a
- * socket write or a journal append.
+ * journal append.
  */
 std::vector<std::uint8_t> encodeFrame(std::uint16_t id,
                                       const BinSerializer &body);
 
 /**
  * Incremental frame splitter for a byte stream that arrives in
- * arbitrary chunks (socket reads, journal tails).
+ * arbitrary chunks (buffered file reads, journal tails).
  *
  * Bad means unrecoverable stream corruption: a payload length over
  * maxFramePayload or an incompatible major version. NeedMore at

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
-#include <utility>
 
 namespace macrosim
 {
@@ -15,28 +14,15 @@ namespace
 std::atomic<bool> quietFlag{false};
 std::atomic<std::uint64_t> warnCount{0};
 
-// Status-line sink: guarded by a mutex, worker threads emit
-// progress concurrently.
+// Worker threads emit progress concurrently; one line at a time.
 std::mutex statusMutex;
-std::function<void(const std::string &)> statusSink;
 } // namespace
 
 void
 statusLine(const std::string &line)
 {
     std::lock_guard<std::mutex> lock(statusMutex);
-    if (statusSink) {
-        statusSink(line);
-        return;
-    }
     std::fprintf(stderr, "%s\n", line.c_str());
-}
-
-void
-setStatusSink(std::function<void(const std::string &)> sink)
-{
-    std::lock_guard<std::mutex> lock(statusMutex);
-    statusSink = std::move(sink);
 }
 
 void

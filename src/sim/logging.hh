@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -92,21 +91,12 @@ void setQuiet(bool quiet);
 bool quiet();
 
 /**
- * Live status lines (sweep progress "[job k/N] … (eta …)" and
- * friends) flow through here rather than straight to stderr, so an
- * embedding process can capture them. Unlike inform(), status lines
- * are NOT quiet-gated: benches run setQuiet(true) yet still show
- * progress. Calls are serialized internally (worker threads share
- * the sink).
+ * Print a live status line (sweep progress "[job k/N] … (eta …)" and
+ * friends) to stderr. Unlike inform(), status lines are NOT
+ * quiet-gated: benches run setQuiet(true) yet still show progress.
+ * Calls are serialized internally (worker threads share stderr).
  */
 void statusLine(const std::string &line);
-
-/**
- * Redirect statusLine(). Null restores the default stderr writer.
- * The macrosimd daemon points this at its protocol-event stream so
- * clients subscribe to progress instead of scraping stdout.
- */
-void setStatusSink(std::function<void(const std::string &)> sink);
 
 /**
  * Total warnings issued since process start. Counts even under

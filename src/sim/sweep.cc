@@ -1,5 +1,6 @@
 #include "sim/sweep.hh"
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +21,7 @@ std::mutex progressMutex;
 /** Async-signal-safe interrupt latch (SIGINT/SIGTERM). */
 volatile std::sig_atomic_t signalInterrupt = 0;
 
-/** Programmatic latch (requestSweepInterrupt; tests, daemon). */
+/** Programmatic latch (requestSweepInterrupt; tests). */
 std::atomic<bool> manualInterrupt{false};
 
 void
@@ -121,16 +122,6 @@ SweepRunner::noteJobDone(const std::string &label, double ns,
         ? elapsed_s / static_cast<double>(done_)
             * static_cast<double>(total_ - done_)
         : 0.0;
-    if (observer_) {
-        SweepJobDone report;
-        report.done = done_;
-        report.total = total_;
-        report.label = label;
-        report.wallNs = ns;
-        report.etaSec = eta_s;
-        observer_(report);
-        return;
-    }
     if (!progress_)
         return;
     char line[256];

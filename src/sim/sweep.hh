@@ -1,7 +1,7 @@
 /**
  * @file
  * SweepRunner: the parallel experiment engine behind the figure
- * benches and the macrosimd campaign executor.
+ * benches and the campaign runner.
  *
  * A sweep is an ordered list of labelled jobs, each a closure that
  * builds and runs one independent Simulator and returns its result.
@@ -12,28 +12,23 @@
  * with deriveSeed() (sim/random.hh), never from shared mutable
  * state, and results are bit-identical for any --jobs value.
  *
- * Progress is observable two ways. By default each finished job
- * emits one "[job k/N] label: ms (eta s)" line through the logging
- * layer's status sink (statusLine(), redirectable — the daemon
- * captures these as protocol events instead of scraping stdout).
- * Alternatively setObserver() receives the same data structured
- * (SweepJobDone), suppressing the default line. ETA math runs on
+ * Each finished job emits one "[job k/N] label: ms (eta s)" line
+ * through the logging layer's statusLine(). ETA math runs on
  * std::chrono::steady_clock, so a wall-clock step (NTP, DST) cannot
  * produce a negative or absurd estimate.
  *
- * Cancellation is cooperative. runCancellable() takes an optional
- * atomic token; once it flips (or a SIGINT/SIGTERM arrives after
- * installSweepSignalHandlers()), jobs that have not started are
- * skipped, *running jobs drain to completion* — their results are
- * still delivered, so a journaling caller flushes every finished
- * cell — and the outcome reports which jobs ran. Benches exit
+ * Cancellation is cooperative: once a SIGINT/SIGTERM arrives after
+ * installSweepSignalHandlers() (or a test calls
+ * requestSweepInterrupt()), jobs that have not started are skipped,
+ * *running jobs drain to completion* — their results are still
+ * delivered, so a journaling caller flushes every finished cell —
+ * and runCancellable() reports which jobs ran. Benches exit
  * non-zero afterwards via sweepExitStatus().
  */
 
 #ifndef MACROSIM_SIM_SWEEP_HH
 #define MACROSIM_SIM_SWEEP_HH
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -63,7 +58,7 @@ struct SweepOutcome
     std::vector<Result> results;
     /** ran[i] != 0 iff job i executed to completion. */
     std::vector<std::uint8_t> ran;
-    /** Whether cancellation (token or signal) cut the sweep short. */
+    /** Whether a sweep interrupt cut the sweep short. */
     bool interrupted = false;
 
     std::size_t
@@ -89,8 +84,7 @@ void sweepLog(const std::string &line);
  * Install SIGINT/SIGTERM handlers that request cooperative sweep
  * cancellation (drain running cells, skip the rest) instead of the
  * default immediate process death that abandons in-flight cells.
- * Idempotent; called by bench flag parsing. The daemon installs its
- * own handlers and does not use this.
+ * Idempotent; called by bench flag parsing and `macrosimctl run`.
  */
 void installSweepSignalHandlers();
 
@@ -107,21 +101,9 @@ void clearSweepInterrupt();
  *  sweep (the conventional 128+SIGINT), else 0. */
 int sweepExitStatus();
 
-/** One finished job, as reported to a progress observer. */
-struct SweepJobDone
-{
-    std::size_t done = 0;  ///< jobs finished so far
-    std::size_t total = 0; ///< jobs in this sweep
-    std::string label;
-    double wallNs = 0.0; ///< this job's wall-clock time
-    double etaSec = 0.0; ///< projected time to finish the sweep
-};
-
 class SweepRunner
 {
   public:
-    using Observer = std::function<void(const SweepJobDone &)>;
-
     /**
      * @p jobs worker threads; 0 means defaultJobs(). @p progress
      * false silences the per-job and aggregate status lines (the
@@ -130,16 +112,6 @@ class SweepRunner
     explicit SweepRunner(std::size_t jobs = 0, bool progress = true);
 
     std::size_t jobs() const { return jobs_; }
-
-    /**
-     * Receive each finished job's progress record instead of the
-     * default "[job k/N]" status line. The observer is called under
-     * the progress lock (serialized) from worker threads.
-     */
-    void setObserver(Observer observer)
-    {
-        observer_ = std::move(observer);
-    }
 
     /**
      * Run every job and return their results in submission order.
@@ -151,14 +123,12 @@ class SweepRunner
     std::vector<Result>
     run(const std::string &name, std::vector<SweepJob<Result>> sweep)
     {
-        return runCancellable(name, std::move(sweep), nullptr)
-            .results;
+        return runCancellable(name, std::move(sweep)).results;
     }
 
     /**
-     * As run(), but additionally cancellable through @p cancel and
-     * explicit about which jobs executed. On cancellation the
-     * queued-but-unstarted jobs are drained through
+     * As run(), but explicit about which jobs executed. On a sweep
+     * interrupt the queued-but-unstarted jobs are drained through
      * ThreadPool::cancelPending() (their closures observe
      * ThreadPool::cancelling() and return immediately), running
      * jobs finish normally, and outcome.interrupted is set.
@@ -166,8 +136,7 @@ class SweepRunner
     template <typename Result>
     SweepOutcome<Result>
     runCancellable(const std::string &name,
-                   std::vector<SweepJob<Result>> sweep,
-                   const std::atomic<bool> *cancel)
+                   std::vector<SweepJob<Result>> sweep)
     {
         using Clock = std::chrono::steady_clock;
         const Clock::time_point start = Clock::now();
@@ -178,12 +147,6 @@ class SweepRunner
         outcome.results.resize(sweep.size());
         outcome.ran.assign(sweep.size(), 0);
 
-        const auto cancelled = [cancel] {
-            return sweepInterrupted()
-                   || (cancel != nullptr
-                       && cancel->load(std::memory_order_relaxed));
-        };
-
         std::vector<std::future<void>> futures;
         futures.reserve(sweep.size());
         {
@@ -192,8 +155,9 @@ class SweepRunner
                 SweepJob<Result> &job = sweep[i];
                 futures.push_back(pool.submit(
                     [this, &outcome, i, job = std::move(job),
-                     &busy_ns, &cancelled] {
-                        if (cancelled() || ThreadPool::cancelling())
+                     &busy_ns] {
+                        if (sweepInterrupted()
+                            || ThreadPool::cancelling())
                             return;
                         const Clock::time_point t0 = Clock::now();
                         outcome.results[i] = job.fn();
@@ -212,7 +176,7 @@ class SweepRunner
             for (std::future<void> &f : futures) {
                 while (f.wait_for(std::chrono::milliseconds(20))
                        != std::future_status::ready) {
-                    if (!flushed && cancelled()) {
+                    if (!flushed && sweepInterrupted()) {
                         pool.cancelPending();
                         flushed = true;
                     }
@@ -224,7 +188,7 @@ class SweepRunner
         // old run() contract: a worker crash surfaces here).
         for (std::future<void> &f : futures)
             f.get();
-        outcome.interrupted = cancelled();
+        outcome.interrupted = sweepInterrupted();
 
         const double wall_ns = std::chrono::duration<double, std::nano>(
                                    Clock::now() - start)
@@ -265,7 +229,6 @@ class SweepRunner
 
     std::size_t jobs_;
     bool progress_;
-    Observer observer_;
 
     /** Live progress state of the sweep currently in run(). */
     std::size_t total_ = 0;

@@ -19,16 +19,6 @@ StatRegistry::addMean(std::string name, const Accumulator &a)
     add(std::move(name), [&a] { return a.mean(); });
 }
 
-std::vector<std::pair<std::string, double>>
-StatRegistry::snapshot() const
-{
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(entries_.size());
-    for (const auto &e : entries_)
-        out.emplace_back(e.name, e.getter());
-    return out;
-}
-
 bool
 StatRegistry::has(std::string_view name) const
 {

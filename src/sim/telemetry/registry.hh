@@ -85,15 +85,6 @@ class StatRegistry
     /** One time-series row: @p now then every value, in order. */
     void writeSnapshotRow(std::ostream &os, std::uint64_t now) const;
 
-    /**
-     * Materialize every (name, current value) pair in registration
-     * order — the serialization hook behind per-cell stat snapshots
-     * in protocol events and journal records (service/campaign.hh):
-     * the vector is taken once at end of run and encoded with the
-     * doubles' exact bit patterns.
-     */
-    std::vector<std::pair<std::string, double>> snapshot() const;
-
     /** Visit every (name, current value) pair in order. */
     template <typename Fn>
     void

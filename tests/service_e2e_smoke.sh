@@ -1,101 +1,76 @@
 #!/bin/sh
-# End-to-end smoke test for the macrosimd service (DESIGN.md §13).
+# Kill/resume end-to-end smoke test for `macrosimctl run` (DESIGN.md
+# §13).
 #
-# Runs the --smoke campaign three ways and byte-compares the result
-# tables:
-#   1. offline, in-process (the reference);
-#   2. through a daemon that is killed (deterministically, via
-#      --exit-after-cells=2) mid-campaign and restarted with
-#      --resume;
-#   3. nothing else — the resumed daemon must finish the job and
-#      serve a table identical to (1).
+#   1. A reference run of the --smoke campaign.
+#   2. The same campaign with a journal, killed deterministically
+#      (--exit-after-cells=2 makes it _Exit(42) after journaling its
+#      second cell).
+#   3. A --resume with different campaign flags: it must be refused
+#      and leave the journal byte-identical.
+#   4. A --resume with the original flags: it must re-run only the
+#      missing cells and print a table byte-identical to (1).
 #
-# Usage: service_e2e_smoke.sh <macrosimd> <macrosimctl> <workdir>
+# Usage: service_e2e_smoke.sh <macrosimctl> <workdir>
 set -eu
 
-MACROSIMD=$1
-MACROSIMCTL=$2
-WORK=$3
+MACROSIMCTL=$1
+WORK=$2
 
 rm -rf "$WORK"
-mkdir -p "$WORK/journal"
-# Unix socket paths are capped at ~108 bytes; build trees can be
-# deep, so put the socket in /tmp keyed by PID.
-SOCK="/tmp/macrosim_e2e_$$.sock"
+mkdir -p "$WORK"
+JOURNAL="$WORK/smoke.mjr"
 
-cleanup() {
-    [ -n "${DPID:-}" ] && kill "$DPID" 2>/dev/null || true
-    rm -f "$SOCK"
-}
-trap cleanup EXIT INT TERM
-
-wait_for_socket() {
-    i=0
-    while [ ! -S "$SOCK" ]; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "FAIL: daemon never created $SOCK" >&2
-            exit 1
-        fi
-        sleep 0.1
-    done
+fail() {
+    echo "FAIL: $*" >&2
+    exit 1
 }
 
-echo "== 1. offline reference run"
-"$MACROSIMCTL" offline --smoke --jobs=2 --output="$WORK/ref.csv" \
-    2>/dev/null
+echo "== 1. reference run"
+"$MACROSIMCTL" run --smoke --jobs=2 --output="$WORK/ref.csv" \
+    2>"$WORK/ref.log" || {
+    cat "$WORK/ref.log" >&2
+    fail "reference run"
+}
 
-echo "== 2. daemon run, killed after 2 journaled cells"
-"$MACROSIMD" --socket="$SOCK" --journal-dir="$WORK/journal" \
-    --jobs=2 --exit-after-cells=2 >"$WORK/daemon1.log" 2>&1 &
-DPID=$!
-wait_for_socket
-"$MACROSIMCTL" --socket="$SOCK" submit --smoke >/dev/null 2>&1 || true
-# The daemon _exit(42)s after journaling its 2nd cell.
+echo "== 2. journaled run, killed after 2 journaled cells"
 rc=0
-wait "$DPID" || rc=$?
-DPID=
-if [ "$rc" -ne 42 ]; then
-    echo "FAIL: first daemon exited $rc, expected 42" >&2
-    cat "$WORK/daemon1.log" >&2
-    exit 1
-fi
-if [ ! -s "$WORK/journal/job1.mjr" ]; then
-    echo "FAIL: no journal written" >&2
-    exit 1
-fi
-
-echo "== 3. resumed daemon finishes the job"
-# The killed daemon left its socket file behind; remove it so
-# wait_for_socket waits for the new daemon's bind (the client also
-# retries refused connections, covering the remaining window).
-rm -f "$SOCK"
-"$MACROSIMD" --socket="$SOCK" --journal-dir="$WORK/journal" \
-    --jobs=2 --resume >"$WORK/daemon2.log" 2>&1 &
-DPID=$!
-wait_for_socket
-"$MACROSIMCTL" --socket="$SOCK" results 1 --wait \
-    --output="$WORK/resumed.csv" 2>"$WORK/ctl.log"
-grep -q "re-queued" "$WORK/daemon2.log" || {
-    echo "FAIL: resume did not re-queue the journaled job" >&2
-    cat "$WORK/daemon2.log" >&2
-    exit 1
+"$MACROSIMCTL" run --smoke --jobs=2 --journal="$JOURNAL" \
+    --exit-after-cells=2 --output="$WORK/killed.csv" \
+    2>"$WORK/killed.log" || rc=$?
+[ "$rc" -eq 42 ] || {
+    cat "$WORK/killed.log" >&2
+    fail "killed run exited $rc, expected 42"
 }
-"$MACROSIMCTL" --socket="$SOCK" shutdown 2>/dev/null
-rc=0
-wait "$DPID" || rc=$?
-DPID=
-if [ "$rc" -ne 0 ]; then
-    echo "FAIL: resumed daemon exited $rc" >&2
-    cat "$WORK/daemon2.log" >&2
-    exit 1
-fi
+[ -s "$JOURNAL" ] || fail "no journal written"
+cp "$JOURNAL" "$WORK/journal.before"
 
-echo "== 4. byte-compare resumed table against offline reference"
+echo "== 3. resume with mismatched flags is refused"
+rc=0
+"$MACROSIMCTL" run --smoke --seed=18 --jobs=2 --journal="$JOURNAL" \
+    --resume --output="$WORK/mismatch.csv" \
+    2>"$WORK/mismatch.log" || rc=$?
+[ "$rc" -ne 0 ] || fail "mismatched --resume was accepted"
+grep -q "fingerprint" "$WORK/mismatch.log" || {
+    cat "$WORK/mismatch.log" >&2
+    fail "mismatched --resume failed for the wrong reason"
+}
+cmp "$JOURNAL" "$WORK/journal.before" ||
+    fail "refused --resume modified the journal"
+
+echo "== 4. resume with the original flags"
+"$MACROSIMCTL" run --smoke --jobs=2 --journal="$JOURNAL" --resume \
+    --output="$WORK/resumed.csv" 2>"$WORK/resumed.log" || {
+    cat "$WORK/resumed.log" >&2
+    fail "resumed run"
+}
+grep -q "resuming 2/6 journaled cells" "$WORK/resumed.log" || {
+    cat "$WORK/resumed.log" >&2
+    fail "resume did not pick up the 2 journaled cells"
+}
 if ! cmp "$WORK/ref.csv" "$WORK/resumed.csv"; then
-    echo "FAIL: resumed table differs from offline reference" >&2
     diff "$WORK/ref.csv" "$WORK/resumed.csv" >&2 || true
-    exit 1
+    fail "resumed table differs from the reference"
 fi
 
-echo "PASS: kill/resume table is byte-identical to the offline run"
+echo "PASS: kill/resume table is byte-identical to the reference run"

@@ -7,7 +7,7 @@
  *
  * The journal-replay identity test here is the unit-level half of
  * the acceptance criterion; the service_e2e_smoke script repeats it
- * through a real killed-and-restarted daemon process.
+ * through a really killed and resumed `macrosimctl run`.
  */
 
 #include <algorithm>
@@ -24,6 +24,7 @@
 #include "service/campaign.hh"
 #include "service/journal.hh"
 #include "sim/random.hh"
+#include "sim/sweep.hh"
 
 using namespace macrosim;
 using namespace macrosim::service;
@@ -73,7 +74,19 @@ TEST(Campaign, FingerprintCoversEveryField)
     EXPECT_NE(mutated.fingerprint(), fp);
 
     mutated = base;
-    mutated.emitCellStats = !mutated.emitCellStats;
+    std::swap(mutated.networks[0], mutated.networks[1]);
+    EXPECT_NE(mutated.fingerprint(), fp);
+
+    mutated = base;
+    mutated.warmupNs += 1;
+    EXPECT_NE(mutated.fingerprint(), fp);
+
+    mutated = base;
+    mutated.instructionsPerCore += 1;
+    EXPECT_NE(mutated.fingerprint(), fp);
+
+    mutated = base;
+    mutated.workloads.push_back("fft");
     EXPECT_NE(mutated.fingerprint(), fp);
 }
 
@@ -102,8 +115,8 @@ TEST(Campaign, ValidateCatchesBadSpecs)
 TEST(Campaign, TableBitIdenticalAcrossJobCounts)
 {
     const CampaignSpec spec = CampaignSpec::smokeInjector();
-    const std::string t1 = runCampaignOffline(spec, 1).table();
-    const std::string t4 = runCampaignOffline(spec, 4).table();
+    const std::string t1 = runCampaign(spec, 1).table();
+    const std::string t4 = runCampaign(spec, 4).table();
     EXPECT_EQ(t1, t4);
     // %.17g doubles: equal strings means bit-equal results.
     EXPECT_NE(t1.find("fingerprint="), std::string::npos);
@@ -132,13 +145,13 @@ TEST(Campaign, MatrixCampaignDeterministicAcrossJobs)
     spec.instructionsPerCore = 200;
     ASSERT_TRUE(spec.validate().empty()) << spec.validate();
 
-    const CampaignResult r1 = runCampaignOffline(spec, 1);
-    const CampaignResult r3 = runCampaignOffline(spec, 3);
+    const CampaignResult r1 = runCampaign(spec, 1);
+    const CampaignResult r3 = runCampaign(spec, 3);
     EXPECT_EQ(r1.table(), r3.table());
 
     // The matrix cell seed must match the figure benches' derivation
-    // (deriveSeed(root, workload, display name)) so a daemon matrix
-    // campaign reproduces fig 7-10 streams bit for bit.
+    // (deriveSeed(root, workload, display name)) so a matrix campaign
+    // reproduces fig 7-10 streams bit for bit.
     ASSERT_EQ(r1.cells.size(), 2u);
     EXPECT_EQ(r1.cells[0].trace.workload, "fft");
     EXPECT_EQ(r1.cells[0].trace.network, netDisplayName(NetSel::TokenRing));
@@ -147,25 +160,23 @@ TEST(Campaign, MatrixCampaignDeterministicAcrossJobs)
 TEST(Campaign, ResumeFromPriorIsBitIdentical)
 {
     const CampaignSpec spec = CampaignSpec::smokeInjector();
-    const CampaignResult full = runCampaignOffline(spec, 2);
+    const CampaignResult full = runCampaign(spec, 2);
 
     // Pretend the first half was journaled by a killed run.
     std::map<std::uint32_t, CellOutcome> prior;
     for (std::size_t i = 0; i < full.cells.size() / 2; ++i)
         prior[full.cells[i].index] = full.cells[i];
 
-    const CampaignResult resumed =
-        runCampaignOffline(spec, 2, {}, &prior);
+    const CampaignResult resumed = runCampaign(spec, 2, {}, &prior);
     EXPECT_EQ(resumed.table(), full.table());
 }
 
 TEST(Campaign, CancelBeforeStartSkipsEverything)
 {
     const CampaignSpec spec = CampaignSpec::smokeInjector();
-    std::atomic<bool> cancel{true};
-    CampaignHooks hooks;
-    hooks.cancel = &cancel;
-    const CampaignResult r = runCampaignOffline(spec, 2, hooks);
+    requestSweepInterrupt(); // what SIGINT does
+    const CampaignResult r = runCampaign(spec, 2);
+    clearSweepInterrupt();
     EXPECT_TRUE(r.interrupted);
     ASSERT_EQ(r.cells.size(), spec.cellCount());
     for (const CellOutcome &cell : r.cells)
@@ -179,49 +190,36 @@ TEST(Campaign, HooksSeeEveryCellInCompletionOrder)
 {
     const CampaignSpec spec = CampaignSpec::smokeInjector();
     std::vector<std::uint32_t> doneIndices;
-    std::vector<std::size_t> doneCounts;
-    CampaignHooks hooks;
-    hooks.cellDone = [&doneIndices](const CellOutcome &cell) {
+    std::atomic<int> inside{0};
+    runCampaign(spec, 3, [&](const CellOutcome &cell) {
+        // Serialized under the completion mutex even with 3 workers
+        // racing: no two calls overlap.
+        EXPECT_EQ(inside.fetch_add(1), 0);
         doneIndices.push_back(cell.index);
-    };
-    hooks.progress = [&doneCounts](const CampaignProgress &p) {
-        doneCounts.push_back(p.done);
-        EXPECT_EQ(p.total, 6u);
-    };
-    runCampaignOffline(spec, 3, hooks);
-    ASSERT_EQ(doneIndices.size(), 6u);
-    ASSERT_EQ(doneCounts.size(), 6u);
-    // Progress counts are monotone 1..6 (serialized under the
-    // completion mutex) even with 3 workers racing.
-    for (std::size_t i = 0; i < doneCounts.size(); ++i)
-        EXPECT_EQ(doneCounts[i], i + 1);
+        inside.fetch_sub(1);
+    });
     // Every cell reported exactly once.
+    ASSERT_EQ(doneIndices.size(), 6u);
     std::vector<std::uint32_t> sorted = doneIndices;
     std::sort(sorted.begin(), sorted.end());
     for (std::uint32_t i = 0; i < 6; ++i)
         EXPECT_EQ(sorted[i], i);
 }
 
-/** Run @p spec journaling every cell to @p path. */
+/** Run @p spec journaling its first @p stopAfter cells to @p path. */
 CampaignResult
 runWithJournal(const CampaignSpec &spec, const std::string &path,
                std::size_t stopAfter = SIZE_MAX)
 {
     JournalWriter writer;
-    EXPECT_TRUE(writer.create(path, 1, spec));
-    std::atomic<bool> cancel{false};
+    EXPECT_TRUE(writer.create(path, spec));
     std::size_t written = 0;
-    CampaignHooks hooks;
-    hooks.cancel = &cancel;
-    hooks.cellDone = [&](const CellOutcome &cell) {
+    return runCampaign(spec, 2, [&](const CellOutcome &cell) {
         if (written < stopAfter) {
             EXPECT_TRUE(writer.append(cell));
             ++written;
         }
-        if (written >= stopAfter)
-            cancel.store(true);
-    };
-    return runCampaignOffline(spec, 2, hooks);
+    });
 }
 
 TEST(Journal, RoundTripReplay)
@@ -233,7 +231,6 @@ TEST(Journal, RoundTripReplay)
     const JournalContents replay = readJournal(path);
     ASSERT_TRUE(replay.valid) << replay.error;
     EXPECT_FALSE(replay.truncatedTail);
-    EXPECT_EQ(replay.jobId, 1u);
     EXPECT_EQ(replay.fingerprint, spec.fingerprint());
     EXPECT_EQ(replay.spec.fingerprint(), spec.fingerprint());
     ASSERT_EQ(replay.cells.size(), full.cells.size());
@@ -241,7 +238,7 @@ TEST(Journal, RoundTripReplay)
     // Rebuilding the result purely from the journal reproduces the
     // table byte for byte (doubles travel as bit patterns).
     const CampaignResult rebuilt =
-        runCampaignOffline(spec, 1, {}, &replay.cells);
+        runCampaign(spec, 1, {}, &replay.cells);
     EXPECT_EQ(rebuilt.table(), full.table());
 }
 
@@ -251,7 +248,7 @@ TEST(Journal, PartialJournalResumesBitIdentical)
     const CampaignSpec spec = CampaignSpec::smokeInjector();
 
     // Reference: an uninterrupted run.
-    const CampaignResult reference = runCampaignOffline(spec, 2);
+    const CampaignResult reference = runCampaign(spec, 2);
 
     // A run that "died" after journaling two cells.
     runWithJournal(spec, path, 2);
@@ -261,7 +258,7 @@ TEST(Journal, PartialJournalResumesBitIdentical)
     EXPECT_LT(replay.cells.size(), spec.cellCount());
 
     const CampaignResult resumed =
-        runCampaignOffline(spec, 2, {}, &replay.cells);
+        runCampaign(spec, 2, {}, &replay.cells);
     EXPECT_EQ(resumed.table(), reference.table());
 }
 
@@ -280,6 +277,41 @@ TEST(Journal, TruncatedTailIsTolerated)
     ASSERT_TRUE(replay.valid) << replay.error;
     EXPECT_TRUE(replay.truncatedTail);
     EXPECT_EQ(replay.cells.size(), spec.cellCount() - 1);
+}
+
+TEST(Journal, ReopenCutsATornTail)
+{
+    const std::string path = tempPath("torn.mjr");
+    const CampaignSpec spec = CampaignSpec::smokeInjector();
+    const CampaignResult full = runWithJournal(spec, path);
+
+    // A run killed mid-fwrite of its last record.
+    const std::uintmax_t size = std::filesystem::file_size(path);
+    std::filesystem::resize_file(path, size - 7);
+    const JournalContents torn = readJournal(path);
+    ASSERT_TRUE(torn.valid) << torn.error;
+    ASSERT_TRUE(torn.truncatedTail);
+    ASSERT_EQ(torn.cells.size(), spec.cellCount() - 1);
+
+    // Resume: the lost cell re-runs and is appended after the cut, so
+    // the next reader sees every cell and no torn record.
+    {
+        JournalWriter writer;
+        ASSERT_TRUE(writer.openAppend(path, torn.validBytes));
+        const CampaignResult resumed = runCampaign(
+            spec, 2,
+            [&writer](const CellOutcome &cell) {
+                EXPECT_TRUE(writer.append(cell));
+            },
+            &torn.cells);
+        EXPECT_EQ(resumed.table(), full.table());
+    }
+    const JournalContents replay = readJournal(path);
+    ASSERT_TRUE(replay.valid) << replay.error;
+    EXPECT_FALSE(replay.truncatedTail);
+    ASSERT_EQ(replay.cells.size(), spec.cellCount());
+    EXPECT_EQ(runCampaign(spec, 1, {}, &replay.cells).table(),
+              full.table());
 }
 
 TEST(Journal, CorruptLengthStopsReplayKeepingPriorCells)
@@ -343,19 +375,21 @@ TEST(Journal, AppendAfterReopenExtendsTheSameJournal)
 {
     const std::string path = tempPath("reopen.mjr");
     const CampaignSpec spec = CampaignSpec::smokeInjector();
-    const CampaignResult full = runCampaignOffline(spec, 2);
+    const CampaignResult full = runCampaign(spec, 2);
 
     // First process: header + half the cells.
     {
         JournalWriter writer;
-        ASSERT_TRUE(writer.create(path, 1, spec));
+        ASSERT_TRUE(writer.create(path, spec));
         for (std::size_t i = 0; i < 3; ++i)
             ASSERT_TRUE(writer.append(full.cells[i]));
     }
     // Resumed process: append the rest.
     {
+        const JournalContents first = readJournal(path);
+        ASSERT_TRUE(first.valid) << first.error;
         JournalWriter writer;
-        ASSERT_TRUE(writer.openAppend(path));
+        ASSERT_TRUE(writer.openAppend(path, first.validBytes));
         for (std::size_t i = 3; i < full.cells.size(); ++i)
             ASSERT_TRUE(writer.append(full.cells[i]));
     }
@@ -364,7 +398,7 @@ TEST(Journal, AppendAfterReopenExtendsTheSameJournal)
     ASSERT_TRUE(replay.valid) << replay.error;
     EXPECT_EQ(replay.cells.size(), full.cells.size());
     const CampaignResult rebuilt =
-        runCampaignOffline(spec, 1, {}, &replay.cells);
+        runCampaign(spec, 1, {}, &replay.cells);
     EXPECT_EQ(rebuilt.table(), full.table());
 }
 

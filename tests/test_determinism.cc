@@ -84,12 +84,12 @@ TEST(SweepDeterminism, RootSeedChangesTheMatrix)
 
 TEST(SeedDerivation, StableAcrossCalls)
 {
-    for (const NetId id : allNetworks) {
+    for (const NetSel id : allNetworks) {
         for (const WorkloadSpec &spec : figureWorkloads(tinyInstr)) {
             const std::uint64_t s1 =
-                deriveSeed(1, spec.name, netName(id));
+                deriveSeed(1, spec.name, netDisplayName(id));
             const std::uint64_t s2 =
-                deriveSeed(1, spec.name, netName(id));
+                deriveSeed(1, spec.name, netDisplayName(id));
             EXPECT_EQ(s1, s2);
         }
     }
@@ -98,9 +98,9 @@ TEST(SeedDerivation, StableAcrossCalls)
 TEST(SeedDerivation, DistinctCellsGetDistinctSeeds)
 {
     std::vector<std::uint64_t> seeds;
-    for (const NetId id : allNetworks)
+    for (const NetSel id : allNetworks)
         for (const WorkloadSpec &spec : figureWorkloads(tinyInstr))
-            seeds.push_back(deriveSeed(7, spec.name, netName(id)));
+            seeds.push_back(deriveSeed(7, spec.name, netDisplayName(id)));
     for (std::size_t i = 0; i < seeds.size(); ++i)
         for (std::size_t j = i + 1; j < seeds.size(); ++j)
             EXPECT_NE(seeds[i], seeds[j]) << i << " vs " << j;

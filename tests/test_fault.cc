@@ -410,7 +410,7 @@ TEST(FaultMarginFold, FuzzedStatesMatchPhotonicsReference)
 {
     setQuiet(true);
     Simulator sim;
-    auto net = makeNetwork(NetId::PointToPoint, sim, simulatedConfig());
+    auto net = makeNetworkFor(NetSel::PointToPoint, sim, simulatedConfig());
     const FaultModelParams params;
     FaultInjector inj(sim, *net, FaultSchedule{}, params);
     const auto links = net->faultableLinks();
@@ -446,7 +446,7 @@ TEST(FaultMarginFold, KillAllRepairAllMatchesPhotonicsReference)
 {
     setQuiet(true);
     Simulator sim;
-    auto net = makeNetwork(NetId::TokenRing, sim, simulatedConfig());
+    auto net = makeNetworkFor(NetSel::TokenRing, sim, simulatedConfig());
     const FaultModelParams params;
     FaultInjector inj(sim, *net, FaultSchedule{}, params);
     const auto links = net->faultableLinks();
@@ -490,13 +490,13 @@ constexpr std::uint32_t degradedMaxAttempts = 3;
  * to exhaust its attempts and drop. Returns the network's stats.
  */
 NetworkStats
-runDegradedCell(NetId id, double load,
+runDegradedCell(NetSel id, double load,
                 const std::vector<std::pair<SiteId, SiteId>> &masked,
                 const std::vector<std::pair<SiteId, SiteId>> &dead,
                 Network::Handler observer = {})
 {
     Simulator sim(17);
-    auto net = makeNetwork(id, sim, simulatedConfig());
+    auto net = makeNetworkFor(id, sim, simulatedConfig());
     RetryPolicy retry;
     retry.backoffBase = 16;
     retry.maxAttempts = degradedMaxAttempts;
@@ -535,11 +535,11 @@ runDegradedCell(NetId id, double load,
 TEST(DegradedArbitration, DeadAndMaskedChannelsConservePackets)
 {
     setQuiet(true);
-    for (const NetId id : {NetId::TokenRing, NetId::TwoPhase}) {
-        SCOPED_TRACE(netName(id));
+    for (const NetSel id : {NetSel::TokenRing, NetSel::TwoPhase}) {
+        SCOPED_TRACE(netDisplayName(id));
         Simulator probe;
         const auto links =
-            makeNetwork(id, probe, simulatedConfig())->faultableLinks();
+            makeNetworkFor(id, probe, simulatedConfig())->faultableLinks();
         // A third of the channels at half width, another third dead.
         std::vector<std::pair<SiteId, SiteId>> masked, dead;
         for (std::size_t i = 0; i < links.size(); ++i) {
@@ -557,11 +557,11 @@ TEST(DegradedArbitration, SingleLiveChannelConservesPackets)
     setQuiet(true);
     // Every channel but the first is dead: the grant scan and slot
     // evaluation collapse to the 1-of-N extreme while drops dominate.
-    for (const NetId id : {NetId::TokenRing, NetId::TwoPhase}) {
-        SCOPED_TRACE(netName(id));
+    for (const NetSel id : {NetSel::TokenRing, NetSel::TwoPhase}) {
+        SCOPED_TRACE(netDisplayName(id));
         Simulator probe;
         const auto links =
-            makeNetwork(id, probe, simulatedConfig())->faultableLinks();
+            makeNetworkFor(id, probe, simulatedConfig())->faultableLinks();
         const std::vector<std::pair<SiteId, SiteId>> dead(
             links.begin() + 1, links.end());
         const NetworkStats s =
@@ -584,7 +584,7 @@ TEST(DegradedArbitration, MaskedTokenRingBundleHoldsAtMaskedWidth)
     std::uint64_t masked_seen = 0;
     std::uint64_t full_seen = 0;
     runDegradedCell(
-        NetId::TokenRing, 0.1, masked, {},
+        NetSel::TokenRing, 0.1, masked, {},
         [&](const Message &m) {
             if (m.src == m.dst)
                 return; // electrical loopback, no bundle

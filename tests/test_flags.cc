@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "flags.hh"
+#include "service/campaign.hh"
 #include "sim/logging.hh"
 
 using namespace macrosim;

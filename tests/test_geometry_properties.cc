@@ -183,9 +183,9 @@ TEST(GeometryProperties, EverySiteReachableOnEveryNetwork)
             1 + static_cast<std::uint32_t>(rng.below(5));
         const MacrochipConfig cfg = scaledConfig(rows, cols);
         const std::uint32_t n = cfg.siteCount();
-        for (const NetId id : extendedNetworks) {
+        for (const NetSel id : extendedNetworks) {
             Simulator sim(7);
-            auto net = makeNetwork(id, sim, cfg);
+            auto net = makeNetworkFor(id, sim, cfg);
             std::map<std::uint64_t, int> seen;
             net->setDefaultHandler([&](const Message &m) {
                 ++seen[m.cookie];
@@ -204,10 +204,10 @@ TEST(GeometryProperties, EverySiteReachableOnEveryNetwork)
             sim.run();
             EXPECT_EQ(seen.size(),
                       static_cast<std::size_t>(n) * n)
-                << netName(id) << " on " << rows << "x" << cols;
+                << netDisplayName(id) << " on " << rows << "x" << cols;
             for (const auto &[cookie, count] : seen) {
                 EXPECT_EQ(count, 1)
-                    << netName(id) << " on " << rows << "x" << cols
+                    << netDisplayName(id) << " on " << rows << "x" << cols
                     << " cookie " << cookie;
             }
         }
@@ -238,26 +238,26 @@ TEST(GeometryProperties, FeasibilityVerdictsAtTheScalingPoints)
     // ceiling while the point-to-point family and hermes still close.
     Simulator sim;
     const MacrochipConfig big = scaledConfig(24, 24);
-    const std::map<NetId, bool> expected = {
-        {NetId::TokenRing, false},
-        {NetId::CircuitSwitched, false},
-        {NetId::TwoPhase, false},
-        {NetId::PointToPoint, true},
-        {NetId::LimitedPtToPt, true},
-        {NetId::Hermes, true},
+    const std::map<NetSel, bool> expected = {
+        {NetSel::TokenRing, false},
+        {NetSel::CircuitSwitched, false},
+        {NetSel::TwoPhase, false},
+        {NetSel::PointToPoint, true},
+        {NetSel::LimitedPtToPt, true},
+        {NetSel::Hermes, true},
     };
     for (const auto &[id, feasible] : expected) {
-        auto net = makeNetwork(id, sim, big);
+        auto net = makeNetworkFor(id, sim, big);
         const LinkFeasibility f = net->feasibility();
-        EXPECT_EQ(f.feasible, feasible) << netName(id);
+        EXPECT_EQ(f.feasible, feasible) << netDisplayName(id);
         EXPECT_NEAR(f.margin.value(),
                     maxLaunchPower.value() - f.requiredLaunch.value(),
                     1e-9);
     }
     // And everything closes at the paper's own scale.
-    for (const NetId id : extendedNetworks) {
-        auto net = makeNetwork(id, sim, simulatedConfig());
-        EXPECT_TRUE(net->feasibility().feasible) << netName(id);
+    for (const NetSel id : extendedNetworks) {
+        auto net = makeNetworkFor(id, sim, simulatedConfig());
+        EXPECT_TRUE(net->feasibility().feasible) << netDisplayName(id);
     }
 }
 

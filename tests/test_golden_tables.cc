@@ -24,7 +24,7 @@ using namespace macrosim::bench;
 
 struct GoldenRow
 {
-    NetId id;
+    NetSel id;
     // Table 6: component counts.
     std::uint64_t transmitters;
     std::uint64_t receivers;
@@ -42,17 +42,17 @@ struct GoldenRow
  * 245 W, Pt-to-Pt 8 W, Two-Phase 41+1 W, ALT 65.5 W in the paper).
  */
 const GoldenRow goldenRows[] = {
-    {NetId::TokenRing, 524288, 8192, 32768, 0, 0,
+    {NetSel::TokenRing, 524288, 8192, 32768, 0, 0,
      156.095342, 209.343342},
-    {NetId::CircuitSwitched, 8192, 8192, 2048, 1024, 0,
+    {NetSel::CircuitSwitched, 8192, 8192, 2048, 1024, 0,
      245.760000, 247.910400},
-    {NetId::PointToPoint, 8192, 8192, 3072, 0, 0,
+    {NetSel::PointToPoint, 8192, 8192, 3072, 0, 0,
      8.192000, 9.830400},
-    {NetId::LimitedPtToPt, 8192, 8192, 3072, 0, 128,
+    {NetSel::LimitedPtToPt, 8192, 8192, 3072, 0, 128,
      8.192000, 9.830400},
-    {NetId::TwoPhase, 8192, 8192, 4096, 15872, 0,
+    {NetSel::TwoPhase, 8192, 8192, 4096, 15872, 0,
      42.081258, 51.655658},
-    {NetId::TwoPhaseAlt, 16384, 8192, 4096, 15360, 0,
+    {NetSel::TwoPhaseAlt, 16384, 8192, 4096, 15360, 0,
      66.249879, 76.387479},
 };
 
@@ -63,7 +63,7 @@ TEST_P(GoldenTables, Table6ComponentCounts)
 {
     const GoldenRow &row = GetParam();
     Simulator sim;
-    const auto net = makeNetwork(row.id, sim, simulatedConfig());
+    const auto net = makeNetworkFor(row.id, sim, simulatedConfig());
     const ComponentCounts c = net->componentCounts();
     EXPECT_EQ(c.transmitters, row.transmitters);
     EXPECT_EQ(c.receivers, row.receivers);
@@ -76,7 +76,7 @@ TEST_P(GoldenTables, Table5Power)
 {
     const GoldenRow &row = GetParam();
     Simulator sim;
-    const auto net = makeNetwork(row.id, sim, simulatedConfig());
+    const auto net = makeNetworkFor(row.id, sim, simulatedConfig());
     EXPECT_NEAR(net->laserWatts(), row.laserWatts, 1e-4);
     EXPECT_NEAR(net->staticWatts(), row.staticWatts, 1e-4);
 }
@@ -84,7 +84,7 @@ TEST_P(GoldenTables, Table5Power)
 INSTANTIATE_TEST_SUITE_P(
     AllNetworks, GoldenTables, ::testing::ValuesIn(goldenRows),
     [](const ::testing::TestParamInfo<GoldenRow> &row_info) {
-        std::string name = netName(row_info.param.id);
+        std::string name = netDisplayName(row_info.param.id);
         for (char &c : name)
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';
@@ -101,7 +101,7 @@ TEST(GoldenTablesExtra, HermesCountsAndPower)
 {
     Simulator sim;
     const auto net =
-        makeNetwork(NetId::Hermes, sim, simulatedConfig());
+        makeNetworkFor(NetSel::Hermes, sim, simulatedConfig());
     const ComponentCounts c = net->componentCounts();
     EXPECT_EQ(c.transmitters, 16576u);
     EXPECT_EQ(c.receivers, 16576u);
@@ -120,7 +120,7 @@ TEST(GoldenTablesExtra, HermesCountsAndPower)
  */
 struct ScaledGoldenRow
 {
-    NetId id;
+    NetSel id;
     std::uint64_t transmitters;
     std::uint64_t waveguides;
     std::uint64_t opticalSwitches;
@@ -131,17 +131,17 @@ struct ScaledGoldenRow
 };
 
 const ScaledGoldenRow scaledGoldenRows[] = {
-    {NetId::TokenRing, 33554432, 524288, 0, 0,
+    {NetSel::TokenRing, 33554432, 524288, 0, 0,
      17278654.723607, 75.857143, false},
-    {NetId::CircuitSwitched, 131072, 32768, 4096, 0,
+    {NetSel::CircuitSwitched, 131072, 32768, 4096, 0,
      156542.109176, 55.428355, false},
-    {NetId::PointToPoint, 131072, 49152, 0, 0,
+    {NetSel::PointToPoint, 131072, 49152, 0, 0,
      131.072000, 24.657143, true},
-    {NetId::LimitedPtToPt, 131072, 49152, 0, 512,
+    {NetSel::LimitedPtToPt, 131072, 49152, 0, 512,
      131.072000, 24.657143, true},
-    {NetId::TwoPhase, 131072, 32768, 258048, 0,
+    {NetSel::TwoPhase, 131072, 32768, 258048, 0,
      4153.052575, 39.657143, false},
-    {NetId::Hermes, 69376, 1504, 0, 16,
+    {NetSel::Hermes, 69376, 1504, 0, 16,
      98.568341, 26.812628, true},
 };
 
@@ -153,7 +153,7 @@ TEST_P(ScaledGoldenTables, SixteenBySixteenDescriptors)
 {
     const ScaledGoldenRow &row = GetParam();
     Simulator sim;
-    const auto net = makeNetwork(row.id, sim, scaledConfig(16, 16));
+    const auto net = makeNetworkFor(row.id, sim, scaledConfig(16, 16));
     const ComponentCounts c = net->componentCounts();
     EXPECT_EQ(c.transmitters, row.transmitters);
     EXPECT_EQ(c.waveguides, row.waveguides);
@@ -169,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(
     SixNetworks, ScaledGoldenTables,
     ::testing::ValuesIn(scaledGoldenRows),
     [](const ::testing::TestParamInfo<ScaledGoldenRow> &row_info) {
-        std::string name = netName(row_info.param.id);
+        std::string name = netDisplayName(row_info.param.id);
         for (char &c : name)
             if (!std::isalnum(static_cast<unsigned char>(c)))
                 c = '_';
@@ -184,12 +184,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GoldenTablesExtra, SixteenBySixteenWorkloadIsDeterministic)
 {
     const MacrochipConfig cfg = scaledConfig(16, 16);
-    for (const NetId id : extendedNetworks) {
+    for (const NetSel id : extendedNetworks) {
         auto run = [&](int) {
             const std::uint64_t seed =
-                deriveSeed(1, "scale-16x16", netName(id));
+                deriveSeed(1, "scale-16x16", netDisplayName(id));
             Simulator sim(seed);
-            auto net = makeNetwork(id, sim, cfg);
+            auto net = makeNetworkFor(id, sim, cfg);
             InjectorConfig icfg;
             icfg.pattern = TrafficPattern::Uniform;
             icfg.load = 0.02;
@@ -201,9 +201,9 @@ TEST(GoldenTablesExtra, SixteenBySixteenWorkloadIsDeterministic)
         };
         const auto a = run(0);
         const auto b = run(1);
-        EXPECT_GT(a.first, 0u) << netName(id);
-        EXPECT_EQ(a.first, b.first) << netName(id);
-        EXPECT_DOUBLE_EQ(a.second, b.second) << netName(id);
+        EXPECT_GT(a.first, 0u) << netDisplayName(id);
+        EXPECT_EQ(a.first, b.first) << netDisplayName(id);
+        EXPECT_DOUBLE_EQ(a.second, b.second) << netDisplayName(id);
     }
 }
 
@@ -223,12 +223,12 @@ TEST(GoldenTablesExtra, TwoPhaseArbitrationCounts)
 TEST(GoldenTablesExtra, NetworkNamesAndOrder)
 {
     ASSERT_EQ(allNetworks.size(), 6u);
-    EXPECT_EQ(netName(allNetworks[0]), "Token Ring");
-    EXPECT_EQ(netName(allNetworks[1]), "Circuit-Switched");
-    EXPECT_EQ(netName(allNetworks[2]), "Point-to-Point");
-    EXPECT_EQ(netName(allNetworks[3]), "Limited Point-to-Point");
-    EXPECT_EQ(netName(allNetworks[4]), "2-Phase Arb.");
-    EXPECT_EQ(netName(allNetworks[5]), "2-Phase Arb. ALT");
+    EXPECT_EQ(netDisplayName(allNetworks[0]), "Token Ring");
+    EXPECT_EQ(netDisplayName(allNetworks[1]), "Circuit-Switched");
+    EXPECT_EQ(netDisplayName(allNetworks[2]), "Point-to-Point");
+    EXPECT_EQ(netDisplayName(allNetworks[3]), "Limited Point-to-Point");
+    EXPECT_EQ(netDisplayName(allNetworks[4]), "2-Phase Arb.");
+    EXPECT_EQ(netDisplayName(allNetworks[5]), "2-Phase Arb. ALT");
 }
 
 } // namespace

@@ -10,11 +10,8 @@
 #include <map>
 #include <memory>
 
-#include "net/circuit_switched.hh"
-#include "net/limited_pt2pt.hh"
 #include "net/pt2pt.hh"
-#include "net/token_ring.hh"
-#include "net/two_phase.hh"
+#include "topology_param.hh"
 #include "workloads/coherence.hh"
 #include "workloads/patterns.hh"
 
@@ -154,46 +151,14 @@ TEST_F(StormFixture, CapacityThrashingKeepsInvariants)
 // ---------------------------------------------------------------------
 // Network conservation and determinism under stress.
 
-enum class NetKind
-{
-    PointToPoint,
-    LimitedPointToPoint,
-    TokenRing,
-    CircuitSwitched,
-    TwoPhase,
-    TwoPhaseAlt,
-};
-
-std::unique_ptr<Network>
-makeNetwork(NetKind kind, Simulator &sim)
-{
-    const MacrochipConfig cfg = simulatedConfig();
-    switch (kind) {
-      case NetKind::PointToPoint:
-        return std::make_unique<PointToPointNetwork>(sim, cfg);
-      case NetKind::LimitedPointToPoint:
-        return std::make_unique<LimitedPointToPointNetwork>(sim, cfg);
-      case NetKind::TokenRing:
-        return std::make_unique<TokenRingCrossbar>(sim, cfg);
-      case NetKind::CircuitSwitched:
-        return std::make_unique<CircuitSwitchedTorus>(sim, cfg);
-      case NetKind::TwoPhase:
-        return std::make_unique<TwoPhaseArbitratedNetwork>(sim, cfg);
-      case NetKind::TwoPhaseAlt:
-        return std::make_unique<TwoPhaseArbitratedNetwork>(sim, cfg,
-                                                           true);
-    }
-    return nullptr;
-}
-
-class NetworkStress : public ::testing::TestWithParam<NetKind>
+class NetworkStress : public ::testing::TestWithParam<Topology>
 {
 };
 
 TEST_P(NetworkStress, RandomStormConservesPackets)
 {
     Simulator sim(21);
-    auto net = makeNetwork(GetParam(), sim);
+    auto net = makeNetworkFor(GetParam().net(), sim, simulatedConfig());
     Rng rng(5);
 
     std::uint64_t delivered_bytes = 0;
@@ -238,7 +203,8 @@ TEST_P(NetworkStress, SameSeedIsBitIdentical)
 {
     auto fingerprint = [this] {
         Simulator sim(77);
-        auto net = makeNetwork(GetParam(), sim);
+        auto net =
+            makeNetworkFor(GetParam().net(), sim, simulatedConfig());
         Rng rng(3);
         std::uint64_t hash = 1469598103934665603ull;
         net->setDefaultHandler([&](const Message &m) {
@@ -263,7 +229,7 @@ TEST_P(NetworkStress, PerPairDeliveryIsFifo)
     // order: the paper's coherence protocol depends on channel
     // ordering within a virtual network.
     Simulator sim(4);
-    auto net = makeNetwork(GetParam(), sim);
+    auto net = makeNetworkFor(GetParam().net(), sim, simulatedConfig());
     std::map<std::uint64_t, std::uint64_t> last_seq;
     net->setDefaultHandler([&](const Message &m) {
         const std::uint64_t key =
@@ -286,22 +252,8 @@ TEST_P(NetworkStress, PerPairDeliveryIsFifo)
     sim.run();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllTopologies, NetworkStress,
-    ::testing::Values(NetKind::PointToPoint,
-                      NetKind::LimitedPointToPoint, NetKind::TokenRing,
-                      NetKind::CircuitSwitched, NetKind::TwoPhase,
-                      NetKind::TwoPhaseAlt),
-    [](const ::testing::TestParamInfo<NetKind> &param_info) {
-        switch (param_info.param) {
-          case NetKind::PointToPoint: return "PointToPoint";
-          case NetKind::LimitedPointToPoint: return "LimitedP2P";
-          case NetKind::TokenRing: return "TokenRing";
-          case NetKind::CircuitSwitched: return "CircuitSwitched";
-          case NetKind::TwoPhase: return "TwoPhase";
-          case NetKind::TwoPhaseAlt: return "TwoPhaseAlt";
-        }
-        return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllTopologies, NetworkStress,
+                         ::testing::ValuesIn(allTopologies()),
+                         topologyName);
 
 } // namespace

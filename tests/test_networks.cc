@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit and property tests for the five network architectures:
+ * Unit and property tests for the network architectures (the
+ * all-topology suite covers every NetSel, hermes included):
  * delivery correctness, zero-load latency arithmetic, Table 5/6
  * descriptors, and topology-specific mechanics.
  */
@@ -18,44 +19,14 @@
 #include "net/token_ring.hh"
 #include "net/two_phase.hh"
 #include "sim/random.hh"
+#include "topology_param.hh"
 
 namespace
 {
 
 using namespace macrosim;
 
-enum class NetKind
-{
-    PointToPoint,
-    LimitedPointToPoint,
-    TokenRing,
-    CircuitSwitched,
-    TwoPhase,
-    TwoPhaseAlt,
-};
-
-std::unique_ptr<Network>
-makeNetwork(NetKind kind, Simulator &sim, const MacrochipConfig &cfg)
-{
-    switch (kind) {
-      case NetKind::PointToPoint:
-        return std::make_unique<PointToPointNetwork>(sim, cfg);
-      case NetKind::LimitedPointToPoint:
-        return std::make_unique<LimitedPointToPointNetwork>(sim, cfg);
-      case NetKind::TokenRing:
-        return std::make_unique<TokenRingCrossbar>(sim, cfg);
-      case NetKind::CircuitSwitched:
-        return std::make_unique<CircuitSwitchedTorus>(sim, cfg);
-      case NetKind::TwoPhase:
-        return std::make_unique<TwoPhaseArbitratedNetwork>(sim, cfg);
-      case NetKind::TwoPhaseAlt:
-        return std::make_unique<TwoPhaseArbitratedNetwork>(sim, cfg,
-                                                           true);
-    }
-    return nullptr;
-}
-
-class AllNetworks : public ::testing::TestWithParam<NetKind>
+class AllNetworks : public ::testing::TestWithParam<Topology>
 {
 };
 
@@ -63,7 +34,7 @@ TEST_P(AllNetworks, DeliversEveryPacketExactlyOnce)
 {
     Simulator sim(11);
     const MacrochipConfig cfg = simulatedConfig();
-    auto net = makeNetwork(GetParam(), sim, cfg);
+    auto net = makeNetworkFor(GetParam().net(), sim, cfg);
 
     std::map<std::uint64_t, int> seen;
     net->setDefaultHandler([&](const Message &m) {
@@ -95,7 +66,7 @@ TEST_P(AllNetworks, DeliversEveryPacketExactlyOnce)
 TEST_P(AllNetworks, LoopbackTakesOneCycle)
 {
     Simulator sim;
-    auto net = makeNetwork(GetParam(), sim, simulatedConfig());
+    auto net = makeNetworkFor(GetParam().net(), sim, simulatedConfig());
     Tick delivered = 0;
     net->setDefaultHandler([&](const Message &m) {
         delivered = m.delivered;
@@ -111,7 +82,7 @@ TEST_P(AllNetworks, LoopbackTakesOneCycle)
 TEST_P(AllNetworks, PerSiteHandlerOverridesDefault)
 {
     Simulator sim;
-    auto net = makeNetwork(GetParam(), sim, simulatedConfig());
+    auto net = makeNetworkFor(GetParam().net(), sim, simulatedConfig());
     int site3 = 0, fallback = 0;
     net->setDeliveryHandler(3, [&](const Message &) { ++site3; });
     net->setDefaultHandler([&](const Message &) { ++fallback; });
@@ -131,7 +102,7 @@ TEST_P(AllNetworks, PerSiteHandlerOverridesDefault)
 TEST_P(AllNetworks, StatsRegistrationPullsLiveValues)
 {
     Simulator sim;
-    auto net = makeNetwork(GetParam(), sim, simulatedConfig());
+    auto net = makeNetworkFor(GetParam().net(), sim, simulatedConfig());
     net->setDefaultHandler([](const Message &) {});
     StatGroup group;
     net->registerStats(group, "net");
@@ -153,29 +124,15 @@ TEST_P(AllNetworks, StatsRegistrationPullsLiveValues)
 TEST_P(AllNetworks, StaticPowerIsPositiveAndDominatedByLasers)
 {
     Simulator sim;
-    auto net = makeNetwork(GetParam(), sim, simulatedConfig());
+    auto net = makeNetworkFor(GetParam().net(), sim, simulatedConfig());
     EXPECT_GT(net->laserWatts(), 0.0);
     EXPECT_GE(net->staticWatts(), net->laserWatts());
     EXPECT_DOUBLE_EQ(net->energy().staticWatts(), net->staticWatts());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Topologies, AllNetworks,
-    ::testing::Values(NetKind::PointToPoint,
-                      NetKind::LimitedPointToPoint, NetKind::TokenRing,
-                      NetKind::CircuitSwitched, NetKind::TwoPhase,
-                      NetKind::TwoPhaseAlt),
-    [](const ::testing::TestParamInfo<NetKind> &param_info) {
-        switch (param_info.param) {
-          case NetKind::PointToPoint: return "PointToPoint";
-          case NetKind::LimitedPointToPoint: return "LimitedP2P";
-          case NetKind::TokenRing: return "TokenRing";
-          case NetKind::CircuitSwitched: return "CircuitSwitched";
-          case NetKind::TwoPhase: return "TwoPhase";
-          case NetKind::TwoPhaseAlt: return "TwoPhaseAlt";
-        }
-        return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(Topologies, AllNetworks,
+                         ::testing::ValuesIn(allTopologies()),
+                         topologyName);
 
 // ---------------------------------------------------------------------
 // Point-to-point specifics (section 4.2).

@@ -1,11 +1,11 @@
 /**
  * @file
- * Wire-format tests for the macrosimd protocol (DESIGN.md §13):
+ * Wire-format tests for the campaign journal (DESIGN.md §13):
  * primitive round-trips (varint boundaries, bit-exact doubles
  * including NaN), incremental frame splitting under adversarial
  * chunking, corrupted/truncated-frame rejection, version-skew rules,
- * and a randomized differential round-trip over every protocol
- * message.
+ * and randomized differential round-trips of the journal records
+ * (CampaignSpec, CellOutcome).
  */
 
 #include <cmath>
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "service/campaign.hh"
-#include "service/protocol.hh"
 #include "service/wire.hh"
 
 using namespace macrosim;
@@ -251,57 +250,6 @@ TEST(Wire, MajorVersionMismatchIsBad)
     EXPECT_NE(error.find("version"), std::string::npos);
 }
 
-TEST(Wire, NewerMinorTrailingFieldsIgnored)
-{
-    // A (major, minor+1) writer appends a field this reader does not
-    // know. decodeMessage must accept the frame and ignore the tail.
-    QueryStatusMsg msg;
-    msg.jobId = 77;
-    BinSerializer body;
-    msg.encode(body);
-    body.u32(0xDEADBEEF); // the "new" field
-
-    Frame frame;
-    frame.version =
-        (static_cast<std::uint16_t>(protoMajor) << 8) | (protoMinor + 1);
-    frame.id = static_cast<std::uint16_t>(MsgId::QueryStatus);
-    frame.body = body.take();
-
-    QueryStatusMsg out;
-    EXPECT_TRUE(decodeMessage(frame, &out));
-    EXPECT_EQ(out.jobId, 77u);
-}
-
-TEST(Wire, SameMinorTrailingBytesRejected)
-{
-    // Same-version frames are exact: trailing bytes mean corruption.
-    QueryStatusMsg msg;
-    msg.jobId = 77;
-    BinSerializer body;
-    msg.encode(body);
-    body.u8(0);
-
-    Frame frame;
-    frame.id = static_cast<std::uint16_t>(MsgId::QueryStatus);
-    frame.body = body.take();
-
-    QueryStatusMsg out;
-    EXPECT_FALSE(decodeMessage(frame, &out));
-}
-
-TEST(Wire, WrongMessageIdRejected)
-{
-    CancelJobMsg msg;
-    msg.jobId = 3;
-    const auto wire = encodeMessage(msg);
-    FrameReader reader;
-    reader.feed(wire.data(), wire.size());
-    Frame frame;
-    ASSERT_EQ(reader.next(&frame), FrameReader::Status::Ready);
-    QueryStatusMsg wrong;
-    EXPECT_FALSE(decodeMessage(frame, &wrong));
-}
-
 /** Random spec with every field exercised. */
 CampaignSpec
 randomSpec(std::mt19937_64 &rng)
@@ -310,7 +258,6 @@ randomSpec(std::mt19937_64 &rng)
     spec.kind = (rng() & 1) ? CampaignKind::InjectorSweep
                             : CampaignKind::WorkloadMatrix;
     spec.seed = rng();
-    spec.emitCellStats = (rng() & 1) != 0;
     const char *patterns[] = {"uniform", "hotspot", "transpose"};
     for (std::size_t i = 0; i < 1 + rng() % 3; ++i)
         spec.patterns.push_back(patterns[rng() % 3]);
@@ -395,8 +342,6 @@ randomCell(std::mt19937_64 &rng)
     cell.trace.routerJoules = rnd();
     cell.trace.cpuJoules = rnd();
     cell.trace.edp = rnd();
-    for (std::size_t i = 0; i < rng() % 4; ++i)
-        cell.stats.push_back({"stat." + std::to_string(i), rnd()});
     return cell;
 }
 
@@ -418,137 +363,28 @@ TEST(Wire, RandomizedCellOutcomeRoundTrip)
     }
 }
 
-/** Encode → frame → FrameReader → decode; expect byte-equal
- *  re-encode. Works for any protocol message type. */
-template <typename Msg>
-void
-expectMessageRoundTrip(const Msg &msg)
-{
-    const std::vector<std::uint8_t> wire = encodeMessage(msg);
-    FrameReader reader;
-    reader.feed(wire.data(), wire.size());
-    Frame frame;
-    ASSERT_EQ(reader.next(&frame), FrameReader::Status::Ready);
-    EXPECT_EQ(frame.id, static_cast<std::uint16_t>(Msg::id));
-    Msg back;
-    ASSERT_TRUE(decodeMessage(frame, &back));
-    EXPECT_EQ(encodeMessage(back), wire);
-}
-
-TEST(Wire, EveryProtocolMessageRoundTrips)
-{
-    std::mt19937_64 rng(99);
-
-    SubmitCampaignMsg submit;
-    submit.spec = randomSpec(rng);
-    expectMessageRoundTrip(submit);
-
-    QueryStatusMsg query;
-    query.jobId = rng();
-    expectMessageRoundTrip(query);
-
-    CancelJobMsg cancel;
-    cancel.jobId = rng();
-    expectMessageRoundTrip(cancel);
-
-    SubscribeProgressMsg subscribe;
-    subscribe.jobId = rng();
-    expectMessageRoundTrip(subscribe);
-
-    FetchResultsMsg fetch;
-    fetch.jobId = rng();
-    expectMessageRoundTrip(fetch);
-
-    expectMessageRoundTrip(ShutdownMsg{});
-
-    SubmitReplyMsg submitReply;
-    submitReply.jobId = rng();
-    submitReply.totalCells = rng();
-    expectMessageRoundTrip(submitReply);
-
-    StatusReplyMsg status;
-    status.jobId = rng();
-    status.state = JobState::Running;
-    status.doneCells = 3;
-    status.totalCells = 9;
-    status.etaSec = 12.75;
-    status.error = "";
-    expectMessageRoundTrip(status);
-
-    CancelReplyMsg cancelReply;
-    cancelReply.jobId = rng();
-    cancelReply.accepted = true;
-    expectMessageRoundTrip(cancelReply);
-
-    SubscribeReplyMsg subReply;
-    subReply.jobId = rng();
-    subReply.state = JobState::Queued;
-    subReply.doneCells = 0;
-    subReply.totalCells = 42;
-    expectMessageRoundTrip(subReply);
-
-    ResultsReplyMsg results;
-    results.jobId = rng();
-    results.state = JobState::Done;
-    results.table = "index,label\n0,alpha\n";
-    results.cells.push_back(randomCell(rng));
-    results.cells.push_back(randomCell(rng));
-    expectMessageRoundTrip(results);
-
-    expectMessageRoundTrip(ShutdownReplyMsg{});
-
-    ErrorReplyMsg error;
-    error.code = static_cast<std::uint32_t>(ErrorCode::UnknownJob);
-    error.text = "no such job";
-    expectMessageRoundTrip(error);
-
-    ProgressEventMsg progress;
-    progress.jobId = rng();
-    progress.cellIndex = 4;
-    progress.label = "uniform @ 1% on Token Ring";
-    progress.doneCells = 5;
-    progress.totalCells = 6;
-    progress.etaSec = 0.25;
-    expectMessageRoundTrip(progress);
-
-    CellDoneEventMsg cellDone;
-    cellDone.jobId = rng();
-    cellDone.cell = randomCell(rng);
-    expectMessageRoundTrip(cellDone);
-
-    CampaignDoneEventMsg campaignDone;
-    campaignDone.jobId = rng();
-    campaignDone.state = JobState::Failed;
-    campaignDone.error = "boom";
-    expectMessageRoundTrip(campaignDone);
-}
-
 TEST(Wire, CorruptedBodyBitsRejectedOrDetected)
 {
-    // Flipping any single bit of a SubmitCampaign body must never
-    // crash, and must either fail decode or change the re-encode
-    // (i.e. corruption can't silently alias the original).
+    // Flipping any single bit of an encoded CampaignSpec (the journal
+    // header body) must never crash, and must either fail an exact
+    // decode or change the re-encode (i.e. corruption can't silently
+    // alias the original).
     std::mt19937_64 rng(5);
-    SubmitCampaignMsg msg;
-    msg.spec = randomSpec(rng);
-    const std::vector<std::uint8_t> wire = encodeMessage(msg);
-
-    FrameReader pristine;
-    pristine.feed(wire.data(), wire.size());
-    Frame frame;
-    ASSERT_EQ(pristine.next(&frame), FrameReader::Status::Ready);
+    BinSerializer s;
+    randomSpec(rng).encode(s);
+    const std::vector<std::uint8_t> pristine = s.buffer();
 
     for (int iter = 0; iter < 200; ++iter) {
-        Frame mutated = frame;
-        if (mutated.body.empty())
-            break;
-        const std::size_t byte = rng() % mutated.body.size();
-        mutated.body[byte] ^=
-            static_cast<std::uint8_t>(1u << (rng() % 8));
-        SubmitCampaignMsg out;
-        if (!decodeMessage(mutated, &out))
+        std::vector<std::uint8_t> body = pristine;
+        const std::size_t byte = rng() % body.size();
+        body[byte] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+        BinDeserializer d(body);
+        CampaignSpec out;
+        if (!out.decode(d) || !d.exact())
             continue; // rejected: fine
-        EXPECT_NE(encodeMessage(out), wire);
+        BinSerializer again;
+        out.encode(again);
+        EXPECT_NE(again.buffer(), pristine);
     }
 }
 

@@ -1,29 +1,28 @@
 /**
  * @file
- * macrosimctl — command-line client for macrosimd (DESIGN.md §13).
+ * macrosimctl — run a campaign in-process (DESIGN.md §13).
  *
- *   macrosimctl --socket=PATH submit --smoke --wait --output=t.csv
- *   macrosimctl --socket=PATH status 1
- *   macrosimctl --socket=PATH watch 1
- *   macrosimctl --socket=PATH results 1 --wait --output=t.csv
- *   macrosimctl --socket=PATH cancel 1
- *   macrosimctl --socket=PATH shutdown
- *   macrosimctl offline --smoke --output=t.csv
+ *   macrosimctl run --smoke --output=t.csv
+ *   macrosimctl run --smoke --journal=t.mjr --output=t.csv
+ *   macrosimctl run --smoke --journal=t.mjr --resume --output=t.csv
  *
- * "offline" runs the same campaign in-process through SweepRunner —
- * no daemon — and is the reference side of the bit-identity check:
- * for any spec, the table from a daemon run (even one killed and
- * resumed) is byte-identical to the offline table.
+ * With --journal every finished cell is appended (and flushed) to
+ * the journal, so a run killed part-way continues with --resume:
+ * only the cells missing from the journal run again, and the table
+ * is byte-identical to an uninterrupted run's. --resume refuses a
+ * journal that is unreadable or was written for different campaign
+ * flags, leaving the file untouched.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <string>
 
 #include "flags.hh"
 #include "harness.hh"
-#include "service/client.hh"
+#include "service/campaign.hh"
+#include "service/journal.hh"
 #include "sim/logging.hh"
 #include "sim/sweep.hh"
 
@@ -39,238 +38,97 @@ usage()
 {
     std::fprintf(
         stderr,
-        "usage: macrosimctl [--socket=PATH] COMMAND [args]\n"
-        "  submit [campaign flags] [--wait] [--output=FILE]\n"
-        "  status JOBID\n"
-        "  watch JOBID\n"
-        "  results JOBID [--wait] [--output=FILE]\n"
-        "  cancel JOBID\n"
-        "  shutdown\n"
-        "  offline [campaign flags] [--output=FILE]   (no daemon)\n"
+        "usage: macrosimctl run [campaign flags] [--jobs=N] "
+        "[--output=FILE]\n"
+        "                       [--journal=FILE [--resume]] "
+        "[--exit-after-cells=N]\n"
         "campaign flags: --smoke --kind=injector|matrix "
         "--patterns=... --networks=... --loads=... --warmup-ns=N "
-        "--window-ns=N --instr=N --workloads=... --cell-stats "
-        "--seed=N\n");
-}
-
-std::uint64_t
-jobIdArg(int argc, char **argv, const char *cmd)
-{
-    if (argc < 3)
-        fatal("macrosimctl ", cmd, ": missing JOBID");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(argv[2], &end, 10);
-    if (errno != 0 || end == argv[2] || *end != '\0')
-        fatal("macrosimctl ", cmd, ": bad JOBID '", argv[2], "'");
-    return static_cast<std::uint64_t>(v);
-}
-
-void
-printEvent(const Frame &frame)
-{
-    if (frame.id
-        == static_cast<std::uint16_t>(MsgId::ProgressEvent)) {
-        ProgressEventMsg ev;
-        if (decodeMessage(frame, &ev)) {
-            std::fprintf(stderr,
-                         "  [job %llu/%llu] %s (eta %.1f s)\n",
-                         static_cast<unsigned long long>(
-                             ev.doneCells),
-                         static_cast<unsigned long long>(
-                             ev.totalCells),
-                         ev.label.c_str(), ev.etaSec);
-        }
-    } else if (frame.id
-               == static_cast<std::uint16_t>(
-                   MsgId::CampaignDoneEvent)) {
-        CampaignDoneEventMsg ev;
-        if (decodeMessage(frame, &ev)) {
-            std::fprintf(stderr, "  job %llu: %s%s%s\n",
-                         static_cast<unsigned long long>(ev.jobId),
-                         to_string(ev.state),
-                         ev.error.empty() ? "" : " — ",
-                         ev.error.c_str());
-        }
-    }
-    // CellDoneEvents carry the binary outcome; the progress line
-    // above already reports the completion, so stay quiet here.
-}
-
-/** Emit a finished job's table to stdout or --output. */
-int
-deliverTable(const ResultsReplyMsg &results,
-             const std::string &output)
-{
-    if (output.empty()) {
-        std::fputs(results.table.c_str(), stdout);
-        return 0;
-    }
-    writeTextFile(output, results.table);
-    std::fprintf(stderr, "macrosimctl: wrote %zu bytes to %s\n",
-                 results.table.size(), output.c_str());
-    return 0;
+        "--window-ns=N --instr=N --workloads=... --seed=N\n"
+        "  --journal=FILE          append every finished cell to "
+        "FILE\n"
+        "  --resume                continue the campaign journaled "
+        "in FILE\n"
+        "  --exit-after-cells=N    _Exit(42) after the Nth journaled "
+        "cell (test hook)\n");
 }
 
 int
-fetchAndDeliver(ServiceClient &client, std::uint64_t jobId,
-                const std::string &output)
-{
-    ResultsReplyMsg results;
-    if (!client.fetchResults(jobId, &results))
-        fatal("macrosimctl: ", client.lastError());
-    if (results.state == JobState::Failed)
-        fatal("macrosimctl: job ", jobId, " failed");
-    const int rc = deliverTable(results, output);
-    if (rc == 0 && results.state == JobState::Cancelled) {
-        std::fprintf(stderr,
-                     "macrosimctl: job %llu was cancelled; table is "
-                     "partial\n",
-                     static_cast<unsigned long long>(jobId));
-        return 3;
-    }
-    return rc;
-}
-
-int
-cmdSubmit(ServiceClient &client, int argc, char **argv)
-{
-    const bool wait = stripSwitch(argc, argv, "wait");
-    std::string output;
-    stripValueFlag(argc, argv, "output", &output);
-    const CampaignSpec spec = campaignArgs(argc, argv);
-
-    SubmitReplyMsg reply;
-    if (!client.submit(spec, &reply))
-        fatal("macrosimctl: ", client.lastError());
-    std::fprintf(stderr, "macrosimctl: job %llu submitted (%llu "
-                 "cells)\n",
-                 static_cast<unsigned long long>(reply.jobId),
-                 static_cast<unsigned long long>(reply.totalCells));
-    if (!wait) {
-        std::printf("%llu\n",
-                    static_cast<unsigned long long>(reply.jobId));
-        return 0;
-    }
-
-    client.setEventHandler(printEvent);
-    SubscribeReplyMsg sub;
-    if (!client.subscribe(reply.jobId, &sub))
-        fatal("macrosimctl: ", client.lastError());
-    JobState state = JobState::Queued;
-    if (!client.waitForDone(reply.jobId, &state))
-        fatal("macrosimctl: ", client.lastError());
-    return fetchAndDeliver(client, reply.jobId, output);
-}
-
-int
-cmdStatus(ServiceClient &client, int argc, char **argv)
-{
-    const std::uint64_t jobId = jobIdArg(argc, argv, "status");
-    StatusReplyMsg reply;
-    if (!client.queryStatus(jobId, &reply))
-        fatal("macrosimctl: ", client.lastError());
-    std::printf("job %llu: %s %llu/%llu cells",
-                static_cast<unsigned long long>(reply.jobId),
-                to_string(reply.state),
-                static_cast<unsigned long long>(reply.doneCells),
-                static_cast<unsigned long long>(reply.totalCells));
-    if (reply.state == JobState::Running)
-        std::printf(" (eta %.1f s)", reply.etaSec);
-    if (!reply.error.empty())
-        std::printf(" — %s", reply.error.c_str());
-    std::printf("\n");
-    return 0;
-}
-
-int
-cmdWatch(ServiceClient &client, int argc, char **argv)
-{
-    const std::uint64_t jobId = jobIdArg(argc, argv, "watch");
-    client.setEventHandler(printEvent);
-    SubscribeReplyMsg sub;
-    if (!client.subscribe(jobId, &sub))
-        fatal("macrosimctl: ", client.lastError());
-    if (sub.state == JobState::Done
-        || sub.state == JobState::Cancelled
-        || sub.state == JobState::Failed) {
-        std::fprintf(stderr, "macrosimctl: job %llu already %s\n",
-                     static_cast<unsigned long long>(jobId),
-                     to_string(sub.state));
-        return 0;
-    }
-    std::fprintf(stderr,
-                 "macrosimctl: watching job %llu (%llu/%llu)\n",
-                 static_cast<unsigned long long>(jobId),
-                 static_cast<unsigned long long>(sub.doneCells),
-                 static_cast<unsigned long long>(sub.totalCells));
-    JobState state = JobState::Queued;
-    if (!client.waitForDone(jobId, &state))
-        fatal("macrosimctl: ", client.lastError());
-    return 0;
-}
-
-int
-cmdResults(ServiceClient &client, int argc, char **argv)
-{
-    const bool wait = stripSwitch(argc, argv, "wait");
-    std::string output;
-    stripValueFlag(argc, argv, "output", &output);
-    const std::uint64_t jobId = jobIdArg(argc, argv, "results");
-
-    if (wait) {
-        // Subscribe BEFORE checking state: events only flow to
-        // subscribers, so checking first could miss the done event.
-        client.setEventHandler(printEvent);
-        SubscribeReplyMsg sub;
-        if (!client.subscribe(jobId, &sub))
-            fatal("macrosimctl: ", client.lastError());
-        if (sub.state != JobState::Done
-            && sub.state != JobState::Cancelled
-            && sub.state != JobState::Failed) {
-            JobState state = JobState::Queued;
-            if (!client.waitForDone(jobId, &state))
-                fatal("macrosimctl: ", client.lastError());
-        }
-    }
-    return fetchAndDeliver(client, jobId, output);
-}
-
-int
-cmdCancel(ServiceClient &client, int argc, char **argv)
-{
-    const std::uint64_t jobId = jobIdArg(argc, argv, "cancel");
-    CancelReplyMsg reply;
-    if (!client.cancel(jobId, &reply))
-        fatal("macrosimctl: ", client.lastError());
-    std::fprintf(stderr, "macrosimctl: job %llu cancel %s\n",
-                 static_cast<unsigned long long>(jobId),
-                 reply.accepted ? "accepted" : "rejected (already "
-                                               "finished?)");
-    return reply.accepted ? 0 : 1;
-}
-
-int
-cmdOffline(int argc, char **argv)
+cmdRun(int argc, char **argv)
 {
     setQuiet(true);
     installSweepSignalHandlers();
     std::string output;
     stripValueFlag(argc, argv, "output", &output);
+    std::string journal;
+    const bool journaling =
+        stripValueFlag(argc, argv, "journal", &journal);
+    const bool resume = stripSwitch(argc, argv, "resume");
+    std::uint64_t exitAfterCells = 0;
+    stripNumberFlag(argc, argv, "exit-after-cells", &exitAfterCells);
     const std::size_t jobs = stripJobsFlag(argc, argv);
     const CampaignSpec spec = campaignArgs(argc, argv);
+    if (argc > 2)
+        fatal("macrosimctl run: unexpected argument '", argv[2], "'");
     const std::string problem = spec.validate();
     if (!problem.empty())
-        fatal("macrosimctl offline: ", problem);
+        fatal("macrosimctl run: ", problem);
+    if (!journaling && (resume || exitAfterCells > 0))
+        fatal("macrosimctl run: --resume and --exit-after-cells "
+              "need --journal");
 
+    JournalWriter writer;
+    JournalContents replay;
+    if (resume) {
+        replay = readJournal(journal);
+        if (!replay.valid)
+            fatal("macrosimctl run --resume: ", replay.error);
+        if (replay.fingerprint != spec.fingerprint()) {
+            char msg[160];
+            std::snprintf(msg, sizeof(msg),
+                          "journal fingerprint %016llx does not match "
+                          "the campaign's %016llx",
+                          static_cast<unsigned long long>(
+                              replay.fingerprint),
+                          static_cast<unsigned long long>(
+                              spec.fingerprint()));
+            fatal("macrosimctl run --resume: ", msg);
+        }
+        if (!writer.openAppend(journal, replay.validBytes))
+            fatal("macrosimctl run: cannot reopen journal '", journal,
+                  "'");
+        std::fprintf(stderr,
+                     "macrosimctl: resuming %zu/%zu journaled cells\n",
+                     replay.cells.size(), spec.cellCount());
+    } else if (journaling && !writer.create(journal, spec)) {
+        fatal("macrosimctl run: cannot create journal '", journal,
+              "'");
+    }
+
+    std::function<void(const CellOutcome &)> cellDone;
+    std::uint64_t journaled = 0;
+    if (journaling) {
+        cellDone = [&](const CellOutcome &cell) {
+            if (!writer.append(cell))
+                fatal("macrosimctl run: journal append to '", journal,
+                      "' failed");
+            if (++journaled == exitAfterCells)
+                std::_Exit(42);
+        };
+    }
     const CampaignResult result =
-        runCampaignOffline(spec, jobs, {}, nullptr,
-                           /*progressLog=*/true);
-    ResultsReplyMsg shim;
-    shim.table = result.table();
-    const int rc = deliverTable(shim, output);
-    if (rc != 0)
-        return rc;
+        runCampaign(spec, jobs, cellDone,
+                    resume ? &replay.cells : nullptr,
+                    /*progressLog=*/true);
+
+    const std::string table = result.table();
+    if (output.empty()) {
+        std::fputs(table.c_str(), stdout);
+    } else {
+        writeTextFile(output, table);
+        std::fprintf(stderr, "macrosimctl: wrote %zu bytes to %s\n",
+                     table.size(), output.c_str());
+    }
     return sweepExitStatus();
 }
 
@@ -283,47 +141,15 @@ main(int argc, char **argv)
         usage();
         return 0;
     }
-    std::string socket;
-    stripValueFlag(argc, argv, "socket", &socket);
-    if (argc < 2) {
+    if (argc < 2 || std::string(argv[1]) != "run") {
+        if (argc >= 2)
+            std::fprintf(stderr, "macrosimctl: unknown command '%s'\n",
+                         argv[1]);
         usage();
         return 2;
     }
-    const std::string cmd = argv[1];
-
     try {
-        if (cmd == "offline")
-            return cmdOffline(argc, argv);
-
-        if (socket.empty())
-            fatal("macrosimctl: --socket=PATH is required for '",
-                  cmd, "'");
-        ServiceClient client;
-        std::string err;
-        if (!client.connectUnix(socket, &err))
-            fatal("macrosimctl: ", err);
-
-        if (cmd == "submit")
-            return cmdSubmit(client, argc, argv);
-        if (cmd == "status")
-            return cmdStatus(client, argc, argv);
-        if (cmd == "watch")
-            return cmdWatch(client, argc, argv);
-        if (cmd == "results")
-            return cmdResults(client, argc, argv);
-        if (cmd == "cancel")
-            return cmdCancel(client, argc, argv);
-        if (cmd == "shutdown") {
-            if (!client.shutdownDaemon())
-                fatal("macrosimctl: ", client.lastError());
-            std::fprintf(stderr, "macrosimctl: daemon shutting "
-                         "down\n");
-            return 0;
-        }
-        std::fprintf(stderr, "macrosimctl: unknown command '%s'\n",
-                     cmd.c_str());
-        usage();
-        return 2;
+        return cmdRun(argc, argv);
     } catch (const FatalError &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 1;
