@@ -168,7 +168,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const std::size_t jobs = jobsArg(argc, argv);
+    const std::size_t jobs = stripJobsFlag(argc, argv);
     simStatsArg(argc, argv);
     const std::uint64_t seed = seedArg(argc, argv, 1);
     installSweepSignalHandlers();

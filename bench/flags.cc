@@ -109,12 +109,6 @@ stripJobsFlag(int &argc, char **argv)
     return static_cast<std::size_t>(v);
 }
 
-std::size_t
-jobsArg(int &argc, char **argv)
-{
-    return stripJobsFlag(argc, argv);
-}
-
 std::uint64_t
 seedArg(int &argc, char **argv, std::uint64_t fallback)
 {
@@ -184,7 +178,7 @@ benchFlags(int &argc, char **argv, std::uint64_t seed_fallback)
 {
     installSweepSignalHandlers();
     BenchFlags flags;
-    flags.jobs = jobsArg(argc, argv);
+    flags.jobs = stripJobsFlag(argc, argv);
     flags.simStats = simStatsArg(argc, argv);
     flags.seed = seedArg(argc, argv, seed_fallback);
     flags.telemetry = telemetryArgs(argc, argv);

@@ -90,14 +90,6 @@ struct TelemetryOptions
 TelemetryOptions telemetryArgs(int &argc, char **argv);
 
 /**
- * Worker-thread knob shared by every bench: strips "--jobs N" from
- * argv (so positional arguments keep their place) and returns N, or
- * 0 when unset — in which case SweepRunner falls back to
- * MACROSIM_JOBS and then hardware_concurrency().
- */
-std::size_t jobsArg(int &argc, char **argv);
-
-/**
  * Base-seed knob shared by every bench: strips "--seed N" /
  * "--seed=N" from argv (so positional arguments keep their place)
  * and returns N; falls back to the MACROSIM_SEED environment

@@ -56,12 +56,6 @@ constexpr std::array<NetSel, 6> extendedNetworks = {
 /** Figure 7 x-axis order: six applications then five synthetics. */
 std::vector<WorkloadSpec> figureWorkloads(std::uint64_t instr_per_core);
 
-/*
- * TelemetryOptions/telemetryArgs(), jobsArg(), seedArg() and
- * simStatsArg() moved to flags.hh (included above) with the rest of
- * the bench flag parsing.
- */
-
 /**
  * Per-run telemetry collected by a matrix/curve cell: a Perfetto
  * event stream plus a snapshot CSV, merged by the caller in

@@ -54,6 +54,9 @@ class SetAssocCache
     /** Touch a resident line (LRU update). Returns false on miss. */
     bool touch(Addr addr);
 
+    /** Count a miss the caller found by probe() (no LRU change). */
+    void recordMiss() { ++misses_; }
+
     /**
      * Install a line in the given state, evicting the set's LRU line
      * if needed. @return eviction information.

@@ -58,63 +58,6 @@ CampaignSpec::fingerprint() const
     return h;
 }
 
-void
-CampaignSpec::encode(BinSerializer &s) const
-{
-    s.u8(static_cast<std::uint8_t>(kind));
-    s.u64(seed);
-    s.varint(patterns.size());
-    for (const std::string &p : patterns)
-        s.str(p);
-    s.varint(networks.size());
-    for (const NetSel n : networks)
-        s.u8(static_cast<std::uint8_t>(n));
-    s.varint(loads.size());
-    for (const double l : loads)
-        s.f64(l);
-    s.u64(warmupNs);
-    s.u64(windowNs);
-    s.u64(instructionsPerCore);
-    s.varint(workloads.size());
-    for (const std::string &w : workloads)
-        s.str(w);
-}
-
-bool
-CampaignSpec::decode(BinDeserializer &d)
-{
-    kind = static_cast<CampaignKind>(d.u8());
-    seed = d.u64();
-    std::uint64_t n = d.varint();
-    if (!d.ok() || n > d.remaining())
-        return false;
-    patterns.clear();
-    for (std::uint64_t i = 0; i < n && d.ok(); ++i)
-        patterns.push_back(d.str());
-    n = d.varint();
-    if (!d.ok() || n > d.remaining())
-        return false;
-    networks.clear();
-    for (std::uint64_t i = 0; i < n && d.ok(); ++i)
-        networks.push_back(static_cast<NetSel>(d.u8()));
-    n = d.varint();
-    if (!d.ok() || n * 8 > d.remaining())
-        return false;
-    loads.clear();
-    for (std::uint64_t i = 0; i < n && d.ok(); ++i)
-        loads.push_back(d.f64());
-    warmupNs = d.u64();
-    windowNs = d.u64();
-    instructionsPerCore = d.u64();
-    n = d.varint();
-    if (!d.ok() || n > d.remaining())
-        return false;
-    workloads.clear();
-    for (std::uint64_t i = 0; i < n && d.ok(); ++i)
-        workloads.push_back(d.str());
-    return d.ok();
-}
-
 std::string
 CampaignSpec::validate() const
 {
@@ -223,181 +166,44 @@ enumerateCells(const CampaignSpec &spec)
     return cells;
 }
 
-namespace
-{
-
-void
-encodeInjector(BinSerializer &s, const InjectorResult &r)
-{
-    s.f64(r.offeredLoadPct);
-    s.f64(r.meanLatencyNs);
-    s.f64(r.maxLatencyNs);
-    s.f64(r.p50LatencyNs);
-    s.f64(r.p99LatencyNs);
-    s.f64(r.deliveredBytesPerNsPerSite);
-    s.f64(r.deliveredPct);
-    s.u64(r.measuredPackets);
-    s.u64(r.overflowPackets);
-    s.f64(r.offeredMeasuredPct);
-}
-
-void
-decodeInjector(BinDeserializer &d, InjectorResult &r)
-{
-    r.offeredLoadPct = d.f64();
-    r.meanLatencyNs = d.f64();
-    r.maxLatencyNs = d.f64();
-    r.p50LatencyNs = d.f64();
-    r.p99LatencyNs = d.f64();
-    r.deliveredBytesPerNsPerSite = d.f64();
-    r.deliveredPct = d.f64();
-    r.measuredPackets = d.u64();
-    r.overflowPackets = d.u64();
-    r.offeredMeasuredPct = d.f64();
-}
-
-void
-encodeTrace(BinSerializer &s, const TraceCpuResult &r)
-{
-    s.str(r.workload);
-    s.str(r.network);
-    s.u64(r.runtime);
-    s.u64(r.instructions);
-    s.u64(r.coherenceOps);
-    s.f64(r.opLatencyNs);
-    s.f64(r.totalJoules);
-    s.f64(r.routerJoules);
-    s.f64(r.cpuJoules);
-    s.f64(r.edp);
-}
-
-void
-decodeTrace(BinDeserializer &d, TraceCpuResult &r)
-{
-    r.workload = d.str();
-    r.network = d.str();
-    r.runtime = d.u64();
-    r.instructions = d.u64();
-    r.coherenceOps = d.u64();
-    r.opLatencyNs = d.f64();
-    r.totalJoules = d.f64();
-    r.routerJoules = d.f64();
-    r.cpuJoules = d.f64();
-    r.edp = d.f64();
-}
-
-} // namespace
-
-void
-CellOutcome::encode(BinSerializer &s) const
-{
-    s.u32(index);
-    s.str(label);
-    s.u8(kind);
-    s.boolean(skipped);
-    if (kind == static_cast<std::uint8_t>(
-            CampaignKind::InjectorSweep)) {
-        encodeInjector(s, injector);
-    } else {
-        encodeTrace(s, trace);
-    }
-}
-
-bool
-CellOutcome::decode(BinDeserializer &d)
-{
-    index = d.u32();
-    label = d.str();
-    kind = d.u8();
-    skipped = d.boolean();
-    if (kind == static_cast<std::uint8_t>(
-            CampaignKind::InjectorSweep)) {
-        decodeInjector(d, injector);
-    } else if (kind == static_cast<std::uint8_t>(
-                   CampaignKind::WorkloadMatrix)) {
-        decodeTrace(d, trace);
-    } else {
-        return false;
-    }
-    return d.ok();
-}
-
 std::string
-CampaignResult::table() const
+tableHeader(const CampaignSpec &spec)
 {
-    std::ostringstream os;
-    const bool injector =
-        spec.kind == CampaignKind::InjectorSweep;
+    const bool injector = spec.kind == CampaignKind::InjectorSweep;
     char head[160];
     std::snprintf(head, sizeof(head),
                   "# macrosim campaign kind=%s seed=%llu cells=%zu "
                   "fingerprint=%016llx\n",
                   injector ? "injector" : "matrix",
                   static_cast<unsigned long long>(spec.seed),
-                  cells.size(),
-                  static_cast<unsigned long long>(
-                      spec.fingerprint()));
-    os << head;
-    if (injector) {
-        os << "index,pattern,network,load_frac,offered_pct,mean_ns,"
-              "p50_ns,p99_ns,max_ns,delivered_bpns,delivered_pct,"
-              "measured,overflow,offered_measured_pct\n";
-    } else {
-        os << "index,workload,network,runtime_ticks,instructions,"
-              "coherence_ops,op_latency_ns,total_j,router_j,cpu_j,"
-              "edp\n";
-    }
-    for (const CellOutcome &cell : cells) {
-        if (cell.skipped) {
-            os << cell.index << "," << cell.label << ",SKIPPED\n";
-            continue;
-        }
-        if (injector) {
-            // The label is "<pattern> @ <load>% on <net>"; recover
-            // the parts from the cell payload instead of parsing.
-            const InjectorResult &r = cell.injector;
-            const std::size_t at = cell.label.find(" @ ");
-            const std::size_t on = cell.label.find(" on ");
-            const std::string pattern = cell.label.substr(0, at);
-            const std::string net =
-                on == std::string::npos ? "?"
-                                        : cell.label.substr(on + 4);
-            os << cell.index << "," << pattern << "," << net << ","
-               << fmtDouble(r.offeredLoadPct / 100.0) << ","
-               << fmtDouble(r.offeredLoadPct) << ","
-               << fmtDouble(r.meanLatencyNs) << ","
-               << fmtDouble(r.p50LatencyNs) << ","
-               << fmtDouble(r.p99LatencyNs) << ","
-               << fmtDouble(r.maxLatencyNs) << ","
-               << fmtDouble(r.deliveredBytesPerNsPerSite) << ","
-               << fmtDouble(r.deliveredPct) << ","
-               << r.measuredPackets << "," << r.overflowPackets
-               << "," << fmtDouble(r.offeredMeasuredPct) << "\n";
-        } else {
-            const TraceCpuResult &r = cell.trace;
-            os << cell.index << "," << r.workload << ","
-               << r.network << "," << r.runtime << ","
-               << r.instructions << "," << r.coherenceOps << ","
-               << fmtDouble(r.opLatencyNs) << ","
-               << fmtDouble(r.totalJoules) << ","
-               << fmtDouble(r.routerJoules) << ","
-               << fmtDouble(r.cpuJoules) << "," << fmtDouble(r.edp)
-               << "\n";
-        }
-    }
+                  spec.cellCount(),
+                  static_cast<unsigned long long>(spec.fingerprint()));
+    return std::string(head)
+           + (injector ? "index,pattern,network,load_frac,offered_pct,"
+                         "mean_ns,p50_ns,p99_ns,max_ns,delivered_bpns,"
+                         "delivered_pct,measured,overflow,"
+                         "offered_measured_pct\n"
+                       : "index,workload,network,runtime_ticks,"
+                         "instructions,coherence_ops,op_latency_ns,"
+                         "total_j,router_j,cpu_j,edp\n");
+}
+
+std::string
+CampaignResult::table() const
+{
+    std::string out = tableHeader(spec);
+    for (const CellOutcome &cell : cells)
+        out += cell.row + '\n';
     if (interrupted)
-        os << "# INTERRUPTED: table is partial\n";
-    return os.str();
+        out += "# INTERRUPTED: table is partial\n";
+    return out;
 }
 
 CellOutcome
 runCampaignCell(const CampaignSpec &spec, const CampaignCell &cell)
 {
-    CellOutcome out;
-    out.index = cell.index;
-    out.label = cell.label;
-    out.kind = static_cast<std::uint8_t>(spec.kind);
-
+    std::ostringstream row;
+    row << cell.index << ",";
     if (spec.kind == CampaignKind::InjectorSweep) {
         // The seed label uses the full-precision load so two nearby
         // load points can never share a random stream.
@@ -414,7 +220,19 @@ runCampaignCell(const CampaignSpec &spec, const CampaignCell &cell)
         cfg.warmup = spec.warmupNs * tickNs;
         cfg.window = spec.windowNs * tickNs;
         cfg.seed = cell_seed;
-        out.injector = runOpenLoop(sim, *net, cfg);
+        const InjectorResult r = runOpenLoop(sim, *net, cfg);
+        row << to_string(cell.pattern) << ","
+            << netDisplayName(cell.net) << ","
+            << fmtDouble(r.offeredLoadPct / 100.0) << ","
+            << fmtDouble(r.offeredLoadPct) << ","
+            << fmtDouble(r.meanLatencyNs) << ","
+            << fmtDouble(r.p50LatencyNs) << ","
+            << fmtDouble(r.p99LatencyNs) << ","
+            << fmtDouble(r.maxLatencyNs) << ","
+            << fmtDouble(r.deliveredBytesPerNsPerSite) << ","
+            << fmtDouble(r.deliveredPct) << "," << r.measuredPackets
+            << "," << r.overflowPackets << ","
+            << fmtDouble(r.offeredMeasuredPct);
     } else {
         WorkloadSpec w = workloadByName(cell.workload);
         w.instructionsPerCore = spec.instructionsPerCore;
@@ -426,9 +244,15 @@ runCampaignCell(const CampaignSpec &spec, const CampaignCell &cell)
         Simulator sim(cell_seed);
         auto net = makeNetworkFor(cell.net, sim, simulatedConfig());
         TraceCpuSystem cpu(sim, *net, w, mix64(cell_seed));
-        out.trace = cpu.run();
+        const TraceCpuResult r = cpu.run();
+        row << r.workload << "," << r.network << "," << r.runtime
+            << "," << r.instructions << "," << r.coherenceOps << ","
+            << fmtDouble(r.opLatencyNs) << ","
+            << fmtDouble(r.totalJoules) << ","
+            << fmtDouble(r.routerJoules) << ","
+            << fmtDouble(r.cpuJoules) << "," << fmtDouble(r.edp);
     }
-    return out;
+    return {cell.index, false, row.str()};
 }
 
 CampaignResult
@@ -490,11 +314,10 @@ runCampaign(const CampaignSpec &spec, std::size_t jobs,
             result.cells[cell.index] =
                 std::move(outcome.results[i]);
         } else {
-            CellOutcome &skip = result.cells[cell.index];
-            skip.index = cell.index;
-            skip.label = cell.label;
-            skip.kind = static_cast<std::uint8_t>(spec.kind);
-            skip.skipped = true;
+            result.cells[cell.index] = {
+                cell.index, true,
+                std::to_string(cell.index) + "," + cell.label
+                    + ",SKIPPED"};
         }
     }
     result.interrupted = outcome.interrupted;

@@ -12,8 +12,8 @@
  * the same splitmix64 derivation the figure benches use. Because
  * every cell is a pure function of the spec, a campaign's result
  * table is bit-identical across any --jobs count and across any
- * kill/--resume split (the journal stores each double's exact bit
- * pattern).
+ * kill/--resume split (the journal stores each finished row exactly
+ * as the table prints it).
  */
 
 #ifndef MACROSIM_SERVICE_CAMPAIGN_HH
@@ -27,7 +27,6 @@
 
 #include "arch/config.hh"
 #include "net/factory.hh"
-#include "service/wire.hh"
 #include "sim/simulator.hh"
 #include "workloads/packet_injector.hh"
 #include "workloads/trace_cpu.hh"
@@ -70,11 +69,8 @@ struct CampaignSpec
 
     std::size_t cellCount() const;
 
-    /** Order-sensitive content hash (journal spec check). */
+    /** Order-sensitive content hash, printed in the table header. */
     std::uint64_t fingerprint() const;
-
-    void encode(BinSerializer &s) const;
-    bool decode(BinDeserializer &d);
 
     /**
      * Check the spec is runnable (known patterns/workloads/networks,
@@ -106,22 +102,23 @@ struct CampaignCell
 std::vector<CampaignCell> enumerateCells(const CampaignSpec &spec);
 
 /**
- * The result of one cell. kind mirrors the spec's; exactly one of
- * the payloads is meaningful. skipped marks a cell a cancelled run
- * never executed.
+ * The result of one cell: its row of the result table, without the
+ * newline. skipped marks a cell a cancelled run never executed; its
+ * row then reads "<index>,<label>,SKIPPED".
  */
 struct CellOutcome
 {
     std::uint32_t index = 0;
-    std::string label;
-    std::uint8_t kind = 0;
     bool skipped = false;
-    InjectorResult injector;
-    TraceCpuResult trace;
-
-    void encode(BinSerializer &s) const;
-    bool decode(BinDeserializer &d);
+    std::string row;
 };
+
+/**
+ * The table's header lines, newline-terminated: the campaign line
+ * (kind, seed, cell count, fingerprint) and the CSV column names.
+ * A journal starts with the same lines.
+ */
+std::string tableHeader(const CampaignSpec &spec);
 
 /** A completed (or partially completed) campaign. */
 struct CampaignResult
@@ -131,14 +128,16 @@ struct CampaignResult
     bool interrupted = false;
 
     /**
-     * Render the canonical CSV result table. Doubles print as
-     * %.17g, so two tables are byte-identical iff the results are
-     * bit-identical — the acceptance check for kill/resume runs.
+     * Render the canonical CSV result table: tableHeader() and the
+     * cell rows in index order. Doubles print as %.17g, so two
+     * tables are byte-identical iff the results are bit-identical —
+     * the acceptance check for kill/resume runs.
      */
     std::string table() const;
 };
 
-/** Run one cell to completion (a pure function of spec + cell). */
+/** Run one cell to completion and render its row (a pure function
+ *  of spec + cell). */
 CellOutcome runCampaignCell(const CampaignSpec &spec,
                             const CampaignCell &cell);
 
@@ -152,7 +151,7 @@ CellOutcome runCampaignCell(const CampaignSpec &spec,
  * one internal mutex, which is what the journal append relies on.
  * @p prior maps cell index → outcome for cells already completed
  * (journal replay on --resume); those cells are not re-run and their
- * outcomes are spliced into the result. The returned table is
+ * rows are spliced into the result verbatim. The returned table is
  * bit-identical for any (jobs, prior) split of the same spec.
  * SIGINT/SIGTERM (installSweepSignalHandlers()) skip the cells that
  * have not started; running cells finish and reach @p cellDone.

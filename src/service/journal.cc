@@ -1,27 +1,56 @@
 #include "service/journal.hh"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 #include <system_error>
-#include <vector>
 
 namespace macrosim::service
 {
+
+namespace
+{
+
+/** @p line for an error message: at most 120 bytes, bytes outside
+ *  printable ASCII shown as '?'. */
+std::string
+quoted(std::string_view line)
+{
+    std::string out = "'";
+    for (const char c : line.substr(0, 120))
+        out += (c >= ' ' && c <= '~') ? c : '?';
+    return out + "'";
+}
+
+/** Name the first line where @p text departs from @p header. */
+std::string
+headerMismatch(std::string_view text, std::string_view header)
+{
+    for (int line = 1;; ++line) {
+        const std::size_t got = text.find('\n');
+        const std::size_t want = header.find('\n');
+        if (got == std::string_view::npos
+            || text.substr(0, got) != header.substr(0, want)) {
+            return "journal header line " + std::to_string(line) + " "
+                   + quoted(text.substr(0, got))
+                   + " does not match the campaign's "
+                   + quoted(header.substr(0, want));
+        }
+        text.remove_prefix(got + 1);
+        header.remove_prefix(want + 1);
+    }
+}
+
+} // namespace
 
 bool
 JournalWriter::create(const std::string &path, const CampaignSpec &spec)
 {
     close();
     file_ = std::fopen(path.c_str(), "wb");
-    if (file_ == nullptr)
-        return false;
-
-    BinSerializer body;
-    body.u32(journalMagic);
-    body.u64(spec.fingerprint());
-    spec.encode(body);
-    return writeFrame(encodeFrame(journalHeaderFrame, body));
+    return file_ != nullptr && write(tableHeader(spec));
 }
 
 bool
@@ -40,11 +69,7 @@ JournalWriter::openAppend(const std::string &path,
 bool
 JournalWriter::append(const CellOutcome &cell)
 {
-    if (file_ == nullptr)
-        return false;
-    BinSerializer body;
-    cell.encode(body);
-    return writeFrame(encodeFrame(journalCellFrame, body));
+    return file_ != nullptr && write(cell.row + '\n');
 }
 
 void
@@ -57,18 +82,17 @@ JournalWriter::close()
 }
 
 bool
-JournalWriter::writeFrame(const std::vector<std::uint8_t> &frame)
+JournalWriter::write(const std::string &text)
 {
-    if (std::fwrite(frame.data(), 1, frame.size(), file_)
-        != frame.size())
+    if (std::fwrite(text.data(), 1, text.size(), file_) != text.size())
         return false;
     // Flush to the OS: a run killed an instant later loses only a
-    // record that never finished fwrite, which the reader drops.
+    // row that never finished fwrite, which the reader drops.
     return std::fflush(file_) == 0;
 }
 
 JournalContents
-readJournal(const std::string &path)
+readJournal(const std::string &path, const CampaignSpec &spec)
 {
     JournalContents out;
 
@@ -78,79 +102,45 @@ readJournal(const std::string &path)
                     + "': " + std::strerror(errno);
         return out;
     }
-
-    FrameReader reader;
+    std::string text;
     char buf[1 << 16];
     std::size_t n = 0;
-    std::uintmax_t fileBytes = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-        reader.feed(buf, n);
-        fileBytes += n;
-    }
+    while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0)
+        text.append(buf, n);
     std::fclose(file);
 
-    bool sawHeader = false;
-    for (;;) {
-        Frame frame;
-        std::string err;
-        const FrameReader::Status st = reader.next(&frame, &err);
-        if (st == FrameReader::Status::NeedMore) {
-            out.truncatedTail = reader.buffered() > 0;
-            break;
-        }
-        if (st == FrameReader::Status::Bad) {
-            // Corruption mid-file: keep everything before it.
-            out.error = "journal corrupt after "
-                        + std::to_string(out.cells.size())
-                        + " cells: " + err;
-            out.truncatedTail = true;
-            break;
-        }
-        if (!sawHeader) {
-            if (frame.id != journalHeaderFrame) {
-                out.error = "not a campaign journal (first frame id "
-                            + std::to_string(frame.id) + ")";
-                return out;
-            }
-            BinDeserializer d(frame.body);
-            if (d.u32() != journalMagic) {
-                out.error = "bad journal magic";
-                return out;
-            }
-            out.fingerprint = d.u64();
-            if (!out.spec.decode(d) || !d.ok()) {
-                out.error = "journal header spec undecodable";
-                return out;
-            }
-            sawHeader = true;
-            out.validBytes = fileBytes - reader.buffered();
-            continue;
-        }
-        if (frame.id != journalCellFrame) {
-            out.error = "unexpected journal frame id "
-                        + std::to_string(frame.id);
-            out.truncatedTail = true;
-            break;
-        }
-        BinDeserializer d(frame.body);
-        CellOutcome cell;
-        if (!cell.decode(d)) {
-            out.error = "cell record undecodable after "
-                        + std::to_string(out.cells.size())
-                        + " cells";
-            out.truncatedTail = true;
-            break;
-        }
-        out.cells[cell.index] = std::move(cell);
-        out.validBytes = fileBytes - reader.buffered();
-    }
-
-    if (!sawHeader) {
-        if (out.error.empty())
-            out.error = "journal has no header frame";
+    const std::string header = tableHeader(spec);
+    if (text.compare(0, header.size(), header) != 0) {
+        out.error = headerMismatch(text, header);
         return out;
     }
     out.valid = true;
+    out.validBytes = header.size();
+
+    while (out.validBytes < text.size()) {
+        const std::size_t eol = text.find('\n', out.validBytes);
+        if (eol == std::string::npos) {
+            // A row torn by a kill mid-fwrite: drop it.
+            out.truncatedTail = true;
+            break;
+        }
+        const std::string_view row(text.data() + out.validBytes,
+                                   eol - out.validBytes);
+        const char *end = row.data() + row.size();
+        std::uint32_t index = 0;
+        const auto [stop, ec] =
+            std::from_chars(row.data(), end, index);
+        if (ec != std::errc() || stop == end || *stop != ','
+            || index >= spec.cellCount()) {
+            out.error = "journal row " + quoted(row)
+                        + " has no valid cell index; replay stops "
+                          "before it";
+            out.truncatedTail = true;
+            break;
+        }
+        out.cells[index] = {index, false, std::string(row)};
+        out.validBytes = eol + 1;
+    }
     return out;
 }
 

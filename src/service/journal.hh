@@ -2,21 +2,16 @@
  * @file
  * Campaign checkpoint journal (DESIGN.md §13).
  *
- * One journal file per `macrosimctl run --journal=FILE`, reusing the
- * wire frame format on disk:
+ * One text file per `macrosimctl run --journal=FILE`: the campaign's
+ * tableHeader() lines, then one finished row per line in completion
+ * order, each exactly as CampaignResult::table() prints it.
  *
- *   [header frame: magic, spec fingerprint, spec]
- *   [cell frame: CellOutcome]*
- *
- * The writer appends one cell frame per completed cell, in
- * completion order, and fflush()es after every append — a killed
- * run therefore loses at most the record that was mid-write, and
- * the reader tolerates exactly that: a truncated trailing frame
- * ends replay cleanly (everything before it is recovered).
- *
- * Doubles are stored as IEEE-754 bit patterns, so a resumed
- * campaign's result table is byte-identical to an uninterrupted
- * run's — the subsystem's acceptance criterion.
+ * The writer fflush()es after every row, so a killed run loses at
+ * most the row that was mid-write, and the reader drops exactly
+ * that: a last line with no newline. A resumed run splices the
+ * journaled rows into its table verbatim, which is why its table is
+ * byte-identical to an uninterrupted run's — the subsystem's
+ * acceptance criterion.
  */
 
 #ifndef MACROSIM_SERVICE_JOURNAL_HH
@@ -31,13 +26,6 @@
 
 namespace macrosim::service
 {
-
-/** First field of the header frame; rejects non-journals early. */
-constexpr std::uint32_t journalMagic = 0x4D4A524Eu; // 'MJRN'
-
-/** Frame ids of the two journal records. */
-constexpr std::uint16_t journalHeaderFrame = 192;
-constexpr std::uint16_t journalCellFrame = 193;
 
 /**
  * Append-side of a journal. Not internally synchronized: runCampaign
@@ -54,27 +42,27 @@ class JournalWriter
     JournalWriter &operator=(const JournalWriter &) = delete;
 
     /**
-     * Create (truncate) @p path and write the header frame.
+     * Create (truncate) @p path and write the header lines.
      * @return Whether the file opened and the header hit the OS.
      */
     bool create(const std::string &path, const CampaignSpec &spec);
 
     /**
      * Reopen a journal that readJournal() recovered, for appending
-     * further cell records (the --resume path; the header is already
-     * on disk). The file is first cut back to @p validBytes, so a
-     * record left half-written by a killed run cannot swallow the
-     * records appended after it.
+     * further rows (the --resume path; the header is already on
+     * disk). The file is first cut back to @p validBytes, so a row
+     * left half-written by a killed run cannot run into the rows
+     * appended after it.
      */
     bool openAppend(const std::string &path, std::uintmax_t validBytes);
 
-    /** Append one completed cell, flushed before returning. */
+    /** Append one finished cell's row, flushed before returning. */
     bool append(const CellOutcome &cell);
 
     void close();
 
   private:
-    bool writeFrame(const std::vector<std::uint8_t> &frame);
+    bool write(const std::string &text);
 
     std::FILE *file_ = nullptr;
 };
@@ -83,25 +71,28 @@ class JournalWriter
 struct JournalContents
 {
     bool valid = false;
-    std::string error; ///< why valid is false (or a tail warning)
-    std::uint64_t fingerprint = 0;
-    CampaignSpec spec;
-    /** Completed cells by index; duplicates keep the later record. */
+    std::string error; ///< why valid is false (or why replay stopped)
+    /** Journaled rows by cell index; duplicates keep the later row. */
     std::map<std::uint32_t, CellOutcome> cells;
-    /** Whether a truncated trailing frame was dropped (benign). */
+    /** Whether bytes after the last recovered row were dropped: a
+     *  torn last line (benign) or a row with a bad index. */
     bool truncatedTail = false;
     /** Length of the intact prefix: the header and every recovered
-     *  cell record (what openAppend() keeps). */
+     *  row (what openAppend() keeps). */
     std::uintmax_t validBytes = 0;
 };
 
 /**
- * Read a journal back. valid == false means the header was
- * unusable (wrong magic/fingerprint mismatch is the *caller's*
- * check — here it means unreadable); a corrupt or truncated cell
- * record stops replay at the last good frame with valid == true.
+ * Read back a journal written for @p spec. valid == false means the
+ * file is missing or unreadable or does not start with
+ * tableHeader(spec); the error then quotes the first header line
+ * that differs, the journal's and the campaign's. With a valid
+ * header, replay stops at a last line with no newline or at the
+ * first line whose leading index does not parse or is not below the
+ * cell count; the rows before it are kept.
  */
-JournalContents readJournal(const std::string &path);
+JournalContents readJournal(const std::string &path,
+                            const CampaignSpec &spec);
 
 } // namespace macrosim::service
 

@@ -338,6 +338,9 @@ CoherenceEngine::startAccess(SiteId site, Addr addr, MemOp op,
         coherence_op = (op == MemOp::Read) ? CoherenceOp::GetS
                                            : CoherenceOp::GetM;
     }
+    // Every access past the hit paths is one L2 miss: it coalesces
+    // onto an outstanding fetch or starts a transaction below.
+    l2.recordMiss();
 
     // MSHR coalescing: attach to an outstanding fetch of the same
     // line when its permission suffices for this access.

@@ -3,7 +3,7 @@
  * Campaign engine tests (DESIGN.md §13): deterministic cell
  * enumeration, result-table bit-identity across worker counts and
  * across journal-resume splits, journal replay under truncation and
- * corruption, and cooperative cancellation.
+ * corruption, refused journal headers, and cooperative cancellation.
  *
  * The journal-replay identity test here is the unit-level half of
  * the acceptance criterion; the service_e2e_smoke script repeats it
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -129,10 +130,8 @@ TEST(Campaign, SingleCellIsAPureFunction)
     ASSERT_FALSE(cells.empty());
     const CellOutcome a = runCampaignCell(spec, cells[0]);
     const CellOutcome b = runCampaignCell(spec, cells[0]);
-    BinSerializer sa, sb;
-    a.encode(sa);
-    b.encode(sb);
-    EXPECT_EQ(sa.buffer(), sb.buffer());
+    EXPECT_FALSE(a.row.empty());
+    EXPECT_EQ(a.row, b.row);
 }
 
 TEST(Campaign, MatrixCampaignDeterministicAcrossJobs)
@@ -153,8 +152,8 @@ TEST(Campaign, MatrixCampaignDeterministicAcrossJobs)
     // (deriveSeed(root, workload, display name)) so a matrix campaign
     // reproduces fig 7-10 streams bit for bit.
     ASSERT_EQ(r1.cells.size(), 2u);
-    EXPECT_EQ(r1.cells[0].trace.workload, "fft");
-    EXPECT_EQ(r1.cells[0].trace.network, netDisplayName(NetSel::TokenRing));
+    EXPECT_EQ(r1.cells[0].row.rfind("0,fft,Token Ring,", 0), 0u)
+        << r1.cells[0].row;
 }
 
 TEST(Campaign, ResumeFromPriorIsBitIdentical)
@@ -222,21 +221,43 @@ runWithJournal(const CampaignSpec &spec, const std::string &path,
     });
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 TEST(Journal, RoundTripReplay)
 {
     const std::string path = tempPath("roundtrip.mjr");
     const CampaignSpec spec = CampaignSpec::smokeInjector();
     const CampaignResult full = runWithJournal(spec, path);
 
-    const JournalContents replay = readJournal(path);
+    // The journal is the table: its header lines, then the same rows
+    // in completion order.
+    const std::string text = readFile(path);
+    EXPECT_TRUE(text.starts_with(tableHeader(spec)));
+    EXPECT_EQ(text.size(), full.table().size());
+
+    const JournalContents replay = readJournal(path, spec);
     ASSERT_TRUE(replay.valid) << replay.error;
+    EXPECT_TRUE(replay.error.empty()) << replay.error;
     EXPECT_FALSE(replay.truncatedTail);
-    EXPECT_EQ(replay.fingerprint, spec.fingerprint());
-    EXPECT_EQ(replay.spec.fingerprint(), spec.fingerprint());
+    EXPECT_EQ(replay.validBytes, text.size());
     ASSERT_EQ(replay.cells.size(), full.cells.size());
+    for (const auto &[index, cell] : replay.cells)
+        EXPECT_EQ(cell.row, full.cells[index].row);
 
     // Rebuilding the result purely from the journal reproduces the
-    // table byte for byte (doubles travel as bit patterns).
+    // table byte for byte (the rows are spliced in verbatim).
     const CampaignResult rebuilt =
         runCampaign(spec, 1, {}, &replay.cells);
     EXPECT_EQ(rebuilt.table(), full.table());
@@ -252,10 +273,9 @@ TEST(Journal, PartialJournalResumesBitIdentical)
 
     // A run that "died" after journaling two cells.
     runWithJournal(spec, path, 2);
-    const JournalContents replay = readJournal(path);
+    const JournalContents replay = readJournal(path, spec);
     ASSERT_TRUE(replay.valid) << replay.error;
-    EXPECT_GE(replay.cells.size(), 2u);
-    EXPECT_LT(replay.cells.size(), spec.cellCount());
+    EXPECT_EQ(replay.cells.size(), 2u);
 
     const CampaignResult resumed =
         runCampaign(spec, 2, {}, &replay.cells);
@@ -268,15 +288,19 @@ TEST(Journal, TruncatedTailIsTolerated)
     const CampaignSpec spec = CampaignSpec::smokeInjector();
     runWithJournal(spec, path);
 
-    // Chop into the last frame: exactly what a kill mid-fwrite
-    // leaves behind.
+    // Chop into the last row: exactly what a kill mid-fwrite leaves
+    // behind.
     const std::uintmax_t size = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, size - 7);
 
-    const JournalContents replay = readJournal(path);
+    const JournalContents replay = readJournal(path, spec);
     ASSERT_TRUE(replay.valid) << replay.error;
+    EXPECT_TRUE(replay.error.empty()) << replay.error;
     EXPECT_TRUE(replay.truncatedTail);
     EXPECT_EQ(replay.cells.size(), spec.cellCount() - 1);
+    // The intact prefix ends at the last newline.
+    EXPECT_EQ(replay.validBytes,
+              readFile(path).rfind('\n') + 1);
 }
 
 TEST(Journal, ReopenCutsATornTail)
@@ -285,16 +309,16 @@ TEST(Journal, ReopenCutsATornTail)
     const CampaignSpec spec = CampaignSpec::smokeInjector();
     const CampaignResult full = runWithJournal(spec, path);
 
-    // A run killed mid-fwrite of its last record.
+    // A run killed mid-fwrite of its last row.
     const std::uintmax_t size = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, size - 7);
-    const JournalContents torn = readJournal(path);
+    const JournalContents torn = readJournal(path, spec);
     ASSERT_TRUE(torn.valid) << torn.error;
     ASSERT_TRUE(torn.truncatedTail);
     ASSERT_EQ(torn.cells.size(), spec.cellCount() - 1);
 
     // Resume: the lost cell re-runs and is appended after the cut, so
-    // the next reader sees every cell and no torn record.
+    // the next reader sees every cell and no torn row.
     {
         JournalWriter writer;
         ASSERT_TRUE(writer.openAppend(path, torn.validBytes));
@@ -306,7 +330,8 @@ TEST(Journal, ReopenCutsATornTail)
             &torn.cells);
         EXPECT_EQ(resumed.table(), full.table());
     }
-    const JournalContents replay = readJournal(path);
+    EXPECT_EQ(readFile(path).back(), '\n');
+    const JournalContents replay = readJournal(path, spec);
     ASSERT_TRUE(replay.valid) << replay.error;
     EXPECT_FALSE(replay.truncatedTail);
     ASSERT_EQ(replay.cells.size(), spec.cellCount());
@@ -316,49 +341,95 @@ TEST(Journal, ReopenCutsATornTail)
 
 TEST(Journal, CorruptLengthStopsReplayKeepingPriorCells)
 {
+    // A complete row whose leading index does not parse, or is not
+    // below the cell count, stops replay just before it.
     const std::string path = tempPath("corrupt.mjr");
     const CampaignSpec spec = CampaignSpec::smokeInjector();
     runWithJournal(spec, path);
+    const std::string text = readFile(path);
 
-    // Locate the last cell frame's length prefix and trash it so the
-    // reader sees an impossible payload size.
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    in.close();
-    // Frames: [u32 len][u16 ver][u16 id][body]. Walk to the last one.
-    std::size_t off = 0, last = 0;
-    while (off + 4 <= bytes.size()) {
-        const std::uint32_t len =
-            static_cast<std::uint8_t>(bytes[off])
-            | (static_cast<std::uint8_t>(bytes[off + 1]) << 8)
-            | (static_cast<std::uint8_t>(bytes[off + 2]) << 16)
-            | (static_cast<std::uint32_t>(
-                   static_cast<std::uint8_t>(bytes[off + 3]))
-               << 24);
-        last = off;
-        off += 4 + len;
+    // The fourth row starts after two header lines and three rows.
+    std::size_t fourth = 0;
+    for (int line = 0; line < 5; ++line)
+        fourth = text.find('\n', fourth) + 1;
+    const std::size_t comma = text.find(',', fourth);
+
+    for (const char *bad :
+         {"x", "", "-1", "3x", "6", "99", "4294967296"}) {
+        writeFile(path,
+                  text.substr(0, fourth) + bad + text.substr(comma));
+        const JournalContents replay = readJournal(path, spec);
+        ASSERT_TRUE(replay.valid) << bad; // header + earlier rows
+        EXPECT_TRUE(replay.truncatedTail) << bad;
+        EXPECT_FALSE(replay.error.empty()) << bad;
+        EXPECT_EQ(replay.cells.size(), 3u) << bad;
+        EXPECT_EQ(replay.validBytes, fourth) << bad;
     }
-    bytes[last + 3] = static_cast<char>(0x7F); // huge length
-    std::ofstream outF(path, std::ios::binary | std::ios::trunc);
-    outF.write(bytes.data(),
-               static_cast<std::streamsize>(bytes.size()));
-    outF.close();
+}
 
-    const JournalContents replay = readJournal(path);
-    ASSERT_TRUE(replay.valid); // header + earlier cells recovered
-    EXPECT_TRUE(replay.truncatedTail);
-    EXPECT_FALSE(replay.error.empty());
-    EXPECT_EQ(replay.cells.size(), spec.cellCount() - 1);
+TEST(Journal, ForeignOrCorruptHeaderIsRefused)
+{
+    const std::string path = tempPath("foreign.mjr");
+    const CampaignSpec spec = CampaignSpec::smokeInjector();
+    runWithJournal(spec, path, 2);
+    const std::string text = readFile(path);
+    const std::size_t headerBytes = tableHeader(spec).size();
+
+    const auto refused = [&](const std::string &bytes) {
+        writeFile(path, bytes);
+        const JournalContents replay = readJournal(path, spec);
+        return !replay.valid && !replay.error.empty()
+               && replay.cells.empty();
+    };
+
+    // One bit flipped anywhere in the header lines.
+    for (std::size_t pos = 0; pos < headerBytes; ++pos) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string flipped = text;
+            flipped[pos] = static_cast<char>(flipped[pos] ^ (1 << bit));
+            EXPECT_TRUE(refused(flipped))
+                << "byte " << pos << " bit " << bit;
+        }
+    }
+
+    EXPECT_TRUE(refused(""));
+
+    // The header frame of a journal in the binary frame format that
+    // preceded the text format (length 80, version 1.0, frame id
+    // 192, magic "MJRN", then this campaign's fingerprint and spec).
+    static const unsigned char binaryHeader[] = {
+        0x50, 0x00, 0x00, 0x00, 0x00, 0x01, 0xc0, 0x00, 0x4e, 0x52,
+        0x4a, 0x4d, 0x11, 0x63, 0xbb, 0x82, 0x78, 0x7f, 0xc1, 0x4f,
+        0x00, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x07, 0x75, 0x6e, 0x69, 0x66, 0x6f, 0x72, 0x6d, 0x03, 0x00,
+        0x02, 0x04, 0x02, 0x7b, 0x14, 0xae, 0x47, 0xe1, 0x7a, 0x84,
+        0x3f, 0x7b, 0x14, 0xae, 0x47, 0xe1, 0x7a, 0x94, 0x3f, 0xc8,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x58, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x07, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00,
+    };
+    EXPECT_TRUE(refused(
+        std::string(std::begin(binaryHeader), std::end(binaryHeader))));
+
+    // A journal written for seed + 1: the error quotes both campaign
+    // lines, so both fingerprints.
+    CampaignSpec other = spec;
+    other.seed += 1;
+    const std::string otherHeader = tableHeader(other);
+    EXPECT_TRUE(refused(otherHeader + text.substr(headerBytes)));
+    const std::string error = readJournal(path, spec).error;
+    for (const std::string &header : {otherHeader, tableHeader(spec)}) {
+        const std::string firstLine = header.substr(0, header.find('\n'));
+        EXPECT_NE(error.find(firstLine), std::string::npos) << error;
+    }
 }
 
 TEST(Journal, NonJournalFileIsRejected)
 {
     const std::string path = tempPath("not_a_journal.mjr");
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a journal at all, sorry";
-    out.close();
-    const JournalContents replay = readJournal(path);
+    writeFile(path, "this is not a journal at all, sorry");
+    const JournalContents replay =
+        readJournal(path, CampaignSpec::smokeInjector());
     EXPECT_FALSE(replay.valid);
     EXPECT_FALSE(replay.error.empty());
 }
@@ -366,7 +437,8 @@ TEST(Journal, NonJournalFileIsRejected)
 TEST(Journal, MissingFileIsInvalid)
 {
     const JournalContents replay =
-        readJournal(tempPath("does_not_exist.mjr"));
+        readJournal(tempPath("does_not_exist.mjr"),
+                    CampaignSpec::smokeInjector());
     EXPECT_FALSE(replay.valid);
     EXPECT_FALSE(replay.error.empty());
 }
@@ -386,7 +458,7 @@ TEST(Journal, AppendAfterReopenExtendsTheSameJournal)
     }
     // Resumed process: append the rest.
     {
-        const JournalContents first = readJournal(path);
+        const JournalContents first = readJournal(path, spec);
         ASSERT_TRUE(first.valid) << first.error;
         JournalWriter writer;
         ASSERT_TRUE(writer.openAppend(path, first.validBytes));
@@ -394,7 +466,9 @@ TEST(Journal, AppendAfterReopenExtendsTheSameJournal)
             ASSERT_TRUE(writer.append(full.cells[i]));
     }
 
-    const JournalContents replay = readJournal(path);
+    // Appended in index order, the journal is the table itself.
+    EXPECT_EQ(readFile(path), full.table());
+    const JournalContents replay = readJournal(path, spec);
     ASSERT_TRUE(replay.valid) << replay.error;
     EXPECT_EQ(replay.cells.size(), full.cells.size());
     const CampaignResult rebuilt =

@@ -137,6 +137,27 @@ struct DirectoryFixture : public CoherenceFixture
         return true;
     }
 
+    /**
+     * Every access past the hit paths is one L2 miss that starts a
+     * transaction or coalesces onto one, and each writeback starts a
+     * PutM: sum of arch.siteN.l2.misses == txn.started -
+     * txn.writebacks + txn.coalesced.
+     */
+    void
+    expectMissesMatchTransactions()
+    {
+        const StatRegistry &reg = sim.telemetry();
+        double misses = 0;
+        for (SiteId s = 0; s < net.config().siteCount(); ++s) {
+            misses += reg.value("arch.site" + std::to_string(s)
+                                + ".l2.misses");
+        }
+        EXPECT_GT(misses, 0.0);
+        EXPECT_EQ(misses, reg.value("arch.txn.started")
+                              - reg.value("arch.txn.writebacks")
+                              + reg.value("arch.txn.coalesced"));
+    }
+
     CoherenceEngine eng;
 };
 
@@ -207,20 +228,24 @@ TEST_F(DirectoryFixture, WriteHitOnSharedUsesUpgrade)
     EXPECT_FALSE(eng.l2(5).probe(0x4000).has_value());
     // Upgrade request + invalidate + ack + grant; no 72 B data.
     EXPECT_EQ(eng.messagesSent() - msgs_before, 4u);
+    expectMissesMatchTransactions();
 }
 
 TEST_F(DirectoryFixture, CapacityEvictionsEmitWritebacks)
 {
     // Write far more distinct lines than the 256 KB L2 holds; dirty
-    // victims must generate PutM traffic.
+    // victims must generate PutM traffic. Each write is followed by a
+    // read of the same line, which coalesces onto the pending GetM.
     const std::uint32_t lines = 8192; // 512 KB worth of lines
     for (std::uint32_t i = 0; i < lines; ++i) {
-        eng.startAccess(0, static_cast<Addr>(i) * 64, MemOp::Write,
-                        nullptr);
+        for (const MemOp op : {MemOp::Write, MemOp::Read})
+            eng.startAccess(0, static_cast<Addr>(i) * 64, op, nullptr);
     }
     sim.run();
     EXPECT_GT(eng.writebacks(), 0u);
+    EXPECT_EQ(eng.coalescedAccesses(), lines);
     EXPECT_EQ(eng.inFlight(), 0u);
+    expectMissesMatchTransactions();
 }
 
 } // namespace

@@ -6,12 +6,14 @@
  *   macrosimctl run --smoke --journal=t.mjr --output=t.csv
  *   macrosimctl run --smoke --journal=t.mjr --resume --output=t.csv
  *
- * With --journal every finished cell is appended (and flushed) to
- * the journal, so a run killed part-way continues with --resume:
- * only the cells missing from the journal run again, and the table
- * is byte-identical to an uninterrupted run's. --resume refuses a
- * journal that is unreadable or was written for different campaign
- * flags, leaving the file untouched.
+ * With --journal the journal starts with the table's header lines
+ * and every finished row is appended (and flushed) to it as the
+ * table prints it, so a run killed part-way continues with --resume:
+ * only the cells missing from the journal run again, their rows are
+ * spliced in verbatim, and the table is byte-identical to an
+ * uninterrupted run's. --resume refuses a journal that is unreadable
+ * or whose header differs from the one the campaign flags produce,
+ * leaving the file untouched.
  */
 
 #include <cstdio>
@@ -80,20 +82,12 @@ cmdRun(int argc, char **argv)
     JournalWriter writer;
     JournalContents replay;
     if (resume) {
-        replay = readJournal(journal);
+        replay = readJournal(journal, spec);
         if (!replay.valid)
             fatal("macrosimctl run --resume: ", replay.error);
-        if (replay.fingerprint != spec.fingerprint()) {
-            char msg[160];
-            std::snprintf(msg, sizeof(msg),
-                          "journal fingerprint %016llx does not match "
-                          "the campaign's %016llx",
-                          static_cast<unsigned long long>(
-                              replay.fingerprint),
-                          static_cast<unsigned long long>(
-                              spec.fingerprint()));
-            fatal("macrosimctl run --resume: ", msg);
-        }
+        if (!replay.error.empty())
+            std::fprintf(stderr, "macrosimctl: %s\n",
+                         replay.error.c_str());
         if (!writer.openAppend(journal, replay.validBytes))
             fatal("macrosimctl run: cannot reopen journal '", journal,
                   "'");
