@@ -2,7 +2,7 @@
  * @file
  * End-to-end hot-path throughput bench with a heap-counting hook.
  *
- * Pins three cells to BENCH_hotpath.json (alongside the
+ * Pins four cells to BENCH_hotpath.json (alongside the
  * BENCH_simcore.json flow) so the events/sec trajectory of the
  * allocation-free hot path is tracked across PRs:
  *
@@ -12,6 +12,10 @@
  *    allocations-per-event is measured with a global operator-new
  *    counter and must be zero: captures live in the event arena's
  *    inline callback storage, never on the heap.
+ *  - deep-hold: the hold model at 65 536 pending events, where the
+ *    queue's far tier (the rung's buckets, the top and their block
+ *    pool) and the chunked slot arena do the work. It has the same
+ *    zero allocations-per-event budget once warmed up.
  *  - coherence-steady-state: a closed-loop directory-mode
  *    CoherenceEngine over the point-to-point network, issue/retire
  *    at a fixed outstanding-transaction depth — the txns_/lineLocks_/
@@ -21,7 +25,8 @@
  *
  * Every run fails if a cell's timed region runs no events, and writes
  * a non-finite value as null. --smoke runs reduced rounds and
- * enforces the allocation budget plus a --jobs determinism check
+ * enforces the allocation budget of both event-core cells plus a
+ * --jobs determinism check
  * (the sweep discipline of test_determinism.cc: per-cell seeds
  * derived from cell identity, results compared for exact equality
  * across jobs counts); it is wired into ctest and meant to run under
@@ -30,7 +35,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -188,17 +192,6 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/** @p v formatted by @p fmt, or null when it is not finite. */
-std::string
-jsonNumber(const char *fmt, double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    return buf;
-}
-
 /** Pre-PR coherence-steady-state throughput (std::function closures
  *  + node-based unordered_maps), measured on the reference machine
  *  with the same cell parameters. The speedup field in
@@ -260,7 +253,46 @@ runScheduleHeavy(bool smoke)
 }
 
 // ---------------------------------------------------------------
-// Cell 2: coherence-steady-state
+// Cell 2: deep-hold
+// ---------------------------------------------------------------
+
+CellResult
+runDeepHold(bool smoke)
+{
+    constexpr std::size_t depth = 65536;
+    // A pass turns the queue over four times: about two rungs' worth
+    // of simulated time, so the warm-up pass grows every structure
+    // to its steady-state footprint.
+    constexpr std::uint64_t passEvents = 4 * depth;
+    EventQueue q;
+    Rng rng(deriveSeed(42, "hotpath", "deep-hold"));
+    for (std::size_t i = 0; i < depth; ++i)
+        q.schedule(1 + rng.below(HoldEvent::holdSpread),
+                   HoldEvent{&q, &rng}, "bench.hold");
+    for (std::uint64_t i = 0; i < passEvents; ++i)
+        q.runOne();
+
+    const std::uint64_t allocs0 = heapAllocs();
+    const std::uint64_t ev0 = q.executed();
+    const Clock::time_point t0 = Clock::now();
+    const int passes = smoke ? 1 : 4;
+    for (int pass = 0; pass < passes; ++pass) {
+        for (std::uint64_t i = 0; i < passEvents; ++i)
+            q.runOne();
+    }
+    const double seconds = secondsSince(t0);
+    const std::uint64_t allocs = heapAllocs() - allocs0;
+
+    CellResult r;
+    r.events = q.executed() - ev0;
+    r.eventsPerSec = static_cast<double>(r.events) / seconds;
+    r.allocsPerEvent =
+        static_cast<double>(allocs) / static_cast<double>(r.events);
+    return r;
+}
+
+// ---------------------------------------------------------------
+// Cell 3: coherence-steady-state
 // ---------------------------------------------------------------
 
 /**
@@ -344,7 +376,7 @@ runCoherenceSteadyState(bool smoke)
 }
 
 // ---------------------------------------------------------------
-// Cell 3: uniform-random fig6-style
+// Cell 4: uniform-random fig6-style
 // ---------------------------------------------------------------
 
 InjectorConfig
@@ -447,30 +479,35 @@ main(int argc, char **argv)
     const bool smoke = stripSwitch(argc, argv, "smoke");
 
     const CellResult sched = runScheduleHeavy(smoke);
+    const CellResult hold = runDeepHold(smoke);
     const CellResult coh = runCoherenceSteadyState(smoke);
     const CellResult uniform = runUniformRandom(smoke);
     const double speedup = baselineCoherenceEventsPerSec > 0.0
         ? coh.eventsPerSec / baselineCoherenceEventsPerSec
         : 0.0;
 
-    char json[512];
+    char json[640];
     std::snprintf(
         json, sizeof(json),
         "{\"bench\":\"hotpath\","
         "\"schedule_heavy_events_per_sec\":%s,"
         "\"schedule_heavy_allocs_per_event\":%s,"
+        "\"deep_hold_events_per_sec\":%s,"
+        "\"deep_hold_allocs_per_event\":%s,"
         "\"coherence_steady_events_per_sec\":%s,"
         "\"coherence_steady_allocs_per_event\":%s,"
         "\"uniform_random_events_per_sec\":%s,"
         "\"baseline_coherence_steady_events_per_sec\":%s,"
         "\"coherence_steady_speedup\":%s}",
-        jsonNumber("%.6e", sched.eventsPerSec).c_str(),
-        jsonNumber("%.6f", sched.allocsPerEvent).c_str(),
-        jsonNumber("%.6e", coh.eventsPerSec).c_str(),
-        jsonNumber("%.6f", coh.allocsPerEvent).c_str(),
-        jsonNumber("%.6e", uniform.eventsPerSec).c_str(),
-        jsonNumber("%.6e", baselineCoherenceEventsPerSec).c_str(),
-        jsonNumber("%.3f", speedup).c_str());
+        jsonNumberOrNull("%.6e", sched.eventsPerSec).c_str(),
+        jsonNumberOrNull("%.6f", sched.allocsPerEvent).c_str(),
+        jsonNumberOrNull("%.6e", hold.eventsPerSec).c_str(),
+        jsonNumberOrNull("%.6f", hold.allocsPerEvent).c_str(),
+        jsonNumberOrNull("%.6e", coh.eventsPerSec).c_str(),
+        jsonNumberOrNull("%.6f", coh.allocsPerEvent).c_str(),
+        jsonNumberOrNull("%.6e", uniform.eventsPerSec).c_str(),
+        jsonNumberOrNull("%.6e", baselineCoherenceEventsPerSec).c_str(),
+        jsonNumberOrNull("%.3f", speedup).c_str());
     std::string error;
     if (!jsonValid(json, &error)) {
         std::fprintf(stderr,
@@ -486,6 +523,7 @@ main(int argc, char **argv)
     bool ok = true;
     const std::pair<const char *, const CellResult *> cells[] = {
         {"schedule-heavy", &sched},
+        {"deep-hold", &hold},
         {"coherence-steady-state", &coh},
         {"uniform-random", &uniform}};
     for (const auto &[cell, result] : cells) {
@@ -509,15 +547,19 @@ main(int argc, char **argv)
 
     if (smoke) {
         // Steady-state allocation budget: the schedule/execute path
-        // must not allocate at all once warmed up.
+        // must not allocate at all once warmed up, at 4 096 pending
+        // events or at 65 536.
         constexpr double allocBudgetPerEvent = 0.0;
-        if (sched.allocsPerEvent > allocBudgetPerEvent) {
-            std::fprintf(stderr,
-                         "bench_micro_hotpath: schedule-heavy cell "
-                         "allocated %.6f times per event "
-                         "(budget %.1f)\n",
-                         sched.allocsPerEvent, allocBudgetPerEvent);
-            ok = false;
+        for (const auto &[cell, result] :
+             {cells[0], cells[1]}) {
+            if (result->allocsPerEvent > allocBudgetPerEvent) {
+                std::fprintf(stderr,
+                             "bench_micro_hotpath: %s cell allocated "
+                             "%.6f times per event (budget %.1f)\n",
+                             cell, result->allocsPerEvent,
+                             allocBudgetPerEvent);
+                ok = false;
+            }
         }
         if (!checkJobsDeterminism())
             ok = false;

@@ -2,12 +2,12 @@
  * @file
  * Microbenchmarks of the simulation core. Two layers:
  *
- * 1. A pinned event-core throughput baseline: three fixed scenarios
- *    (push-pop, cancel-heavy, same-tick-burst) timed with
- *    steady_clock and emitted both to stdout and to
- *    BENCH_simcore.json, so the events/sec trajectory is tracked
- *    across PRs. Events/sec counts every core operation performed
- *    (schedule + cancel + execute).
+ * 1. The event core's depth curve: the hold model at 64, 4 096,
+ *    65 536 and 524 288 pending events, timed with steady_clock and
+ *    emitted both to stdout and to BENCH_simcore.json, so the cost of
+ *    one event against queue depth is tracked across PRs. Each
+ *    executed event only reschedules itself at now + U[1 tick, 2 us];
+ *    the curve reports wall ns per executed event.
  * 2. google-benchmark micros of the queue, RNG, channel reservation
  *    and a full point-to-point packet path.
  *
@@ -18,13 +18,16 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "harness.hh"
 #include "net/pt2pt.hh"
 #include "sim/event.hh"
 #include "sim/random.hh"
+#include "sim/telemetry/json.hh"
 #include "workloads/patterns.hh"
 
 using namespace macrosim;
@@ -33,24 +36,81 @@ namespace
 {
 
 // ---------------------------------------------------------------
-// Pinned throughput scenarios (BENCH_simcore.json)
+// The hold model (BENCH_simcore.json)
 // ---------------------------------------------------------------
 
-/**
- * Schedule a spread of 4096 events, then drain: the pure
- * sift-up/sift-down path with zero cancellation.
- */
-std::uint64_t
-scenarioPushPop()
+/** Events each depth of the curve times. */
+constexpr std::uint64_t holdEvents = 3'000'000;
+
+/** Wall ns per executed event of the hold model at @p depth pending:
+ *  prefill @p depth events, then time holdEvents executions. */
+double
+holdNsPerEvent(std::size_t depth)
 {
     EventQueue q;
-    int sink = 0;
-    for (int i = 0; i < 4096; ++i)
-        q.schedule(static_cast<Tick>(i * 7 % 997), [&sink] { ++sink; });
-    q.runUntil();
-    benchmark::DoNotOptimize(sink);
-    return 2 * 4096; // schedules + executions
+    Rng rng(depth);
+    for (std::size_t i = 0; i < depth; ++i)
+        q.schedule(1 + rng.below(bench::HoldEvent::holdSpread),
+                   bench::HoldEvent{&q, &rng});
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point t0 = Clock::now();
+    for (std::uint64_t i = 0; i < holdEvents; ++i)
+        q.runOne();
+    const double ns =
+        std::chrono::duration<double, std::nano>(Clock::now() - t0)
+            .count();
+    if (q.executed() != holdEvents || q.size() != depth)
+        return std::nan("");
+    return ns / static_cast<double>(holdEvents);
 }
+
+/**
+ * Run the hold model at each depth and emit one JSON line to stdout
+ * and to BENCH_simcore.json in the working directory.
+ * @return false if the line is not valid JSON.
+ */
+bool
+emitSimcoreBaseline()
+{
+    const std::size_t depths[] = {64, 4096, 65536, 524288};
+    std::string json = "{\"bench\":\"simcore\",\"hold_events\":" +
+                       std::to_string(holdEvents);
+    double shallow = 0.0;
+    double deep = 0.0;
+    for (const std::size_t depth : depths) {
+        const double ns = holdNsPerEvent(depth);
+        json += ",\"hold_" + std::to_string(depth) +
+                "_ns_per_event\":" + bench::jsonNumberOrNull("%.1f", ns);
+        if (depth == depths[0])
+            shallow = ns;
+        deep = ns;
+    }
+    json += ",\"hold_deepest_over_shallowest\":" +
+            bench::jsonNumberOrNull("%.1f", deep / shallow) + "}";
+    std::string error;
+    if (!jsonValid(json, &error)) {
+        std::fprintf(stderr,
+                     "bench_micro_simcore: result is not valid JSON: "
+                     "%s\n",
+                     error.c_str());
+        return false;
+    }
+    std::printf("%s\n", json.c_str());
+    std::fflush(stdout);
+    if (std::FILE *f = std::fopen("BENCH_simcore.json", "w")) {
+        std::fprintf(f, "%s\n", json.c_str());
+        std::fclose(f);
+    } else {
+        std::fprintf(stderr,
+                     "bench_micro_simcore: cannot write "
+                     "BENCH_simcore.json\n");
+    }
+    return true;
+}
+
+// ---------------------------------------------------------------
+// google-benchmark micros
+// ---------------------------------------------------------------
 
 /**
  * Cancellation churn: ~75% of scheduled events are cancelled from a
@@ -105,60 +165,6 @@ scenarioSameTickBurst()
     benchmark::DoNotOptimize(sink);
     return 2 * 16 * 256;
 }
-
-/** Repeat @p scenario until >= ~0.3 s of wall time; return ops/sec. */
-template <typename Scenario>
-double
-eventsPerSec(Scenario &&scenario)
-{
-    using Clock = std::chrono::steady_clock;
-    // Warm up allocators and caches.
-    scenario();
-    std::uint64_t ops = 0;
-    double seconds = 0.0;
-    while (seconds < 0.3) {
-        const Clock::time_point t0 = Clock::now();
-        for (int i = 0; i < 20; ++i)
-            ops += scenario();
-        seconds += std::chrono::duration<double>(Clock::now() - t0)
-                       .count();
-    }
-    return static_cast<double>(ops) / seconds;
-}
-
-/**
- * Run the three pinned scenarios and emit one JSON line to stdout
- * and to BENCH_simcore.json in the working directory.
- */
-void
-emitSimcoreBaseline()
-{
-    const double push_pop = eventsPerSec(scenarioPushPop);
-    const double cancel_heavy = eventsPerSec(scenarioCancelHeavy);
-    const double burst = eventsPerSec(scenarioSameTickBurst);
-
-    char json[256];
-    std::snprintf(json, sizeof(json),
-                  "{\"bench\":\"simcore\","
-                  "\"push_pop_events_per_sec\":%.6e,"
-                  "\"cancel_heavy_events_per_sec\":%.6e,"
-                  "\"same_tick_burst_events_per_sec\":%.6e}",
-                  push_pop, cancel_heavy, burst);
-    std::printf("%s\n", json);
-    std::fflush(stdout);
-    if (std::FILE *f = std::fopen("BENCH_simcore.json", "w")) {
-        std::fprintf(f, "%s\n", json);
-        std::fclose(f);
-    } else {
-        std::fprintf(stderr,
-                     "bench_micro_simcore: cannot write "
-                     "BENCH_simcore.json\n");
-    }
-}
-
-// ---------------------------------------------------------------
-// google-benchmark micros
-// ---------------------------------------------------------------
 
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
@@ -265,7 +271,8 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    emitSimcoreBaseline();
+    if (!emitSimcoreBaseline())
+        return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -222,6 +224,16 @@ traceEventProfile(TraceSink &sink, std::uint32_t pid,
                    {"wall_ns", jsonNumber(e.wallNs)}});
         at += dur;
     }
+}
+
+std::string
+jsonNumberOrNull(const char *fmt, double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), fmt, v);
+    return buf;
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared support for the per-table / per-figure bench binaries:
- * the figure network lists, the figure 7-10 workload matrix, and
- * table printing helpers.
+ * the figure network lists, the figure 7-10 workload matrix, table
+ * printing helpers, and the hold model of the event-core benches.
  */
 
 #ifndef MACROSIM_BENCH_HARNESS_HH
@@ -22,6 +22,8 @@
 #include "net/pt2pt.hh"
 #include "net/token_ring.hh"
 #include "net/two_phase.hh"
+#include "sim/event.hh"
+#include "sim/random.hh"
 #include "sim/telemetry/sampler.hh"
 #include "sim/telemetry/trace.hh"
 #include "workloads/packet_injector.hh"
@@ -29,6 +31,27 @@
 
 namespace macrosim::bench
 {
+
+/**
+ * One event of the hold model: it only reschedules itself at
+ * now + U[1 tick, holdSpread], so a queue prefilled with N of them
+ * stays N deep. bench_micro_simcore's depth curve and
+ * bench_micro_hotpath's deep_hold cell run it.
+ */
+struct HoldEvent
+{
+    static constexpr Tick holdSpread = 2 * tickUs;
+
+    EventQueue *q;
+    Rng *rng;
+
+    void
+    operator()() const
+    {
+        q->schedule(q->now() + 1 + rng->below(holdSpread), *this,
+                    "bench.hold");
+    }
+};
 
 /** Figure order: the paper's legend ordering. */
 constexpr std::array<NetSel, 6> allNetworks = {
@@ -141,6 +164,10 @@ void traceEventProfile(TraceSink &sink, std::uint32_t pid,
 
 /** Write @p text to @p path; fatal() on any I/O failure. */
 void writeTextFile(const std::string &path, const std::string &text);
+
+/** @p v formatted by @p fmt, or null when it is not finite: how the
+ *  BENCH_*.json pins write their numbers. */
+std::string jsonNumberOrNull(const char *fmt, double v);
 
 /**
  * Arm a sampler that snapshots every "*.occupancy"-suffixed stat of

@@ -6,14 +6,28 @@
  * same-tick events run FIFO and every run is deterministic. Events may
  * be cancelled through the EventId returned by schedule().
  *
- * Layout: an explicit 4-ary heap of small (when, seq, slot) records
- * over a contiguous slot arena that owns the callbacks. An EventId
- * encodes (generation, slot), so cancel() is a bounds check plus two
- * array writes — no hash lookup anywhere on the schedule/cancel/run
- * path. Cancellation tombstones the slot in place and releases the
- * callback immediately (captured state, e.g. Message payloads, is
- * freed promptly); tombstoned heap records are skipped at pop time
- * and swept out wholesale when they exceed half the heap.
+ * Layout: each pending event is a 24-byte (when, seq, slot) record
+ * pointing into a slot arena that owns the callbacks. Records sit in
+ * two tiers. The near tier is a 4-ary heap holding every record up to
+ * the end of the last loaded bucket. The far tier is a ladder queue
+ * (Tang, Goh and Thng, ACM TOMACS 2005) cut to one rung: an unsorted
+ * top, and one rung of power-of-two-width buckets split from it. Both
+ * keep their records in fixed-size blocks from one recycled pool.
+ * When the heap runs dry the next non-empty bucket is heapified into
+ * it, and when the rung runs dry the top is split into a new rung, so
+ * the heap holds about one bucket's worth of records however many
+ * events are pending. Tiers split records by `when` only and
+ * (when, seq) is a strict total order, so the tiering cannot change
+ * the pop order.
+ *
+ * schedule() builds the callable in its slot and the event runs it
+ * there: the arena grows in fixed chunks, so a slot never moves. An
+ * EventId encodes (generation, slot), so cancel() is a bounds check
+ * plus a few writes to the slot, with no lookup structure. Cancelling
+ * tombstones the slot in place and releases the callback at once
+ * (captured state, e.g. Message payloads, is freed promptly);
+ * tombstoned records are skipped when they reach the heap top, and
+ * swept out of every tier once they outnumber the live ones.
  */
 
 #ifndef MACROSIM_SIM_EVENT_HH
@@ -21,9 +35,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/flat_map.hh"
@@ -66,8 +82,11 @@ struct EventQueueStats
     std::uint64_t executed = 0;
     /** High-water mark of pending (uncancelled) events. */
     std::uint64_t peakPending = 0;
-    /** Tombstone sweeps of the heap (see EventQueue::compact()). */
+    /** Tombstone sweeps of every tier (see EventQueue::compact()). */
     std::uint64_t compactions = 0;
+    /** Rungs of buckets split from the top. A top small enough for
+     *  one bucket goes straight to the heap and does not count. */
+    std::uint64_t rungBuilds = 0;
     /** Longest run of consecutively executed same-tick events. */
     std::uint64_t maxSameTickBurst = 0;
     /** Same-tick burst-size histogram over completed ticks. A tick
@@ -104,7 +123,13 @@ class EventQueue
      *  schedule()/execute never touch the heap. */
     using Callback = InlineCallback;
 
+    /** Slots per arena chunk. The arena grows a chunk at a time, so
+     *  a callback never moves between schedule() and its run. */
+    static constexpr std::size_t slotsPerChunk = 1024;
+
     EventQueue() = default;
+    /** Destroys every pending callback, each exactly once. */
+    ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -113,28 +138,37 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p fn to run at absolute time @p when. The callable is
+     * built in its event slot and later runs there; passing an
+     * InlineCallback object moves it in instead.
      *
      * @p tag names the event's type for the event-loop profiler; it
      * must point at storage outliving the queue (string literals).
      * Tagging costs nothing when profiling is off.
      *
      * @pre when >= now(): the past is immutable.
-     * @pre cb is callable.
+     * @pre fn is callable.
      * @return A handle usable with cancel().
      */
-    EventId schedule(Tick when, Callback cb,
-                     const char *tag = nullptr);
-
-    /** Schedule @p cb to run @p delay ticks from now. */
+    template <typename F>
     EventId
-    scheduleAfter(Tick delay, Callback cb, const char *tag = nullptr)
+    schedule(Tick when, F &&fn, const char *tag = nullptr)
     {
-        return schedule(now_ + delay, std::move(cb), tag);
+        if (when < now_)
+            pastPanic("schedule", when);
+        return add(when, nextSeq_++, std::forward<F>(fn), tag);
+    }
+
+    /** Schedule @p fn to run @p delay ticks from now. */
+    template <typename F>
+    EventId
+    scheduleAfter(Tick delay, F &&fn, const char *tag = nullptr)
+    {
+        return schedule(now_ + delay, std::forward<F>(fn), tag);
     }
 
     /**
-     * Schedule @p cb with an explicit same-tick ordering key instead
+     * Schedule @p fn with an explicit same-tick ordering key instead
      * of insertion order. Keyed events run after every plain event of
      * the same tick, ordered among themselves by ascending @p key.
      *
@@ -150,13 +184,23 @@ class EventQueue
      * @pre At most one keyed event per (when, key) pair — duplicate
      *      pairs would tie and fall back to unspecified order.
      */
-    EventId scheduleKeyed(Tick when, std::uint64_t key, Callback cb,
-                          const char *tag = nullptr);
+    template <typename F>
+    EventId
+    scheduleKeyed(Tick when, std::uint64_t key, F &&fn,
+                  const char *tag = nullptr)
+    {
+        if (when < now_)
+            pastPanic("scheduleKeyed", when);
+        if (key >= keyedSeqBit)
+            keyPanic(key);
+        return add(when, keyedSeqBit | key, std::forward<F>(fn), tag);
+    }
 
     /**
-     * Timestamp of the earliest pending event, or maxTick when the
-     * queue is empty. Sweeps cancelled tombstones off the top, hence
-     * non-const. The PDES horizon protocol publishes this as the
+     * Timestamp of the earliest pending event in any tier, or maxTick
+     * when the queue is empty. Sweeps cancelled tombstones off the
+     * heap top and may load the next bucket, hence non-const; neither
+     * moves now(). The PDES horizon protocol publishes this as the
      * earliest tick this LP could still execute.
      */
     Tick peekNextTick();
@@ -165,12 +209,12 @@ class EventQueue
      * Cancel a pending event.
      *
      * The callback (and everything it captured) is destroyed before
-     * this returns; the heap record lingers as a tombstone until it
-     * reaches the top or a compaction sweeps it.
+     * this returns; the record lingers as a tombstone until it
+     * reaches the heap top or a compaction sweeps it.
      *
      * @return true if the event was pending and is now cancelled;
-     *         false if it already ran, was already cancelled, or the
-     *         id is invalid.
+     *         false if it already ran, is running, was already
+     *         cancelled, or the id is invalid.
      */
     bool cancel(EventId id);
 
@@ -191,7 +235,10 @@ class EventQueue
      * Run events until the queue drains or the next *pending* event
      * lies beyond @p limit. Events scheduled exactly at @p limit
      * still run; now() never advances past @p limit here, even when
-     * cancelled tombstones with earlier timestamps top the heap.
+     * cancelled tombstones with earlier timestamps top the heap or
+     * the next bucket to load starts beyond it. An exception thrown
+     * by a callback propagates out with the queue consistent: the
+     * event counts as executed and the rest stay pending.
      *
      * @return The number of events executed.
      */
@@ -269,16 +316,26 @@ class EventQueue
      *  sift-down child scan within one cache line of records. */
     static constexpr std::size_t arity = 4;
 
+    /** Records per bucket when a rung is split from the top. The
+     *  heap holds about this many records plus the ones scheduled
+     *  into the loaded bucket's time range. */
+    static constexpr std::size_t bucketTarget = 32;
+
+    /** Top records sampled to size a rung (see buildRung()). */
+    static constexpr std::size_t rungSample = 32;
+
     /** Sweep tombstones once they are this many and outnumber live
      *  records (see maybeCompact()). */
     static constexpr std::uint64_t compactMinTombstones = 64;
 
     /** Arena cell owning one scheduled callback.
      *
-     *  Lifecycle: free (no cb, no tombstone) -> live (cb set) ->
-     *  either executed (freed straight away) or tombstoned (cb
-     *  destroyed, flag set) until its heap record is popped or swept,
-     *  then free again with gen bumped so stale EventIds miss.
+     *  Lifecycle: free (no cb) -> live (cb set) -> either running
+     *  (gen bumped, cb runs in place, freed when it returns) or
+     *  tombstoned (gen bumped, cb destroyed, flag set) until its
+     *  record is popped or swept, then free again. The generation
+     *  moves whenever an event stops being pending, so stale
+     *  EventIds miss.
      */
     struct Slot
     {
@@ -307,12 +364,24 @@ class EventQueue
         ProfileBucket bucket;
     };
 
-    /** Heap record: 24 bytes, trivially copyable, no callback. */
-    struct HeapRecord
+    /** Pending-event record: 24 bytes, trivially copyable, no
+     *  callback. Every tier stores these. */
+    struct Record
     {
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
+    };
+
+    /** A fixed-size run of records. Buckets and the top are chains
+     *  of these from one pool, filled at the head; 20 records and the
+     *  header take 496 bytes. */
+    struct Block
+    {
+        static constexpr std::size_t capacity = 20;
+        Block *next;
+        std::uint32_t count;
+        Record recs[capacity];
     };
 
     /** Keyed records set this bit in `seq`, with the caller's key in
@@ -322,22 +391,86 @@ class EventQueue
     static constexpr std::uint64_t keyedSeqBit = 1ULL << 63;
 
     static bool
-    earlier(const HeapRecord &a, const HeapRecord &b)
+    earlier(const Record &a, const Record &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
         return a.seq < b.seq;
     }
 
-    std::uint32_t allocSlot(Callback cb, const char *tag);
+    Slot &
+    slotAt(std::uint32_t slot)
+    {
+        return chunks_[slot / slotsPerChunk][slot % slotsPerChunk];
+    }
+
+    /** Build @p fn in a free slot, claim it and file its record. A
+     *  throwing build leaves the slot free and the queue unchanged. */
+    template <typename F>
+    EventId
+    add(Tick when, std::uint64_t seq, F &&fn, const char *tag)
+    {
+        if (freeSlots_.empty())
+            growArena();
+        const std::uint32_t slot = freeSlots_.back();
+        Slot &s = slotAt(slot);
+        s.cb.emplace(std::forward<F>(fn));
+        if (!s.cb)
+            emptyCallbackPanic();
+        s.tag = tag;
+        freeSlots_.pop_back();
+        enqueue(Record{when, seq, slot});
+        // The id's low word is the slot plus one, so it is never
+        // invalidEventId.
+        return (static_cast<EventId>(s.gen) << 32) | (slot + 1ULL);
+    }
+
+    [[noreturn]] void pastPanic(const char *fn, Tick when) const;
+    [[noreturn]] static void keyPanic(std::uint64_t key);
+    [[noreturn]] static void emptyCallbackPanic();
+
+    /** Construct one more slot (a new chunk when the last is full)
+     *  and put it on the free list. */
+    void growArena();
+    /** Return a slot whose event ran or was cancelled to the free
+     *  list, destroying whatever callback it still holds. */
     void freeSlot(std::uint32_t slot);
+
+    /** File a newly scheduled @p rec and count it pending. */
+    void enqueue(const Record &rec);
+    /** Put @p rec in the tier its `when` belongs to. */
+    void file(const Record &rec);
 
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
     void popRoot();
+    void heapify();
 
-    /** Drop tombstoned records off the top of the heap. */
-    void skipCancelled();
+    Block *takeBlock();
+    void releaseBlock(Block *b);
+    /** Add @p rec to the block chain @p list. */
+    void append(Block *&list, const Record &rec);
+    /** Move every record of @p list to the heap's end, returning its
+     *  blocks to the pool. */
+    void drainToHeap(Block *&list);
+    /** Drop and free @p list's tombstones; @return the survivors. */
+    std::size_t sweep(Block *&list);
+
+    /** Last tick of bucket @p i, saturating at maxTick. */
+    Tick bucketLast(std::size_t i) const;
+
+    /** Refill the empty heap from the next non-empty bucket, splitting
+     *  a new rung from the top when the rung is used up.
+     *  @return false if no record is left in any tier. */
+    bool refill();
+    /** Split the top into a new rung, or straight into the heap when
+     *  one bucket would do; records past the new rung stay in the
+     *  top. @pre the heap and the rung are empty, the top is not. */
+    void buildRung();
+
+    /** Drop tombstones off the heap top, refilling the heap as
+     *  needed. @return true if heap_[0] is a pending event. */
+    bool settle();
 
     /** Pop and run the root record. @pre root is pending. */
     void executeRoot();
@@ -345,7 +478,7 @@ class EventQueue
     /** Report the in-progress tick to the observer and histogram. */
     void completeTick();
 
-    /** Rebuild the heap without tombstones when they dominate. */
+    /** Sweep tombstones out of every tier when they dominate. */
     void maybeCompact();
     void compact();
 
@@ -361,8 +494,36 @@ class EventQueue
     TickObserver tickObs_ = nullptr;
     void *tickCtx_ = nullptr;
 
-    std::vector<HeapRecord> heap_;
-    std::vector<Slot> slots_;
+    /** Near tier: a heap of every record with when <= nearLast_. */
+    std::vector<Record> heap_;
+    Tick nearLast_ = 0;
+
+    /** The rung: bucket i chains the records with when in
+     *  [rungStart_ + i * 2^rungShift_, rungStart_ + (i + 1) *
+     *  2^rungShift_); buckets before nextBucket_ are loaded. */
+    std::vector<Block *> buckets_;
+    std::size_t nextBucket_ = 0;
+    Tick rungStart_ = 0;
+    unsigned rungShift_ = 0;
+
+    /** The top: records past the rung's end, unsorted, with bounds
+     *  on their `when` for the next rung split. */
+    Block *top_ = nullptr;
+    std::size_t topSize_ = 0;
+    Tick topMin_ = 0;
+    Tick topMax_ = 0;
+
+    /** Record block pool: every block ever allocated (blockCount_)
+     *  is owned here; unused ones are chained through `next` from
+     *  freeBlocks_. */
+    std::vector<std::unique_ptr<Block[]>> blockChunks_;
+    std::size_t blockCount_ = 0;
+    Block *freeBlocks_ = nullptr;
+
+    /** Slot arena: chunks of slotsPerChunk slots, constructed one at
+     *  a time on first claim (slotCount_ so far). */
+    std::vector<Slot *> chunks_;
+    std::uint32_t slotCount_ = 0;
     std::vector<std::uint32_t> freeSlots_;
     EventQueueStats stats_;
 

@@ -11,12 +11,15 @@
  * buffer or the callsite fails to compile (static_assert), so the
  * per-event allocation count is provably zero.
  *
- * Design: a single ops-table pointer (invoke / relocate / destroy)
- * plus an aligned byte buffer. Relocate is a move-construct + destroy
- * pair, so moving an InlineCallback moves the capture by value —
- * cheap for the POD-ish captures the simulator uses. The capture type
- * must be nothrow-move-constructible so queue growth can never throw
- * mid-rebalance.
+ * Design: a single ops-table pointer (invoke / invoke-once /
+ * relocate / destroy) plus an aligned byte buffer. emplace() builds a
+ * callable straight in the buffer and invokeOnce() runs and destroys
+ * it with one indirect call, which is how EventQueue builds each
+ * callback in its event slot and runs it there. Relocate is a
+ * move-construct + destroy pair, so moving an InlineCallback moves the
+ * capture by value; the event core only does that when a caller hands
+ * it an InlineCallback object. The capture type must be
+ * nothrow-move-constructible because that move is noexcept.
  */
 
 #ifndef MACROSIM_SIM_INLINE_CALLBACK_HH
@@ -53,18 +56,7 @@ class InlineCallback
                                         std::remove_reference_t<F> &>>>
     InlineCallback(F &&fn) // NOLINT: implicit by design, mirrors std::function
     {
-        using Fn = std::remove_cv_t<std::remove_reference_t<F>>;
-        static_assert(sizeof(Fn) <= inlineCapacity,
-                      "capture too large for InlineCallback's inline "
-                      "buffer; shrink the capture (index/pointer "
-                      "instead of by-value state) or, as a last "
-                      "resort, grow inlineCapacity");
-        static_assert(alignof(Fn) <= inlineAlign,
-                      "capture over-aligned for InlineCallback");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "capture must be nothrow-move-constructible");
-        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-        ops_ = &opsFor<Fn>;
+        construct(std::forward<F>(fn));
     }
 
     InlineCallback(InlineCallback &&other) noexcept { moveFrom(other); }
@@ -91,10 +83,43 @@ class InlineCallback
 
     ~InlineCallback() { reset(); }
 
+    /**
+     * Replace the target with @p fn, built in place in the buffer. An
+     * InlineCallback argument is moved in instead (one relocation).
+     * If building the target throws, this callback is left empty.
+     */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        if constexpr (std::is_same_v<std::remove_cvref_t<F>,
+                                     InlineCallback>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "pass an InlineCallback as an rvalue");
+            *this = std::move(fn);
+        } else {
+            reset();
+            construct(std::forward<F>(fn));
+        }
+    }
+
     void
     operator()()
     {
         ops_->invoke(buf_);
+    }
+
+    /**
+     * Invoke the target once, then destroy it, also when it throws:
+     * one indirect call for both. The callback reads as empty from
+     * the moment the call starts.
+     */
+    void
+    invokeOnce()
+    {
+        const Ops *ops = ops_;
+        ops_ = nullptr;
+        ops->invokeOnce(buf_);
     }
 
     explicit operator bool() const noexcept { return ops_ != nullptr; }
@@ -103,6 +128,7 @@ class InlineCallback
     struct Ops
     {
         void (*invoke)(void *self);
+        void (*invokeOnce)(void *self);
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *self) noexcept;
     };
@@ -110,6 +136,15 @@ class InlineCallback
     template <typename Fn>
     static constexpr Ops opsFor = {
         /*invoke=*/[](void *self) { (*static_cast<Fn *>(self))(); },
+        /*invokeOnce=*/
+        [](void *self) {
+            struct Destroy
+            {
+                Fn *fn;
+                ~Destroy() { fn->~Fn(); }
+            } target{static_cast<Fn *>(self)};
+            (*target.fn)();
+        },
         /*relocate=*/
         [](void *dst, void *src) noexcept {
             ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
@@ -118,6 +153,26 @@ class InlineCallback
         /*destroy=*/
         [](void *self) noexcept { static_cast<Fn *>(self)->~Fn(); },
     };
+
+    template <typename F>
+    void
+    construct(F &&fn)
+    {
+        using Fn = std::remove_cvref_t<F>;
+        static_assert(std::is_invocable_r_v<void, Fn &>,
+                      "InlineCallback target must be callable as void()");
+        static_assert(sizeof(Fn) <= inlineCapacity,
+                      "capture too large for InlineCallback's inline "
+                      "buffer; shrink the capture (index/pointer "
+                      "instead of by-value state) or, as a last "
+                      "resort, grow inlineCapacity");
+        static_assert(alignof(Fn) <= inlineAlign,
+                      "capture over-aligned for InlineCallback");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "capture must be nothrow-move-constructible");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+        ops_ = &opsFor<Fn>;
+    }
 
     void
     reset() noexcept

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "sim/event.hh"
+#include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 
@@ -199,6 +201,110 @@ TEST(EventQueue, CancelReleasesCapturedStateImmediately)
     // The tombstone stays queued, but the callback (and its capture)
     // must already be gone.
     EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(EventQueue, CancellingTheRunningEventIsANoOp)
+{
+    // The callback runs in its own slot: cancelling its own id must
+    // neither succeed nor destroy the capture it is running from.
+    EventQueue q;
+    auto token = std::make_shared<int>(7);
+    EventId self = invalidEventId;
+    bool cancelled = true;
+    int seen = 0;
+    self = q.schedule(5, [&q, &self, &cancelled, &seen, token] {
+        cancelled = q.cancel(self);
+        seen = *token;
+    });
+    EXPECT_EQ(q.runUntil(), 1u);
+    EXPECT_FALSE(cancelled);
+    EXPECT_EQ(seen, 7);
+    EXPECT_EQ(q.stats().cancelled, 0u);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_FALSE(q.cancel(self));
+}
+
+TEST(EventQueue, RunningCaptureSurvivesArenaGrowth)
+{
+    // A callback that schedules several arena chunks' worth of events
+    // while it runs must still read its own capture afterwards: the
+    // arena grows by chunks and never moves a slot. Run this under
+    // MACROSIM_SANITIZE=address too.
+    EventQueue q;
+    std::array<std::uint64_t, 10> payload{};
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = 0x9e3779b97f4a7c15ull * (i + 1);
+    const std::size_t burst = 3 * EventQueue::slotsPerChunk + 1;
+    bool intact = false;
+    q.schedule(1, [&q, &intact, payload, burst] {
+        for (std::size_t i = 0; i < burst; ++i)
+            q.schedule(2, [] {});
+        intact = true;
+        for (std::size_t i = 0; i < payload.size(); ++i)
+            intact = intact && payload[i] == 0x9e3779b97f4a7c15ull * (i + 1);
+    });
+    EXPECT_TRUE(q.runOne());
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(q.size(), burst);
+    EXPECT_EQ(q.runUntil(), burst);
+}
+
+TEST(EventQueue, DestructionReleasesEveryTierOnce)
+{
+    // Captures pending in the heap, in the rung's buckets and in the
+    // top are each destroyed exactly once with the queue.
+    auto token = std::make_shared<int>(1);
+    {
+        EventQueue q;
+        // 1 000 events over 10^6 ticks: the first pop splits them
+        // into a rung and loads its first bucket into the heap.
+        for (Tick t = 1; t <= 1000; ++t)
+            q.schedule(t * 1000, [token] { (void)*token; });
+        EXPECT_TRUE(q.runOne());
+        EXPECT_EQ(q.stats().rungBuilds, 1u);
+        // Past the rung's end: these wait in the top.
+        for (Tick t = 1; t <= 100; ++t)
+            q.schedule(1'000'000'000 + t, [token] { (void)*token; });
+        // Inside the loaded bucket: straight into the heap.
+        q.schedule(q.now(), [token] { (void)*token; });
+        EXPECT_EQ(q.size(), 1100u);
+        EXPECT_EQ(token.use_count(), 1101);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ThrowingCallbackPropagatesAndQueueRecovers)
+{
+    // An exception leaves runUntil() with the queue consistent: the
+    // thrower counts as run and its capture is released, and the
+    // remaining events run in order on the next call.
+    auto token = std::make_shared<int>(0);
+    std::vector<int> order;
+    {
+        EventQueue q;
+        EventId thrower = invalidEventId;
+        for (int i = 0; i < 6; ++i) {
+            const EventId id =
+                q.schedule(10 + static_cast<Tick>(i), [token, i, &order] {
+                    order.push_back(i);
+                    if (i == 2)
+                        fatal("event ", i, " failed");
+                });
+            if (i == 2)
+                thrower = id;
+        }
+        EXPECT_THROW(q.runUntil(), FatalError);
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+        EXPECT_EQ(q.now(), 12u);
+        EXPECT_EQ(q.size(), 3u);
+        EXPECT_EQ(q.executed(), 3u);
+        EXPECT_EQ(token.use_count(), 4);
+        EXPECT_FALSE(q.cancel(thrower));
+        EXPECT_EQ(q.runUntil(), 3u);
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+        EXPECT_EQ(token.use_count(), 1);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventQueue, StaleIdOfRecycledSlotIsRejected)

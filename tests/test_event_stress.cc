@@ -2,19 +2,23 @@
  * @file
  * Event-core stress test: randomized interleavings of
  * schedule/cancel/runOne/runUntil are applied to the real EventQueue
- * and to a naive reference model (a sorted std::multimap, which
- * preserves insertion order for equal keys), asserting identical
- * execution order, now() trajectory, and size() at every step. Runs
- * under MACROSIM_SANITIZE=address cleanly — the arena recycling and
- * tombstone compaction paths get hammered hard here.
+ * and to a naive reference model (a sorted std::map in (tick, plain
+ * before keyed, insertion order or key) order), asserting identical
+ * execution order, now() trajectory, and size() at every step. The
+ * shallow cases keep a few hundred events pending; the deep ones keep
+ * tens of thousands spread over 10^7 ticks, so records cross the heap,
+ * the rung's buckets and the top, and cancels tombstone all three.
+ * Runs under MACROSIM_SANITIZE=address cleanly — the arena recycling,
+ * block pool and tombstone compaction paths get hammered hard here.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/event.hh"
@@ -26,9 +30,14 @@ namespace
 using namespace macrosim;
 
 /**
- * The semantics of EventQueue, written as artlessly as possible:
- * a time-sorted multimap of tags (multimap guarantees insertion
- * order for equivalent keys, i.e. same-tick FIFO) plus a live set.
+ * The semantics of EventQueue, written as artlessly as possible: a
+ * map from (tick, keyed?, insertion seq or key) to tag — plain events
+ * of a tick in insertion order, then its keyed events by ascending
+ * key — for the live events. Cancelled entries stay behind as
+ * tombstones, dropped when they precede the earliest live entry at a
+ * run or peek, and all swept at once under the queue's compaction
+ * policy (at least 64 of them, outnumbering the live ones), so the
+ * model predicts how often the real queue compacts.
  */
 class ReferenceQueue
 {
@@ -36,60 +45,103 @@ class ReferenceQueue
     std::uint64_t
     schedule(Tick when, int tag)
     {
-        EXPECT_GE(when, now_);
-        queue_.emplace(when, tag);
-        live_.insert(tag);
-        return static_cast<std::uint64_t>(tag);
+        return insert(Key{when, false, nextSeq_++}, tag);
+    }
+
+    std::uint64_t
+    scheduleKeyed(Tick when, std::uint64_t key, int tag)
+    {
+        return insert(Key{when, true, key}, tag);
     }
 
     bool
     cancel(int tag)
     {
-        return live_.erase(tag) == 1;
+        const auto it = keys_.find(tag);
+        if (it == keys_.end())
+            return false;
+        queue_.erase(it->second);
+        dead_.insert(it->second);
+        keys_.erase(it);
+        if (dead_.size() >= 64 && dead_.size() > queue_.size()) {
+            dead_.clear();
+            ++compactions_;
+        }
+        return true;
     }
 
     bool
     runOne(std::vector<int> &order)
     {
-        while (!queue_.empty()) {
-            const auto it = queue_.begin();
-            const auto [when, tag] = *it;
-            queue_.erase(it);
-            if (live_.erase(tag) == 0)
-                continue; // cancelled
-            now_ = when;
-            order.push_back(tag);
-            return true;
-        }
-        return false;
+        peekNextTick();
+        if (queue_.empty())
+            return false;
+        const auto it = queue_.begin();
+        now_ = std::get<0>(it->first);
+        order.push_back(it->second);
+        keys_.erase(it->second);
+        queue_.erase(it);
+        return true;
     }
 
     std::uint64_t
     runUntil(Tick limit, std::vector<int> &order)
     {
         std::uint64_t ran = 0;
-        for (;;) {
-            // Skip dead entries first so a cancelled early entry
-            // cannot admit a live one beyond the limit.
-            while (!queue_.empty() &&
-                   live_.count(queue_.begin()->second) == 0) {
-                queue_.erase(queue_.begin());
-            }
-            if (queue_.empty() || queue_.begin()->first > limit)
-                break;
-            runOne(order);
+        // Skip dead entries first so a cancelled early entry cannot
+        // admit a live one beyond the limit.
+        while (peekNextTick() <= limit && runOne(order))
             ++ran;
-        }
         return ran;
     }
 
+    /** Tick of the earliest live entry, or maxTick; drops the
+     *  tombstones before it. */
+    Tick
+    peekNextTick()
+    {
+        while (!dead_.empty() &&
+               (queue_.empty() || *dead_.begin() < queue_.begin()->first))
+            dead_.erase(dead_.begin());
+        return queue_.empty() ? maxTick : std::get<0>(queue_.begin()->first);
+    }
+
+    /** Tag of the earliest live entry, or -1. */
+    int
+    earliestLive() const
+    {
+        return queue_.empty() ? -1 : queue_.begin()->second;
+    }
+
+    /** Tag of the latest live entry, or -1. */
+    int
+    latestLive() const
+    {
+        return queue_.empty() ? -1 : queue_.rbegin()->second;
+    }
+
     Tick now() const { return now_; }
-    std::size_t size() const { return live_.size(); }
+    std::size_t size() const { return queue_.size(); }
+    std::uint64_t compactions() const { return compactions_; }
 
   private:
+    using Key = std::tuple<Tick, bool, std::uint64_t>;
+
+    std::uint64_t
+    insert(const Key &key, int tag)
+    {
+        EXPECT_GE(std::get<0>(key), now_);
+        EXPECT_TRUE(queue_.emplace(key, tag).second);
+        keys_[tag] = key;
+        return static_cast<std::uint64_t>(tag);
+    }
+
     Tick now_ = 0;
-    std::multimap<Tick, int> queue_;
-    std::unordered_set<int> live_;
+    std::uint64_t nextSeq_ = 0;
+    std::uint64_t compactions_ = 0;
+    std::map<Key, int> queue_;
+    std::unordered_map<int, Key> keys_;
+    std::set<Key> dead_;
 };
 
 /** One full random interleaving with a given op mix. */
@@ -230,6 +282,189 @@ TEST(EventQueueStress, FollowUpSchedulingMatchesReference)
     }
     ASSERT_EQ(real_order, ref_order);
     ASSERT_EQ(real.size(), 0u);
+}
+
+/**
+ * Deep randomized run: both queues are prefilled with 50 000+ events
+ * over 10^7 ticks, then random operations are applied to both while
+ * every executed event schedules one follow-up, as a simulation's
+ * events do, so time sweeps through many rungs at full depth. After
+ * every operation, order, now(), size() and peekNextTick() must agree.
+ *
+ * Schedules land at the current tick, a little ahead (the loaded
+ * bucket), anywhere in the next 10^7 ticks (the rung) or past that
+ * (the top). Cancels hit the earliest live event (the heap), the
+ * latest (the top or the last bucket) or a random one. In the second
+ * half, executed events schedule nothing and cancels come in bursts,
+ * so tombstones come to outnumber the live events and compaction
+ * sweeps every tier. runUntil() limits fall in buckets not loaded
+ * yet.
+ */
+class DeepRun
+{
+  public:
+    static constexpr Tick span = 10'000'000;
+
+    DeepRun(std::uint64_t seed, std::uint32_t keyed_percent)
+        : rng_(seed), keyedPercent_(keyed_percent)
+    {}
+
+    void
+    run(int prefill, int ops)
+    {
+        for (int i = 0; i < prefill; ++i)
+            scheduleAt(rng_.below(span));
+        check(-1);
+        for (int i = 0; i < ops && !testing::Test::HasFatalFailure();
+             ++i) {
+            // Second half: the queue drains and cancels come in
+            // bursts, so tombstones come to outnumber live events.
+            draining_ = i >= ops / 2;
+            step();
+            check(i);
+        }
+        if (testing::Test::HasFatalFailure())
+            return;
+        // Drain both completely and compare the tail.
+        const std::uint64_t ran = real_.runUntil();
+        ASSERT_EQ(ran, ref_.runUntil(maxTick, refOrder_));
+        check(ops);
+        ASSERT_EQ(real_.size(), 0u);
+        ASSERT_EQ(real_.peekNextTick(), maxTick);
+    }
+
+    const EventQueueStats &stats() const { return real_.stats(); }
+
+  private:
+    void
+    executed(int tag)
+    {
+        realOrder_.push_back(tag);
+        // Never at the current tick: the reference already holds the
+        // running event, and would put a same-tick follow-up with a
+        // smaller key (or a plain one after a keyed event) before it.
+        if (!draining_)
+            scheduleAt(real_.now() + 1 + horizon());
+    }
+
+    Tick
+    horizon()
+    {
+        const std::uint64_t roll = rng_.below(100);
+        if (roll < 20)
+            return 0;
+        if (roll < 50)
+            return 1 + rng_.below(2000);
+        if (roll < 90)
+            return rng_.below(span);
+        return span + rng_.below(span);
+    }
+
+    void
+    scheduleAt(Tick when)
+    {
+        const int tag = nextTag_++;
+        const auto cb = [this, tag] { executed(tag); };
+        if (rng_.below(100) < keyedPercent_) {
+            // mix64 is a bijection, so distinct tags get distinct keys.
+            const std::uint64_t key =
+                mix64(static_cast<std::uint64_t>(tag)) >> 1;
+            handles_[tag] = real_.scheduleKeyed(when, key, cb);
+            ref_.scheduleKeyed(when, key, tag);
+        } else {
+            handles_[tag] = real_.schedule(when, cb);
+            ref_.schedule(when, tag);
+        }
+    }
+
+    void
+    cancelOne()
+    {
+        const std::uint64_t which = rng_.below(3);
+        const int tag =
+            which == 0   ? ref_.earliestLive()
+            : which == 1 ? ref_.latestLive()
+                         : static_cast<int>(rng_.below(
+                               static_cast<std::uint64_t>(nextTag_)));
+        const auto it = handles_.find(tag);
+        if (it == handles_.end())
+            return;
+        ASSERT_TRUE(real_.cancel(it->second));
+        ASSERT_TRUE(ref_.cancel(tag));
+        // A replayed handle is stale on both sides.
+        ASSERT_FALSE(real_.cancel(it->second));
+        handles_.erase(it);
+    }
+
+    void
+    step()
+    {
+        const std::uint64_t roll = rng_.below(100);
+        if (roll < 30) {
+            scheduleAt(real_.now() + horizon());
+        } else if (roll < 50) {
+            const std::uint64_t n = draining_ ? 1 + rng_.below(64) : 1;
+            for (std::uint64_t k = 0; k < n; ++k)
+                cancelOne();
+        } else if (roll < 95) {
+            // The real queue runs first: its callbacks schedule the
+            // follow-ups into the reference too.
+            const bool ran = real_.runOne();
+            ASSERT_EQ(ran, ref_.runOne(refOrder_));
+        } else {
+            const Tick limit = real_.now() + rng_.below(span / 100);
+            const std::uint64_t ran = real_.runUntil(limit);
+            ASSERT_EQ(ran, ref_.runUntil(limit, refOrder_));
+            ASSERT_LE(real_.now(), limit);
+        }
+    }
+
+    void
+    check(int op)
+    {
+        ASSERT_EQ(real_.now(), ref_.now()) << "op " << op;
+        ASSERT_EQ(real_.size(), ref_.size()) << "op " << op;
+        ASSERT_EQ(realOrder_, refOrder_) << "op " << op;
+        ASSERT_EQ(real_.peekNextTick(), ref_.peekNextTick()) << "op " << op;
+        // A tier whose tombstones a sweep skipped would leave the
+        // queue's tombstone count off, and it would compact at other
+        // times than the reference.
+        ASSERT_EQ(real_.stats().compactions, ref_.compactions())
+            << "op " << op;
+        for (const int done : realOrder_)
+            handles_.erase(done);
+        realOrder_.clear();
+        refOrder_.clear();
+    }
+
+    Rng rng_;
+    std::uint32_t keyedPercent_;
+    bool draining_ = false;
+    EventQueue real_;
+    ReferenceQueue ref_;
+    std::vector<int> realOrder_, refOrder_;
+    std::unordered_map<int, EventId> handles_; // live tags only
+    int nextTag_ = 0;
+};
+
+void
+deepRun(std::uint64_t seed, std::uint32_t keyed_percent)
+{
+    DeepRun run(seed, keyed_percent);
+    run.run(50'000, 20'000);
+    const EventQueueStats &s = run.stats();
+    EXPECT_GT(s.rungBuilds, 1u);
+    EXPECT_GT(s.compactions, 0u);
+}
+
+TEST(EventQueueStress, DeepQueueCrossesTiersLikeReference)
+{
+    deepRun(31, 0);
+}
+
+TEST(EventQueueStress, DeepKeyedQueueMatchesReference)
+{
+    deepRun(41, 30);
 }
 
 } // namespace
