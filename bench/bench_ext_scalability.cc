@@ -25,18 +25,19 @@
  *                       lpt2pt, 2phase, hermes)
  *   --smoke             16x16 only, short window (CI)
  *   --jobs N, --seed N  the usual sweep knobs
+ *   --trace, --metrics, --metrics-period, --profile, --sim-stats
+ *                       the shared telemetry flags: one trace process
+ *                       per simulated point
  *
  * A full (non-smoke) run pins the table in BENCH_scaling.json. Every
- * run checks that JSON document with jsonValid() and exits non-zero
- * when it is malformed; values that are not finite (a saturated
- * point's tail quantile overflows the latency histogram) and the
- * traffic columns of infeasible points are written as null.
+ * run builds that pin and exits non-zero if it fails jsonValid();
+ * values that are not finite (a saturated point's tail quantile
+ * overflows the latency histogram) and the traffic columns of
+ * infeasible points are written as null.
  */
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,7 @@ struct Point
 
 Point
 runPoint(GridSpec grid, NetSel id, std::uint64_t seed,
-         const TelemetryOptions &topt)
+         SweepRecorder &rec, std::size_t cell)
 {
     const std::string label = std::to_string(grid.rows) + "x"
         + std::to_string(grid.cols);
@@ -98,18 +99,18 @@ runPoint(GridSpec grid, NetSel id, std::uint64_t seed,
         return p;
     }
 
+    SweepRecorder::Cell telemetry(
+        rec, cell, static_cast<std::uint32_t>(cell), sim, *net);
     InjectorConfig icfg;
     icfg.pattern = TrafficPattern::Uniform;
     icfg.load = 0.05;
-    icfg.warmup = topt.smoke ? 250 * tickNs : 500 * tickNs;
-    icfg.window = topt.smoke ? 1000 * tickNs : 2000 * tickNs;
+    icfg.warmup = rec.options().smoke ? 250 * tickNs : 500 * tickNs;
+    icfg.window = rec.options().smoke ? 1000 * tickNs : 2000 * tickNs;
     icfg.seed = cell_seed;
     p.traffic = runOpenLoop(sim, *net, icfg);
-    p.energyMj = net->energy().totalJoules(sim.now()) * 1e3;
+    p.energyMj = net->energy().totalJoules(sim.modelEnd()) * 1e3;
     p.simulated = true;
-
-    if (simStatsEnabled())
-        dumpSimStats(netDisplayName(id) + " @ " + label, sim);
+    telemetry.finish(netDisplayName(id) + " @ " + label);
     return p;
 }
 
@@ -126,14 +127,6 @@ numberFlag(int &argc, char **argv, const char *name,
               " must be a positive integer, got ", v);
     out = static_cast<std::uint32_t>(v);
     return true;
-}
-
-/** @p v as a JSON number, or null when the point was not simulated
- *  or @p v is not finite. */
-std::string
-jsonNumber(bool simulated, double v)
-{
-    return simulated && std::isfinite(v) ? std::to_string(v) : "null";
 }
 
 void
@@ -168,10 +161,10 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
-    const std::size_t jobs = stripJobsFlag(argc, argv);
-    simStatsArg(argc, argv);
-    const std::uint64_t seed = seedArg(argc, argv, 1);
-    installSweepSignalHandlers();
+    const BenchFlags flags = benchFlags(argc, argv, 1);
+    const std::size_t jobs = flags.jobs;
+    const std::uint64_t seed = flags.seed;
+    const TelemetryOptions &topt = flags.telemetry;
 
     std::uint32_t rows_flag = 0;
     std::uint32_t cols_flag = 0;
@@ -180,7 +173,6 @@ main(int argc, char **argv)
     std::string net_flag;
     const bool have_net =
         stripValueFlag(argc, argv, "network", &net_flag);
-    const TelemetryOptions topt = telemetryArgs(argc, argv);
 
     std::vector<GridSpec> grids = {{8, 8}, {16, 16}, {24, 24}};
     if (topt.smoke)
@@ -211,26 +203,27 @@ main(int argc, char **argv)
                 "margin_db,laser_w,static_w,mean_ns,p99_ns,"
                 "delivered_pct,energy_mj\n");
 
+    SweepRecorder rec(topt);
+    std::size_t cell = rec.addCells(grids.size() * nets.size());
     std::vector<SweepJob<Point>> sweep;
     for (const GridSpec grid : grids) {
         for (const NetSel id : nets) {
             sweep.push_back(SweepJob<Point>{
                 netDisplayName(id) + " @ " + std::to_string(grid.rows) + "x"
                     + std::to_string(grid.cols),
-                [grid, id, seed, &topt] {
-                    return runPoint(grid, id, seed, topt);
+                [grid, id, seed, &rec, cell = cell++] {
+                    return runPoint(grid, id, seed, rec, cell);
                 }});
         }
     }
 
     const std::vector<Point> points =
         SweepRunner(jobs).run("scalability", std::move(sweep));
+    rec.write();
     if (sweepInterrupted())
         return sweepExitStatus();
 
-    std::ostringstream json;
-    json << "{\n  \"bench\": \"scaling\",\n  \"points\": [\n";
-    bool first = true;
+    std::vector<JsonObject> entries;
     for (const Point &p : points) {
         char line[256];
         if (p.simulated) {
@@ -258,41 +251,31 @@ main(int argc, char **argv)
         }
         std::fputs(line, stdout);
 
-        char entry[512];
-        std::snprintf(entry, sizeof(entry),
-                      "    {\"grid\": \"%ux%u\", \"network\": "
-                      "\"%s\", \"feasible\": %s, \"loss_db\": %.2f, "
-                      "\"required_launch_dbm\": %.2f, \"margin_db\": "
-                      "%.2f, \"laser_w\": %.1f, \"mean_ns\": %s, "
-                      "\"p99_ns\": %s, \"delivered_pct\": %s, "
-                      "\"energy_mj\": %s}",
-                      p.grid.rows, p.grid.cols,
-                      netDisplayName(p.id).c_str(),
-                      p.feas.feasible ? "true" : "false",
-                      p.feas.totalLoss.value(),
-                      p.feas.requiredLaunch.value(),
-                      p.feas.margin.value(), p.laserW,
-                      jsonNumber(p.simulated, p.traffic.meanLatencyNs)
-                          .c_str(),
-                      jsonNumber(p.simulated, p.traffic.p99LatencyNs)
-                          .c_str(),
-                      jsonNumber(p.simulated, p.traffic.deliveredPct)
-                          .c_str(),
-                      jsonNumber(p.simulated, p.energyMj).c_str());
-        json << (first ? "" : ",\n") << entry;
-        first = false;
+        // Traffic columns exist only for simulated points: null
+        // otherwise, as for a value that is not finite.
+        const auto traffic = [&p](double v) {
+            return p.simulated ? v : std::nan("");
+        };
+        JsonObject entry;
+        entry
+            .string("grid", std::to_string(p.grid.rows) + "x"
+                                + std::to_string(p.grid.cols))
+            .string("network", netDisplayName(p.id))
+            .boolean("feasible", p.feas.feasible)
+            .number("loss_db", p.feas.totalLoss.value())
+            .number("required_launch_dbm", p.feas.requiredLaunch.value())
+            .number("margin_db", p.feas.margin.value())
+            .number("laser_w", p.laserW)
+            .number("mean_ns", traffic(p.traffic.meanLatencyNs))
+            .number("p99_ns", traffic(p.traffic.p99LatencyNs))
+            .number("delivered_pct", traffic(p.traffic.deliveredPct))
+            .number("energy_mj", traffic(p.energyMj));
+        entries.push_back(entry);
     }
-    json << "\n  ]\n}\n";
 
-    std::string error;
-    if (!jsonValid(json.str(), &error)) {
-        std::fprintf(stderr,
-                     "bench_ext_scalability: scaling table is not valid "
-                     "JSON: %s\n",
-                     error.c_str());
-        return 1;
-    }
+    const std::string pin =
+        pinJson("scaling", JsonObject().objects("points", entries));
     if (!topt.smoke && !have_net && !have_rows && !have_cols)
-        writeTextFile("BENCH_scaling.json", json.str());
+        writeJsonFile("BENCH_scaling.json", pin);
     return sweepExitStatus();
 }

@@ -28,8 +28,9 @@ main(int argc, char **argv)
     const TelemetryOptions &topt = flags.telemetry;
     const std::uint64_t instr =
         instructionsArg(argc, argv, topt.smoke ? 200 : 1200);
-    const auto matrix =
-        runWorkloadMatrixWithTelemetry(instr, seed, jobs, topt);
+    SweepRecorder rec(topt);
+    const auto matrix = runWorkloadMatrix(instr, seed, jobs, true, &rec);
+    rec.write();
     if (sweepInterrupted())
         return sweepExitStatus();
 

@@ -11,28 +11,25 @@
  * uniform and ~25% nearest-neighbor; circuit-switched ~2.5%;
  * two-phase ~7.5%.
  *
- * Telemetry (all optional, see TelemetryOptions in harness.hh):
+ * Telemetry (all optional, see TelemetryOptions in flags.hh):
  * --trace=<file> writes a Perfetto trace-event JSON with one process
  * per (pattern, network, load) run — message lifecycle spans,
  * channel-occupancy counter tracks and the event-loop self-profile —
- * and self-validates the JSON before exiting. --metrics=<file> plus
+ * and validates the JSON before writing it. --metrics=<file> plus
  * --metrics-period=<ticks> write periodic StatRegistry snapshots as
  * a time-series CSV. --smoke reduces the sweep for CI.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "harness.hh"
 
-#include "net/tracer.hh"
 #include "sim/logging.hh"
 #include "sim/sweep.hh"
-#include "sim/telemetry/json.hh"
 
 using namespace macrosim;
 using namespace macrosim::bench;
@@ -52,7 +49,6 @@ struct Curve
     NetSel id;
     std::vector<InjectorResult> points;
     double maxSustainedPct = 0.0;
-    CellTelemetry telemetry;
 };
 
 const std::vector<PatternSweep> sweeps = {
@@ -76,15 +72,13 @@ constexpr std::uint32_t pidsPerCurve = 16;
 /**
  * Trace one (pattern, network) latency-load curve serially: the
  * points of a curve feed an early-exit at saturation, so the curve
- * is the unit of parallelism, not the point. With telemetry enabled
- * each point's run additionally records message spans, occupancy
- * counters and the event-loop profile into the curve's sink under
- * its own pid (pid_base + point index).
+ * is the unit of parallelism, not the point. Each point's run
+ * records into the curve's cell of @p rec under its own pid
+ * (pid_base + point index).
  */
 Curve
-traceCurve(const PatternSweep &sweep, NetSel id,
-           std::uint32_t pid_base, const TelemetryOptions &topt,
-           std::uint64_t seed)
+traceCurve(const PatternSweep &sweep, NetSel id, SweepRecorder &rec,
+           std::size_t cell, std::uint32_t pid_base, std::uint64_t seed)
 {
     Curve curve;
     curve.id = id;
@@ -92,28 +86,8 @@ traceCurve(const PatternSweep &sweep, NetSel id,
     for (const double load : sweep.loads) {
         Simulator sim(seed);
         auto net = makeNetworkFor(id, sim, simulatedConfig());
-
-        std::ostringstream label_os;
-        label_os << to_string(sweep.pattern) << " / " << netDisplayName(id)
-                 << " @ " << load * 100.0 << "%";
-        const std::string label = label_os.str();
-        const std::uint32_t pid = pid_base + point++;
-
-        std::unique_ptr<MessageTracer> tracer;
-        std::unique_ptr<PeriodicSampler> counters;
-        std::unique_ptr<SnapshotRecorder> snapshots;
-        if (topt.tracing()) {
-            tracer = std::make_unique<MessageTracer>(*net);
-            counters = occupancyCounterSampler(
-                sim, curve.telemetry.trace, pid, topt.period());
-            sim.events().setProfiling(true);
-        }
-        if (topt.metrics()) {
-            snapshots =
-                std::make_unique<SnapshotRecorder>(sim, topt.period());
-        }
-        if (topt.profile)
-            sim.events().setProfiling(true);
+        SweepRecorder::Cell telemetry(rec, cell, pid_base + point++, sim,
+                                      *net);
 
         InjectorConfig cfg;
         cfg.pattern = sweep.pattern;
@@ -123,18 +97,10 @@ traceCurve(const PatternSweep &sweep, NetSel id,
         cfg.seed = seed;
         const InjectorResult r = runOpenLoop(sim, *net, cfg);
 
-        if (tracer) {
-            tracer->writeTrace(curve.telemetry.trace, pid, label);
-            traceEventProfile(curve.telemetry.trace, pid, sim);
-        }
-        if (snapshots) {
-            curve.telemetry.metricsCsv += "# " + label + "\n"
-                + snapshots->csv();
-        }
-        if (topt.profile)
-            dumpEventProfile(label, sim);
-        if (simStatsEnabled())
-            dumpSimStats(label, sim);
+        std::ostringstream label;
+        label << to_string(sweep.pattern) << " / " << netDisplayName(id)
+              << " @ " << load * 100.0 << "%";
+        telemetry.finish(label.str());
 
         curve.points.push_back(r);
         if (r.meanLatencyNs > saturatedNs)
@@ -169,20 +135,23 @@ main(int argc, char **argv)
     std::printf("pattern,network,offered_pct,latency_ns,p99_ns,"
                 "delivered_pct\n");
 
-    MatrixTelemetry merged;
+    SweepRecorder rec(topt);
     SweepRunner runner(jobs);
-    std::uint32_t curve_idx = 0;
     for (const PatternSweep &sweep : selected) {
         const std::string pattern_name =
             std::string(to_string(sweep.pattern));
 
         std::vector<SweepJob<Curve>> curve_jobs;
-        for (const NetSel id : fig6Networks) {
-            const std::uint32_t pid_base = curve_idx++ * pidsPerCurve;
+        const std::size_t first = rec.addCells(fig6Networks.size());
+        for (std::size_t i = 0; i < fig6Networks.size(); ++i) {
+            const NetSel id = fig6Networks[i];
+            const std::size_t cell = first + i;
+            const std::uint32_t pid_base =
+                static_cast<std::uint32_t>(cell) * pidsPerCurve;
             curve_jobs.push_back(SweepJob<Curve>{
                 pattern_name + " / " + netDisplayName(id),
-                [&sweep, id, pid_base, &topt, seed] {
-                    return traceCurve(sweep, id, pid_base, topt,
+                [&sweep, id, &rec, cell, pid_base, seed] {
+                    return traceCurve(sweep, id, rec, cell, pid_base,
                                       seed);
                 }});
         }
@@ -211,34 +180,7 @@ main(int argc, char **argv)
                         curve.maxSustainedPct);
         }
         std::printf("\n");
-
-        // Merge in submission order: deterministic for any --jobs.
-        for (Curve &curve : curves) {
-            merged.trace.append(std::move(curve.telemetry.trace));
-            merged.metricsCsv += curve.telemetry.metricsCsv;
-        }
     }
-
-    if (topt.metrics() && !topt.metricsPath.empty())
-        writeTextFile(topt.metricsPath, merged.metricsCsv);
-
-    if (topt.tracing()) {
-        std::ostringstream json;
-        merged.trace.writeJson(json);
-        writeTextFile(topt.tracePath, json.str());
-        std::string error;
-        if (!jsonValid(json.str(), &error)) {
-            std::fprintf(stderr,
-                         "fig6: trace '%s' is not valid JSON: %s\n",
-                         topt.tracePath.c_str(), error.c_str());
-            return 1;
-        }
-        std::fprintf(stderr,
-                     "fig6: wrote %zu trace events to %s (%llu "
-                     "dropped)\n",
-                     merged.trace.size(), topt.tracePath.c_str(),
-                     static_cast<unsigned long long>(
-                         merged.trace.dropped()));
-    }
+    rec.write();
     return sweepExitStatus();
 }

@@ -34,8 +34,9 @@ main(int argc, char **argv)
         instructionsArg(argc, argv, topt.smoke ? 200 : 1200);
     std::fprintf(stderr, "fig7: %llu instructions/core\n",
                  static_cast<unsigned long long>(instr));
-    const auto matrix =
-        runWorkloadMatrixWithTelemetry(instr, seed, jobs, topt);
+    SweepRecorder rec(topt);
+    const auto matrix = runWorkloadMatrix(instr, seed, jobs, true, &rec);
+    rec.write();
     // An interrupted sweep has holes; there is no partial figure to
     // print, so exit with the interrupt status (130) right away.
     if (sweepInterrupted())

@@ -6,6 +6,10 @@
  *
  * Shape targets from the paper: at most ~17% on the synthetic
  * workloads and ~10.4% on the application kernels.
+ *
+ * Flags: --jobs N, --seed N and the shared telemetry flags (--trace,
+ * --metrics, --metrics-period, --profile, --sim-stats), which
+ * record one trace process per workload.
  */
 
 #include <cstdio>
@@ -35,21 +39,30 @@ main(int argc, char **argv)
     std::printf("%-14s %12s %14s %14s %14s\n", "workload",
                 "router_pct", "router_mJ", "network_mJ", "cpu_mJ");
 
+    const std::vector<WorkloadSpec> workloads = figureWorkloads(instr);
+    SweepRecorder rec(flags.telemetry);
+    const std::size_t first = rec.addCells(workloads.size());
     std::vector<SweepJob<TraceCpuResult>> sweep;
-    for (WorkloadSpec spec : figureWorkloads(instr)) {
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const WorkloadSpec &spec = workloads[i];
         const std::uint64_t cell_seed =
             deriveSeed(seed, spec.name, "Limited Point-to-Point");
+        const auto pid = static_cast<std::uint32_t>(i);
         sweep.push_back(SweepJob<TraceCpuResult>{
-            spec.name, [spec = std::move(spec), cell_seed] {
+            spec.name, [spec, cell_seed, &rec, cell = first + i, pid] {
                 Simulator sim(cell_seed);
                 LimitedPointToPointNetwork net(sim, simulatedConfig());
+                SweepRecorder::Cell telemetry(rec, cell, pid, sim, net);
                 TraceCpuSystem cpu(sim, net, spec, mix64(cell_seed));
-                return cpu.run();
+                TraceCpuResult r = cpu.run();
+                telemetry.finish(spec.name);
+                return r;
             }});
     }
 
     const std::vector<TraceCpuResult> results =
         SweepRunner(jobs).run("fig9-workloads", std::move(sweep));
+    rec.write();
     if (sweepInterrupted())
         return sweepExitStatus();
     for (const TraceCpuResult &r : results) {

@@ -28,9 +28,9 @@
  * enforces the allocation budget of both event-core cells plus a
  * --jobs determinism check
  * (the sweep discipline of test_determinism.cc: per-cell seeds
- * derived from cell identity, results compared for exact equality
- * across jobs counts); it is wired into ctest and meant to run under
- * MACROSIM_SANITIZE=address.
+ * derived from cell identity, results compared bit for bit across
+ * jobs counts); it is wired into ctest and meant to run under
+ * MACROSIM_SANITIZE=address. A full run writes the pin.
  */
 
 #include <atomic>
@@ -191,12 +191,6 @@ secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/** Pre-PR coherence-steady-state throughput (std::function closures
- *  + node-based unordered_maps), measured on the reference machine
- *  with the same cell parameters. The speedup field in
- *  BENCH_hotpath.json is relative to this pin. */
-constexpr double baselineCoherenceEventsPerSec = 2.214137e+06;
 
 // ---------------------------------------------------------------
 // Cell 1: schedule-heavy
@@ -440,18 +434,6 @@ uniformSweep(std::size_t jobs)
 }
 
 bool
-identical(const InjectorResult &a, const InjectorResult &b)
-{
-    return a.offeredLoadPct == b.offeredLoadPct
-        && a.meanLatencyNs == b.meanLatencyNs
-        && a.maxLatencyNs == b.maxLatencyNs
-        && a.p50LatencyNs == b.p50LatencyNs
-        && a.p99LatencyNs == b.p99LatencyNs
-        && a.deliveredBytesPerNsPerSite == b.deliveredBytesPerNsPerSite
-        && a.measuredPackets == b.measuredPackets;
-}
-
-bool
 checkJobsDeterminism()
 {
     const std::vector<InjectorResult> serial = uniformSweep(1);
@@ -459,7 +441,7 @@ checkJobsDeterminism()
     if (serial.size() != parallel.size())
         return false;
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (!identical(serial[i], parallel[i])) {
+        if (!serial[i].identicalTo(parallel[i])) {
             std::fprintf(stderr,
                          "bench_micro_hotpath: cell %zu differs "
                          "between --jobs 1 and --jobs 3\n",
@@ -482,41 +464,19 @@ main(int argc, char **argv)
     const CellResult hold = runDeepHold(smoke);
     const CellResult coh = runCoherenceSteadyState(smoke);
     const CellResult uniform = runUniformRandom(smoke);
-    const double speedup = baselineCoherenceEventsPerSec > 0.0
-        ? coh.eventsPerSec / baselineCoherenceEventsPerSec
-        : 0.0;
 
-    char json[640];
-    std::snprintf(
-        json, sizeof(json),
-        "{\"bench\":\"hotpath\","
-        "\"schedule_heavy_events_per_sec\":%s,"
-        "\"schedule_heavy_allocs_per_event\":%s,"
-        "\"deep_hold_events_per_sec\":%s,"
-        "\"deep_hold_allocs_per_event\":%s,"
-        "\"coherence_steady_events_per_sec\":%s,"
-        "\"coherence_steady_allocs_per_event\":%s,"
-        "\"uniform_random_events_per_sec\":%s,"
-        "\"baseline_coherence_steady_events_per_sec\":%s,"
-        "\"coherence_steady_speedup\":%s}",
-        jsonNumberOrNull("%.6e", sched.eventsPerSec).c_str(),
-        jsonNumberOrNull("%.6f", sched.allocsPerEvent).c_str(),
-        jsonNumberOrNull("%.6e", hold.eventsPerSec).c_str(),
-        jsonNumberOrNull("%.6f", hold.allocsPerEvent).c_str(),
-        jsonNumberOrNull("%.6e", coh.eventsPerSec).c_str(),
-        jsonNumberOrNull("%.6f", coh.allocsPerEvent).c_str(),
-        jsonNumberOrNull("%.6e", uniform.eventsPerSec).c_str(),
-        jsonNumberOrNull("%.6e", baselineCoherenceEventsPerSec).c_str(),
-        jsonNumberOrNull("%.3f", speedup).c_str());
-    std::string error;
-    if (!jsonValid(json, &error)) {
-        std::fprintf(stderr,
-                     "bench_micro_hotpath: result is not valid JSON: "
-                     "%s\n",
-                     error.c_str());
-        return 1;
-    }
-    std::printf("%s\n", json);
+    // Built after every timed region: the host probe inside pinJson()
+    // allocates, and no allocation-counted window may see it.
+    JsonObject fields;
+    fields.number("schedule_heavy_events_per_sec", sched.eventsPerSec)
+        .number("schedule_heavy_allocs_per_event", sched.allocsPerEvent)
+        .number("deep_hold_events_per_sec", hold.eventsPerSec)
+        .number("deep_hold_allocs_per_event", hold.allocsPerEvent)
+        .number("coherence_steady_events_per_sec", coh.eventsPerSec)
+        .number("coherence_steady_allocs_per_event", coh.allocsPerEvent)
+        .number("uniform_random_events_per_sec", uniform.eventsPerSec);
+    const std::string pin = pinJson("hotpath", fields);
+    std::fputs(pin.c_str(), stdout);
     std::fflush(stdout);
 
     // A cell whose timed region ran nothing measured nothing.
@@ -534,16 +494,8 @@ main(int argc, char **argv)
             ok = false;
         }
     }
-    if (!smoke && ok) {
-        if (std::FILE *f = std::fopen("BENCH_hotpath.json", "w")) {
-            std::fprintf(f, "%s\n", json);
-            std::fclose(f);
-        } else {
-            std::fprintf(stderr,
-                         "bench_micro_hotpath: cannot write "
-                         "BENCH_hotpath.json\n");
-        }
-    }
+    if (!smoke && ok)
+        writeJsonFile("BENCH_hotpath.json", pin);
 
     if (smoke) {
         // Steady-state allocation budget: the schedule/execute path

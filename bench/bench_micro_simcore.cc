@@ -65,47 +65,30 @@ holdNsPerEvent(std::size_t depth)
 }
 
 /**
- * Run the hold model at each depth and emit one JSON line to stdout
- * and to BENCH_simcore.json in the working directory.
- * @return false if the line is not valid JSON.
+ * Run the hold model at each depth and emit the pin to stdout and to
+ * BENCH_simcore.json in the working directory.
  */
-bool
-emitSimcoreBaseline()
+void
+emitSimcorePin()
 {
     const std::size_t depths[] = {64, 4096, 65536, 524288};
-    std::string json = "{\"bench\":\"simcore\",\"hold_events\":" +
-                       std::to_string(holdEvents);
+    JsonObject fields;
+    fields.number("hold_events", static_cast<double>(holdEvents));
     double shallow = 0.0;
     double deep = 0.0;
     for (const std::size_t depth : depths) {
         const double ns = holdNsPerEvent(depth);
-        json += ",\"hold_" + std::to_string(depth) +
-                "_ns_per_event\":" + bench::jsonNumberOrNull("%.1f", ns);
+        fields.number("hold_" + std::to_string(depth) + "_ns_per_event",
+                      ns);
         if (depth == depths[0])
             shallow = ns;
         deep = ns;
     }
-    json += ",\"hold_deepest_over_shallowest\":" +
-            bench::jsonNumberOrNull("%.1f", deep / shallow) + "}";
-    std::string error;
-    if (!jsonValid(json, &error)) {
-        std::fprintf(stderr,
-                     "bench_micro_simcore: result is not valid JSON: "
-                     "%s\n",
-                     error.c_str());
-        return false;
-    }
-    std::printf("%s\n", json.c_str());
+    fields.number("hold_deepest_over_shallowest", deep / shallow);
+    const std::string pin = bench::pinJson("simcore", fields);
+    std::fputs(pin.c_str(), stdout);
     std::fflush(stdout);
-    if (std::FILE *f = std::fopen("BENCH_simcore.json", "w")) {
-        std::fprintf(f, "%s\n", json.c_str());
-        std::fclose(f);
-    } else {
-        std::fprintf(stderr,
-                     "bench_micro_simcore: cannot write "
-                     "BENCH_simcore.json\n");
-    }
-    return true;
+    bench::writeJsonFile("BENCH_simcore.json", pin);
 }
 
 // ---------------------------------------------------------------
@@ -271,8 +254,7 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    if (!emitSimcoreBaseline())
-        return 1;
+    emitSimcorePin();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -32,24 +32,22 @@
  * full runs pin their measurement in BENCH_pdes.json.
  *
  * --lp N / --threads-per-sim T time one extra point with N logical
- * processes on T worker threads (T defaults to N).
+ * processes (1..256, the model's sites) on T worker threads (T
+ * defaults to N); a malformed or zero value is an error.
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/config.hh"
 #include "harness.hh"
 #include "net/pt2pt.hh"
+#include "sim/logging.hh"
 #include "sim/telemetry/json.hh"
 #include "workloads/packet_injector.hh"
 
@@ -118,54 +116,6 @@ timePoint(const InjectorConfig &cfg, std::uint32_t lps,
 }
 
 /**
- * How much CPU this machine actually gives 4 concurrent threads,
- * measured with pure busy loops: 4.0 on >= 4 free cores, ~1.0 in a
- * single-core container. The PDES wall-clock speedup is bounded above
- * by this number, so it is pinned next to the speedup — a 1.0x PDES
- * result on a 1.0x machine is the protocol breaking even, not
- * failing to scale.
- */
-double
-machineThreadScaling()
-{
-    constexpr std::uint64_t iters = 60'000'000;
-    std::atomic<std::uint64_t> sink{0};
-    const auto burn = [&sink] {
-        std::uint64_t s = 0;
-        for (std::uint64_t i = 0; i < iters; ++i)
-            s += i * i;
-        sink.fetch_add(s, std::memory_order_relaxed);
-    };
-    const Clock::time_point t0 = Clock::now();
-    burn();
-    const Clock::time_point t1 = Clock::now();
-    std::vector<std::thread> threads;
-    for (int i = 0; i < 4; ++i)
-        threads.emplace_back(burn);
-    for (std::thread &t : threads)
-        t.join();
-    const Clock::time_point t2 = Clock::now();
-    const double serial = std::chrono::duration<double>(t1 - t0).count();
-    const double par = std::chrono::duration<double>(t2 - t1).count();
-    return par > 0.0 ? 4.0 * serial / par : 0.0;
-}
-
-bool
-identical(const InjectorResult &a, const InjectorResult &b)
-{
-    return a.offeredLoadPct == b.offeredLoadPct
-        && a.meanLatencyNs == b.meanLatencyNs
-        && a.maxLatencyNs == b.maxLatencyNs
-        && a.p50LatencyNs == b.p50LatencyNs
-        && a.p99LatencyNs == b.p99LatencyNs
-        && a.deliveredBytesPerNsPerSite == b.deliveredBytesPerNsPerSite
-        && a.deliveredPct == b.deliveredPct
-        && a.measuredPackets == b.measuredPackets
-        && a.overflowPackets == b.overflowPackets
-        && a.offeredMeasuredPct == b.offeredMeasuredPct;
-}
-
-/**
  * Capture the PDES Perfetto timeline of one untimed run and return
  * its serialized JSON. Called twice with different worker-thread
  * counts: the two strings must be byte-identical (the PdesTracer
@@ -184,31 +134,6 @@ captureTrace(const InjectorConfig &cfg, std::uint32_t lps,
     return os.str();
 }
 
-/** "[a,b,c]" from a per-LP extractor, %g-rendered. */
-template <typename Fn>
-std::string
-jsonLpArray(const PdesLoadReport &load, Fn &&value)
-{
-    std::string out = "[";
-    for (std::size_t i = 0; i < load.lps.size(); ++i) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%s%.6g", i ? "," : "",
-                      value(load.lps[i]));
-        out += buf;
-    }
-    out += "]";
-    return out;
-}
-
-std::string
-jsonNum(const char *key, double v, const char *fmt = "%.6g")
-{
-    char buf[96];
-    std::string pattern = std::string("\"%s\":") + fmt;
-    std::snprintf(buf, sizeof(buf), pattern.c_str(), key, v);
-    return buf;
-}
-
 } // namespace
 
 int
@@ -218,17 +143,18 @@ main(int argc, char **argv)
     const TelemetryOptions topts = telemetryArgs(argc, argv);
     const bool simStats = simStatsArg(argc, argv);
     const bool smoke = topts.smoke;
-    std::uint32_t extra_lp = 0;
-    std::size_t extra_threads = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--lp") == 0 && i + 1 < argc) {
-            extra_lp = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--threads-per-sim") == 0
-                   && i + 1 < argc) {
-            extra_threads = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        }
+    // The extra point's LPs partition the 16x16 model's sites.
+    constexpr std::uint64_t maxLps = 16 * 16;
+    std::uint64_t extra_lp = 0;
+    std::uint64_t extra_threads = 0;
+    if (stripNumberFlag(argc, argv, "lp", &extra_lp)
+        && (extra_lp == 0 || extra_lp > maxLps)) {
+        fatal("bench_pdes: --lp must be 1..", maxLps, ", got ",
+              extra_lp);
+    }
+    if (stripNumberFlag(argc, argv, "threads-per-sim", &extra_threads)
+        && extra_threads == 0) {
+        fatal("bench_pdes: --threads-per-sim must be positive");
     }
 
     const InjectorConfig cfg = benchConfig(smoke);
@@ -237,7 +163,7 @@ main(int argc, char **argv)
         points.push_back(timePoint(cfg, lps, lps, topts));
     if (extra_lp > 0) {
         points.push_back(timePoint(
-            cfg, extra_lp,
+            cfg, static_cast<std::uint32_t>(extra_lp),
             extra_threads > 0 ? extra_threads : extra_lp, topts));
     }
 
@@ -250,7 +176,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(p.run.crossPosts),
                     p.run.result.meanLatencyNs,
                     p.run.result.deliveredPct);
-        if (!identical(points.front().run.result, p.run.result)) {
+        if (!points.front().run.result.identicalTo(p.run.result)) {
             std::fprintf(stderr,
                          "bench_pdes: lp=%u threads=%zu result "
                          "differs from the single-LP run\n",
@@ -268,7 +194,8 @@ main(int argc, char **argv)
     // trace JSON — the observability layer is held to the same
     // determinism bar as the results (DESIGN.md §12).
     if (topts.tracing()) {
-        const std::uint32_t trace_lps = extra_lp > 0 ? extra_lp : 4;
+        const auto trace_lps =
+            static_cast<std::uint32_t>(extra_lp > 0 ? extra_lp : 4);
         const std::string t1 = captureTrace(cfg, trace_lps, 1);
         const std::string t3 = captureTrace(cfg, trace_lps, 3);
         if (t1 != t3) {
@@ -278,14 +205,7 @@ main(int argc, char **argv)
                          t1.size(), t3.size());
             ok = false;
         }
-        std::string err;
-        if (!jsonValid(t1, &err)) {
-            std::fprintf(stderr,
-                         "bench_pdes: trace JSON invalid: %s\n",
-                         err.c_str());
-            ok = false;
-        }
-        writeTextFile(topts.tracePath, t1);
+        writeJsonFile(topts.tracePath, t1);
         std::fprintf(stderr,
                      "bench_pdes: wrote %s (%zu bytes, lp=%u, "
                      "thread-count invariant: %s)\n",
@@ -300,94 +220,55 @@ main(int argc, char **argv)
         ? points[1].eventsPerSec / base : 0.0;
     const double speedup4 = base > 0.0
         ? points[2].eventsPerSec / base : 0.0;
-    const double scaling = machineThreadScaling();
-    std::printf("pdes speedup: 2 LPs %.2fx, 4 LPs %.2fx "
-                "(machine gives 4 threads %.2fx)\n",
-                speedup2, speedup4, scaling);
+    std::printf("pdes speedup: 2 LPs %.2fx, 4 LPs %.2fx (the pin's "
+                "host.thread_scaling_4 bounds both)\n",
+                speedup2, speedup4);
 
     // The 4-LP point's per-LP breakdown goes into the pinned JSON:
     // busy (drain+exec) and blocked wall per LP sum to roughly
     // wall_sec_4lp x active workers, so a slow point explains itself.
     const PdesBenchPoint &p4 = points[2];
     const PdesLoadReport &load4 = p4.run.load;
-    std::string json = "{\"bench\":\"pdes\",\"grid\":\"16x16\",";
-    json += jsonNum("load", cfg.load, "%.2f") + ",";
-    json += jsonNum("events_per_sec_1lp", points[0].eventsPerSec,
-                    "%.6e") + ",";
-    json += jsonNum("events_per_sec_2lp", points[1].eventsPerSec,
-                    "%.6e") + ",";
-    json += jsonNum("events_per_sec_4lp", points[2].eventsPerSec,
-                    "%.6e") + ",";
-    json += jsonNum("speedup_2lp", speedup2, "%.3f") + ",";
-    json += jsonNum("speedup_4lp", speedup4, "%.3f") + ",";
-    json += jsonNum("machine_thread_scaling_4", scaling, "%.3f") + ",";
-    json += jsonNum("cross_posts_4lp",
-                    static_cast<double>(p4.run.crossPosts), "%.0f")
-        + ",";
-    json += jsonNum("spsc_spills_4lp",
-                    static_cast<double>(p4.run.spscSpills), "%.0f")
-        + ",";
-    json += jsonNum("wall_sec_4lp", p4.wallSec, "%.6f") + ",";
-    json += jsonNum("blocked_frac_4lp", load4.blockedFraction, "%.4f")
-        + ",";
-    json += jsonNum("imbalance_4lp", load4.eventImbalance, "%.4f")
-        + ",";
-    json += jsonNum("critical_lp_4lp",
-                    static_cast<double>(load4.criticalLp), "%.0f")
-        + ",";
-    json += "\"lp_events_4lp\":"
-        + jsonLpArray(load4,
-                      [](const PdesLpLoad &l) {
-                          return static_cast<double>(l.executed);
-                      })
-        + ",";
-    json += "\"lp_drain_wall_ns_4lp\":"
-        + jsonLpArray(load4,
-                      [](const PdesLpLoad &l) { return l.drainWallNs; })
-        + ",";
-    json += "\"lp_exec_wall_ns_4lp\":"
-        + jsonLpArray(load4,
-                      [](const PdesLpLoad &l) { return l.execWallNs; })
-        + ",";
-    json += "\"lp_blocked_wall_ns_4lp\":"
-        + jsonLpArray(load4,
-                      [](const PdesLpLoad &l) {
-                          return l.blockedWallNs;
-                      })
-        + ",";
-    json += "\"lp_posts_4lp\":"
-        + jsonLpArray(load4,
-                      [](const PdesLpLoad &l) {
-                          return static_cast<double>(l.posts);
-                      })
-        + ",";
-    json += "\"lp_spills_4lp\":"
-        + jsonLpArray(load4,
-                      [](const PdesLpLoad &l) {
-                          return static_cast<double>(l.spills);
-                      })
-        + ",";
-    json += "\"bit_identical\":";
-    json += ok ? "true" : "false";
-    json += "}";
-
-    std::string jerr;
-    if (!jsonValid(json, &jerr)) {
-        std::fprintf(stderr, "bench_pdes: result JSON invalid: %s\n",
-                     jerr.c_str());
-        ok = false;
-    }
-    std::printf("%s\n", json.c_str());
+    const auto perLp = [&load4](auto value) {
+        std::vector<double> v;
+        for (const PdesLpLoad &l : load4.lps)
+            v.push_back(static_cast<double>(value(l)));
+        return v;
+    };
+    JsonObject fields;
+    fields.string("grid", "16x16")
+        .number("load", cfg.load)
+        .number("events_per_sec_1lp", points[0].eventsPerSec)
+        .number("events_per_sec_2lp", points[1].eventsPerSec)
+        .number("events_per_sec_4lp", points[2].eventsPerSec)
+        .number("speedup_2lp", speedup2)
+        .number("speedup_4lp", speedup4)
+        .number("cross_posts_4lp", static_cast<double>(p4.run.crossPosts))
+        .number("spsc_spills_4lp", static_cast<double>(p4.run.spscSpills))
+        .number("wall_sec_4lp", p4.wallSec)
+        .number("blocked_frac_4lp", load4.blockedFraction)
+        .number("imbalance_4lp", load4.eventImbalance)
+        .number("critical_lp_4lp", static_cast<double>(load4.criticalLp))
+        .numbers("lp_events_4lp",
+                 perLp([](const PdesLpLoad &l) { return l.executed; }))
+        .numbers("lp_drain_wall_ns_4lp",
+                 perLp([](const PdesLpLoad &l) { return l.drainWallNs; }))
+        .numbers("lp_exec_wall_ns_4lp",
+                 perLp([](const PdesLpLoad &l) { return l.execWallNs; }))
+        .numbers("lp_blocked_wall_ns_4lp",
+                 perLp([](const PdesLpLoad &l) {
+                     return l.blockedWallNs;
+                 }))
+        .numbers("lp_posts_4lp",
+                 perLp([](const PdesLpLoad &l) { return l.posts; }))
+        .numbers("lp_spills_4lp",
+                 perLp([](const PdesLpLoad &l) { return l.spills; }))
+        .boolean("bit_identical", ok);
+    const std::string pin = pinJson("pdes", fields);
+    std::fputs(pin.c_str(), stdout);
     std::fflush(stdout);
-    if (!smoke) {
-        if (std::FILE *f = std::fopen("BENCH_pdes.json", "w")) {
-            std::fprintf(f, "%s\n", json.c_str());
-            std::fclose(f);
-        } else {
-            std::fprintf(stderr,
-                         "bench_pdes: cannot write BENCH_pdes.json\n");
-        }
-    }
+    if (!smoke)
+        writeJsonFile("BENCH_pdes.json", pin);
     if (!ok)
         return 1;
     return sweepExitStatus();

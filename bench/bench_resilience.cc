@@ -18,7 +18,9 @@
  * the table is bit-identical for any --jobs value.
  *
  * Flags: --jobs N, --seed N, --smoke (reduced rates and window for
- * the CI smoke test), plus the shared telemetry flags.
+ * the CI smoke test), plus the shared telemetry flags (--trace,
+ * --metrics, --metrics-period, --profile, --sim-stats), which record
+ * one trace process per cell.
  */
 
 #include <cstdio>
@@ -56,8 +58,9 @@ struct Cell
 
 Cell
 runCell(NetSel id, std::uint32_t faults, std::uint64_t seed,
-        const TelemetryOptions &topt)
+        SweepRecorder &rec, std::size_t cell_idx)
 {
+    const TelemetryOptions &topt = rec.options();
     const std::uint64_t cell_seed = deriveSeed(
         seed, "resilience-f" + std::to_string(faults), netDisplayName(id));
 
@@ -83,11 +86,15 @@ runCell(NetSel id, std::uint32_t faults, std::uint64_t seed,
         sim, *net,
         FaultSchedule::random(cell_seed, fault_cfg, *net));
     injector.arm();
+    SweepRecorder::Cell telemetry(
+        rec, cell_idx, static_cast<std::uint32_t>(cell_idx), sim, *net);
 
     Cell cell;
     cell.id = id;
     cell.faults = faults;
     cell.traffic = runOpenLoop(sim, *net, cfg);
+    telemetry.finish(netDisplayName(id) + " @ "
+                     + std::to_string(faults) + " faults");
     cell.injected = net->stats().injected.value();
     cell.delivered = net->stats().delivered.value();
     cell.dropped = net->droppedPackets();
@@ -97,11 +104,6 @@ runCell(NetSel id, std::uint32_t faults, std::uint64_t seed,
             / static_cast<double>(cell.injected) * 100.0
         : 100.0;
     cell.minMarginDb = injector.minMarginDb();
-
-    if (simStatsEnabled()) {
-        dumpSimStats(netDisplayName(id) + " @ " + std::to_string(faults)
-                     + " faults", sim);
-    }
     return cell;
 }
 
@@ -126,20 +128,23 @@ main(int argc, char **argv)
                 "availability_pct,throughput_pct,p99_ns,"
                 "min_margin_db\n");
 
+    SweepRecorder rec(topt);
+    std::size_t cell = rec.addCells(rates.size() * extendedNetworks.size());
     std::vector<SweepJob<Cell>> sweep;
     for (const std::uint32_t faults : rates) {
         for (const NetSel id : extendedNetworks) {
             sweep.push_back(SweepJob<Cell>{
                 netDisplayName(id) + " @ " + std::to_string(faults)
                     + " faults",
-                [id, faults, seed, &topt] {
-                    return runCell(id, faults, seed, topt);
+                [id, faults, seed, &rec, cell = cell++] {
+                    return runCell(id, faults, seed, rec, cell);
                 }});
         }
     }
 
     const std::vector<Cell> cells =
         SweepRunner(jobs).run("resilience", std::move(sweep));
+    rec.write();
     if (sweepInterrupted())
         return sweepExitStatus();
     for (const Cell &c : cells) {

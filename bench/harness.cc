@@ -1,20 +1,14 @@
 #include "harness.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
-#include "net/tracer.hh"
 #include "sim/logging.hh"
-#include "sim/telemetry/json.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 #include "sim/sweep.hh"
 
 namespace macrosim::bench
@@ -31,23 +25,125 @@ figureWorkloads(std::uint64_t instr_per_core)
     return all;
 }
 
+SweepRecorder::SweepRecorder(TelemetryOptions opts)
+    : opts_(std::move(opts))
+{
+}
+
+std::size_t
+SweepRecorder::addCells(std::size_t n)
+{
+    const std::size_t first = slots_.size();
+    slots_.resize(first + n);
+    return first;
+}
+
+SweepRecorder::Cell::Cell(SweepRecorder &recorder, std::size_t cell,
+                          std::uint32_t pid, Simulator &sim,
+                          Network &net)
+    : opts_(recorder.opts_), trace_(recorder.slots_.at(cell).trace),
+      metricsCsv_(recorder.slots_.at(cell).metricsCsv), pid_(pid),
+      sim_(sim)
+{
+    if (opts_.tracing()) {
+        tracer_ = std::make_unique<MessageTracer>(net);
+        // Every "*.occupancy" stat as a Perfetto counter track.
+        counters_ = std::make_unique<PeriodicSampler>(
+            sim, opts_.period(), [this](Tick now) {
+                sim_.telemetry().forEach(
+                    [this, now](const std::string &name, double v) {
+                        if (name.ends_with("occupancy"))
+                            trace_.counter(name, pid_, now, v);
+                    });
+            });
+        sim.events().setProfiling(true);
+    }
+    if (opts_.metrics()) {
+        snapshots_ =
+            std::make_unique<SnapshotRecorder>(sim, opts_.period());
+    }
+    if (opts_.profile)
+        sim.events().setProfiling(true);
+}
+
+void
+SweepRecorder::Cell::finish(const std::string &label)
+{
+    if (tracer_) {
+        tracer_->writeTrace(trace_, pid_, label);
+        // The event-loop profile as a strip of spans, one per tag,
+        // laid end to end at 1 tick per wall-clock ns: a per-tag
+        // share of the loop's wall time.
+        constexpr std::uint32_t profileTid = 0xFFFF;
+        trace_.threadName(pid_, profileTid, "event-loop profile");
+        Tick at = 0;
+        for (const EventProfileEntry &e : sim_.events().profile()) {
+            const Tick dur = std::max<Tick>(
+                static_cast<Tick>(e.wallNs + 0.5), 1);
+            trace_.span(std::string(e.tag), "profile", pid_,
+                        profileTid, at, dur,
+                        {{"count", std::to_string(e.count)},
+                         {"wall_ns", jsonNumber(e.wallNs)}});
+            at += dur;
+        }
+    }
+    if (snapshots_)
+        metricsCsv_ += "# " + label + "\n" + snapshots_->csv();
+    if (opts_.profile) {
+        std::ostringstream os;
+        os << "  [profile] " << label << "\n";
+        sim_.events().dumpProfile(os);
+        std::string table = os.str();
+        if (table.back() == '\n')
+            table.pop_back();
+        sweepLog(table);
+    }
+    if (simStatsEnabled()) {
+        // One line per simulation keeps parallel sweeps greppable.
+        std::ostringstream os;
+        sim_.telemetry().dump(os);
+        std::string folded = os.str();
+        std::replace(folded.begin(), folded.end(), '\n', ' ');
+        sweepLog("  [simstats] " + label + ": " + folded);
+    }
+}
+
+void
+SweepRecorder::write()
+{
+    TraceSink trace;
+    std::string metrics;
+    for (Slot &slot : slots_) {
+        trace.append(std::move(slot.trace));
+        metrics += slot.metricsCsv;
+    }
+    if (opts_.metrics() && !opts_.metricsPath.empty())
+        writeTextFile(opts_.metricsPath, metrics);
+    if (opts_.tracing()) {
+        std::ostringstream json;
+        trace.writeJson(json);
+        writeJsonFile(opts_.tracePath, std::move(json).str());
+        std::fprintf(stderr,
+                     "wrote %zu trace events to %s (%llu dropped)\n",
+                     trace.size(), opts_.tracePath.c_str(),
+                     static_cast<unsigned long long>(trace.dropped()));
+    }
+}
+
 std::vector<TraceCpuResult>
 runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed,
                   std::size_t jobs, bool progress,
-                  const TelemetryOptions &opts,
-                  MatrixTelemetry *telemetry_out)
+                  SweepRecorder *recorder)
 {
     const std::vector<WorkloadSpec> workloads =
         figureWorkloads(instr_per_core);
-
-    // One pre-sized slot per cell: workers fill their own slot, the
-    // merge below walks the slots in submission order, so the
-    // combined trace/CSV is bit-identical for any --jobs count.
-    std::vector<CellTelemetry> slots(workloads.size()
-                                     * allNetworks.size());
+    SweepRecorder untraced;
+    SweepRecorder &rec = recorder ? *recorder : untraced;
+    std::size_t cell_idx =
+        rec.addCells(workloads.size() * allNetworks.size());
 
     std::vector<SweepJob<TraceCpuResult>> cells;
-    std::uint32_t cell_idx = 0;
+    std::uint32_t pid = 0;
     for (const WorkloadSpec &spec : workloads) {
         for (const NetSel id : allNetworks) {
             const std::string net_name = netDisplayName(id);
@@ -55,54 +151,21 @@ runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed,
             // workload, network): bit-identical for any jobs value.
             const std::uint64_t cell_seed =
                 deriveSeed(seed, spec.name, net_name);
-            CellTelemetry *slot =
-                telemetry_out ? &slots[cell_idx] : nullptr;
-            const std::uint32_t pid = cell_idx++;
+            const std::string label = spec.name + " on " + net_name;
             cells.push_back(SweepJob<TraceCpuResult>{
-                spec.name + " on " + net_name,
-                [spec, id, net_name, cell_seed, progress, &opts,
-                 slot, pid] {
-                    const std::string label =
-                        spec.name + " on " + net_name;
+                label, [spec, id, label, cell_seed, progress, &rec,
+                        cell = cell_idx++, pid = pid++] {
                     Simulator sim(cell_seed);
                     auto net = makeNetworkFor(id, sim, simulatedConfig());
-
-                    const bool tracing = slot && opts.tracing();
-                    std::unique_ptr<MessageTracer> tracer;
-                    std::unique_ptr<PeriodicSampler> counters;
-                    std::unique_ptr<SnapshotRecorder> snapshots;
-                    if (tracing) {
-                        tracer = std::make_unique<MessageTracer>(*net);
-                        counters = occupancyCounterSampler(
-                            sim, slot->trace, pid, opts.period());
-                        sim.events().setProfiling(true);
-                    }
-                    if (slot && opts.metrics()) {
-                        snapshots = std::make_unique<SnapshotRecorder>(
-                            sim, opts.period());
-                    }
-                    if (opts.profile)
-                        sim.events().setProfiling(true);
-
+                    SweepRecorder::Cell telemetry(rec, cell, pid, sim,
+                                                  *net);
                     TraceCpuSystem cpu(sim, *net, spec,
                                        mix64(cell_seed));
                     TraceCpuResult r = cpu.run();
-
-                    if (tracing) {
-                        tracer->writeTrace(slot->trace, pid, label);
-                        traceEventProfile(slot->trace, pid, sim);
-                    }
-                    if (snapshots) {
-                        slot->metricsCsv = "# " + label + "\n"
-                            + snapshots->csv();
-                    }
-                    if (opts.profile)
-                        dumpEventProfile(label, sim);
-                    dumpSimStats(label, sim);
+                    telemetry.finish(label);
                     if (progress) {
                         std::ostringstream line;
-                        line << "  [matrix] " << spec.name << " on "
-                             << netDisplayName(id) << ": runtime "
+                        line << "  [matrix] " << label << ": runtime "
                              << r.runtimeNs() << " ns";
                         sweepLog(line.str());
                     }
@@ -110,44 +173,8 @@ runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed,
                 }});
         }
     }
-    std::vector<TraceCpuResult> results =
-        SweepRunner(jobs, progress)
-            .run("workload-matrix", std::move(cells));
-
-    if (telemetry_out) {
-        for (CellTelemetry &slot : slots) {
-            telemetry_out->trace.append(std::move(slot.trace));
-            telemetry_out->metricsCsv += slot.metricsCsv;
-        }
-    }
-    return results;
-}
-
-std::vector<TraceCpuResult>
-runWorkloadMatrixWithTelemetry(std::uint64_t instr_per_core,
-                               std::uint64_t seed, std::size_t jobs,
-                               const TelemetryOptions &opts)
-{
-    const bool collect = opts.tracing() || opts.metrics();
-    MatrixTelemetry telemetry;
-    std::vector<TraceCpuResult> matrix = runWorkloadMatrix(
-        instr_per_core, seed, jobs, true, opts,
-        collect ? &telemetry : nullptr);
-
-    if (opts.metrics() && !opts.metricsPath.empty())
-        writeTextFile(opts.metricsPath, telemetry.metricsCsv);
-
-    if (opts.tracing()) {
-        std::ostringstream json;
-        telemetry.trace.writeJson(json);
-        writeTextFile(opts.tracePath, json.str());
-        std::string error;
-        if (!jsonValid(json.str(), &error)) {
-            fatal("workload matrix trace '", opts.tracePath,
-                  "' is not valid JSON: ", error);
-        }
-    }
-    return matrix;
+    return SweepRunner(jobs, progress)
+        .run("workload-matrix", std::move(cells));
 }
 
 const TraceCpuResult &
@@ -174,69 +201,6 @@ instructionsArg(int argc, char **argv, std::uint64_t fallback)
 }
 
 void
-dumpSimStats(const std::string &label, const Simulator &sim)
-{
-    if (!simStatsEnabled())
-        return;
-    std::ostringstream os;
-    sim.telemetry().dump(os);
-    // Fold the "name value" lines into one stderr line per cell so
-    // parallel sweeps stay greppable.
-    std::string folded = os.str();
-    for (char &c : folded) {
-        if (c == '\n')
-            c = ' ';
-    }
-    sweepLog("  [simstats] " + label + ": " + folded);
-}
-
-void
-dumpEventProfile(const std::string &label, const Simulator &sim)
-{
-    if (!sim.events().profiling())
-        return;
-    std::ostringstream os;
-    os << "  [profile] " << label << "\n";
-    sim.events().dumpProfile(os);
-    std::string table = os.str();
-    if (!table.empty() && table.back() == '\n')
-        table.pop_back();
-    sweepLog(table);
-}
-
-void
-traceEventProfile(TraceSink &sink, std::uint32_t pid,
-                  const Simulator &sim)
-{
-    if (!sim.events().profiling())
-        return;
-    constexpr std::uint32_t profileTid = 0xFFFF;
-    sink.threadName(pid, profileTid, "event-loop profile");
-    Tick at = 0;
-    for (const EventProfileEntry &e : sim.events().profile()) {
-        // Lay the tags end to end, 1 tick per wall-clock ns, so the
-        // strip reads as a per-tag share of the loop's wall time.
-        const Tick dur = std::max<Tick>(
-            static_cast<Tick>(e.wallNs + 0.5), 1);
-        sink.span(std::string(e.tag), "profile", pid, profileTid,
-                  at, dur,
-                  {{"count", std::to_string(e.count)},
-                   {"wall_ns", jsonNumber(e.wallNs)}});
-        at += dur;
-    }
-}
-
-std::string
-jsonNumberOrNull(const char *fmt, double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), fmt, v);
-    return buf;
-}
-
-void
 writeTextFile(const std::string &path, const std::string &text)
 {
     std::ofstream os(path, std::ios::binary);
@@ -248,18 +212,26 @@ writeTextFile(const std::string &path, const std::string &text)
         fatal("writeTextFile: write to '", path, "' failed");
 }
 
-std::unique_ptr<PeriodicSampler>
-occupancyCounterSampler(Simulator &sim, TraceSink &sink,
-                        std::uint32_t pid, Tick period)
+void
+writeJsonFile(const std::string &path, const std::string &json)
 {
-    return std::make_unique<PeriodicSampler>(
-        sim, period, [&sim, &sink, pid](Tick now) {
-            sim.telemetry().forEach(
-                [&sink, pid, now](const std::string &name, double v) {
-                    if (name.ends_with("occupancy"))
-                        sink.counter(name, pid, now, v);
-                });
-        });
+    std::string error;
+    if (!jsonValid(json, &error))
+        fatal("writeJsonFile: '", path, "' is not valid JSON: ", error);
+    writeTextFile(path, json);
+}
+
+std::string
+pinJson(const std::string &bench, const JsonObject &fields)
+{
+    static const JsonObject host = probeHost(MACROSIM_BUILD_TYPE);
+    JsonObject pin;
+    pin.string("bench", bench).object("host", host).append(fields);
+    const std::string text = pin.str(true);
+    std::string error;
+    if (!jsonValid(text, &error))
+        fatal("pinJson: the ", bench, " pin is not valid JSON: ", error);
+    return text;
 }
 
 } // namespace macrosim::bench

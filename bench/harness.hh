@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared support for the per-table / per-figure bench binaries:
- * the figure network lists, the figure 7-10 workload matrix, table
- * printing helpers, and the hold model of the event-core benches.
+ * the figure network lists, the figure 7-10 workload matrix, the
+ * sweep telemetry recorder, the one writer of their files and the
+ * BENCH_*.json pins, and the hold model of the event-core benches.
  */
 
 #ifndef MACROSIM_BENCH_HARNESS_HH
@@ -21,9 +22,11 @@
 #include "net/limited_pt2pt.hh"
 #include "net/pt2pt.hh"
 #include "net/token_ring.hh"
+#include "net/tracer.hh"
 #include "net/two_phase.hh"
 #include "sim/event.hh"
 #include "sim/random.hh"
+#include "sim/telemetry/json.hh"
 #include "sim/telemetry/sampler.hh"
 #include "sim/telemetry/trace.hh"
 #include "workloads/packet_injector.hh"
@@ -80,21 +83,76 @@ constexpr std::array<NetSel, 6> extendedNetworks = {
 std::vector<WorkloadSpec> figureWorkloads(std::uint64_t instr_per_core);
 
 /**
- * Per-run telemetry collected by a matrix/curve cell: a Perfetto
- * event stream plus a snapshot CSV, merged by the caller in
- * deterministic submission order after the sweep drains.
+ * The telemetry flags (TelemetryOptions) of one bench run, applied
+ * to every simulation of its sweeps. Each sweep cell owns one slot —
+ * a Perfetto event stream and a snapshot CSV — that only its worker
+ * writes; write() merges the slots in submission order, so both
+ * files are bit-identical for any --jobs count.
  */
-struct CellTelemetry
+class SweepRecorder
 {
-    TraceSink trace;
-    std::string metricsCsv;
-};
+  public:
+    explicit SweepRecorder(TelemetryOptions opts = {});
 
-/** Telemetry for a whole workload matrix run. */
-struct MatrixTelemetry
-{
-    TraceSink trace;
-    std::string metricsCsv;
+    const TelemetryOptions &options() const { return opts_; }
+
+    /**
+     * Add @p n cell slots, in submission order; call before the
+     * sweep that fills them starts. @return The first one's index.
+     */
+    std::size_t addCells(std::size_t n);
+
+    /**
+     * The telemetry of one simulation in a cell, armed from the
+     * options when constructed (after the network, before the
+     * workload): the message tracer, occupancy counter tracks and
+     * the event-loop profiler under --trace, stat snapshots under
+     * --metrics, the profiler under --profile. finish() collects
+     * them after the run under process @p pid of the trace.
+     */
+    class Cell
+    {
+      public:
+        Cell(SweepRecorder &recorder, std::size_t cell,
+             std::uint32_t pid, Simulator &sim, Network &net);
+        // The occupancy sampler's callback holds this object's
+        // address.
+        Cell(const Cell &) = delete;
+        Cell &operator=(const Cell &) = delete;
+
+        /**
+         * After the run: the trace spans and profile strip, the
+         * snapshot CSV under a "# @p label" line, the --profile
+         * table and the --sim-stats line, all named @p label.
+         */
+        void finish(const std::string &label);
+
+      private:
+        const TelemetryOptions &opts_;
+        TraceSink &trace_;
+        std::string &metricsCsv_;
+        std::uint32_t pid_;
+        Simulator &sim_;
+        std::unique_ptr<MessageTracer> tracer_;
+        std::unique_ptr<PeriodicSampler> counters_;
+        std::unique_ptr<SnapshotRecorder> snapshots_;
+    };
+
+    /**
+     * After the sweeps: merge the cells in submission order, write
+     * --metrics, and write --trace through writeJsonFile().
+     */
+    void write();
+
+  private:
+    struct Slot
+    {
+        TraceSink trace;
+        std::string metricsCsv;
+    };
+
+    TelemetryOptions opts_;
+    std::vector<Slot> slots_;
 };
 
 /**
@@ -104,29 +162,13 @@ struct MatrixTelemetry
  * Each cell runs in its own Simulator with a seed derived from
  * (@p seed, workload, network), so the matrix is bit-identical for
  * every jobs value. Emits one progress line per cell to stderr.
- *
- * With @p telemetry_out non-null, each cell additionally records a
- * message-lifecycle trace (when opts.tracing()) and periodic stat
- * snapshots (when opts.metrics()); both are merged into
- * @p telemetry_out in cell-submission order, so the output is
- * bit-identical for any --jobs count.
+ * With @p recorder, every matrix cell records into a cell slot of
+ * it; the caller write()s it after the sweep.
  */
 std::vector<TraceCpuResult>
 runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed = 1,
                   std::size_t jobs = 0, bool progress = true,
-                  const TelemetryOptions &opts = {},
-                  MatrixTelemetry *telemetry_out = nullptr);
-
-/**
- * runWorkloadMatrix() plus the file side of the telemetry flags:
- * writes --trace (validated as JSON, fatal() if malformed) and
- * --metrics outputs when requested. The shared entry point for the
- * figure-7..10 mains.
- */
-std::vector<TraceCpuResult>
-runWorkloadMatrixWithTelemetry(std::uint64_t instr_per_core,
-                               std::uint64_t seed, std::size_t jobs,
-                               const TelemetryOptions &opts);
+                  SweepRecorder *recorder = nullptr);
 
 /** Locate a result in the matrix. */
 const TraceCpuResult &find(const std::vector<TraceCpuResult> &matrix,
@@ -137,46 +179,23 @@ const TraceCpuResult &find(const std::vector<TraceCpuResult> &matrix,
 std::uint64_t instructionsArg(int argc, char **argv,
                               std::uint64_t fallback);
 
-/**
- * If simStatsEnabled(), dump @p sim's full telemetry registry
- * (simcore, net, arch subtrees) as one "[simstats] label: ..."
- * stderr line. Thread-safe: sweep cells call this from worker
- * threads.
- */
-void dumpSimStats(const std::string &label, const Simulator &sim);
-
-/**
- * Dump @p sim's event-loop self-profile table to stderr under
- * @p label (one serialized block; sweep cells may call this from
- * worker threads). No-op unless the sim's profiler was enabled.
- */
-void dumpEventProfile(const std::string &label, const Simulator &sim);
-
-/**
- * Append @p sim's event-loop self-profile to @p sink as spans on a
- * synthetic "event-loop profile" thread of @p pid: one span per tag,
- * laid end to end, span length = wall-clock ns spent (1 ns = 1 tick),
- * with count/wall_ns args. Gives the trace the profiler's story
- * without a separate report.
- */
-void traceEventProfile(TraceSink &sink, std::uint32_t pid,
-                       const Simulator &sim);
-
 /** Write @p text to @p path; fatal() on any I/O failure. */
 void writeTextFile(const std::string &path, const std::string &text);
 
-/** @p v formatted by @p fmt, or null when it is not finite: how the
- *  BENCH_*.json pins write their numbers. */
-std::string jsonNumberOrNull(const char *fmt, double v);
+/**
+ * writeTextFile() for a JSON document: fatal(), naming @p path,
+ * without writing anything unless jsonValid() accepts @p json.
+ */
+void writeJsonFile(const std::string &path, const std::string &json);
 
 /**
- * Arm a sampler that snapshots every "*.occupancy"-suffixed stat of
- * @p sim's registry into @p sink as Perfetto counter tracks, every
- * @p period ticks. Keep the returned sampler alive for the run.
+ * The text of a BENCH_<bench>.json pin: {"bench": @p bench, "host":
+ * probeHost() with the benches' build type, @p fields…}, one
+ * top-level field per line; fatal() unless jsonValid() accepts it.
+ * The host is probed once per process. Write the pin with
+ * writeJsonFile().
  */
-std::unique_ptr<PeriodicSampler>
-occupancyCounterSampler(Simulator &sim, TraceSink &sink,
-                        std::uint32_t pid, Tick period);
+std::string pinJson(const std::string &bench, const JsonObject &fields);
 
 } // namespace macrosim::bench
 

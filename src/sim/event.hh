@@ -64,7 +64,7 @@ constexpr EventId invalidEventId = 0;
 
 /**
  * Observability counters for one EventQueue. Plain fields keep the
- * hot path branch-free; registration with a StatGroup happens via
+ * hot path branch-free; registration with a StatRegistry happens via
  * EventQueue::regStats().
  */
 struct EventQueueStats

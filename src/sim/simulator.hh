@@ -73,14 +73,39 @@ class Simulator
     std::uint64_t
     run(Tick limit = maxTick)
     {
-        return events_.runUntil(limit);
+        if (observerEvents_ == 0) {
+            const std::uint64_t ran = events_.runUntil(limit);
+            modelEnd_ = now();
+            return ran;
+        }
+        // Step while model events remain, so modelEnd() stops short
+        // of a sampler's trailing sample; the order of execution is
+        // runUntil()'s.
+        std::uint64_t ran = 0;
+        while (events_.size() > observerEvents_
+               && events_.peekNextTick() <= limit) {
+            events_.runOne();
+            ++ran;
+        }
+        modelEnd_ = now();
+        return ran + events_.runUntil(limit);
     }
+
+    /**
+     * Tick of the last model event run() executed — any event but an
+     * observer's (see observerEvents()). Equals now() unless a
+     * sampler's trailing sample fired after the model drained, so a
+     * run-length integral (static energy) taken at modelEnd() is the
+     * same with or without telemetry.
+     */
+    Tick modelEnd() const { return modelEnd_; }
 
   private:
     EventQueue events_;
     Rng rng_;
     StatRegistry telemetry_;
     std::uint64_t observerEvents_ = 0;
+    Tick modelEnd_ = 0;
 };
 
 } // namespace macrosim

@@ -78,49 +78,6 @@ StatRegistry::dump(std::ostream &os, std::string_view prefix) const
 }
 
 void
-StatRegistry::dumpCsv(std::ostream &os) const
-{
-    for (std::size_t i = 0; i < entries_.size(); ++i)
-        os << entries_[i].name << (i + 1 < entries_.size() ? "," : "\n");
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        os << entries_[i].getter()
-           << (i + 1 < entries_.size() ? "," : "\n");
-    }
-}
-
-void
-StatRegistry::dumpTree(std::ostream &os) const
-{
-    // Entries are grouped by shared dotted ancestry with the previous
-    // entry, so the tree mirrors registration order (which callers
-    // keep hierarchical anyway) without sorting.
-    std::vector<std::string> open; // currently open component stack
-    for (const auto &e : entries_) {
-        std::vector<std::string> parts;
-        std::size_t start = 0;
-        for (std::size_t dot = e.name.find('.');
-             dot != std::string::npos;
-             start = dot + 1, dot = e.name.find('.', start)) {
-            parts.push_back(e.name.substr(start, dot - start));
-        }
-        const std::string leaf = e.name.substr(start);
-
-        std::size_t common = 0;
-        while (common < parts.size() && common < open.size()
-               && parts[common] == open[common]) {
-            ++common;
-        }
-        open.resize(common);
-        for (std::size_t i = common; i < parts.size(); ++i) {
-            os << std::string(2 * i, ' ') << parts[i] << "\n";
-            open.push_back(parts[i]);
-        }
-        os << std::string(2 * parts.size(), ' ') << leaf << " "
-           << e.getter() << "\n";
-    }
-}
-
-void
 StatRegistry::writeSnapshotHeader(std::ostream &os) const
 {
     os << "tick";

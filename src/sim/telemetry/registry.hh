@@ -10,11 +10,10 @@
  * pays for reporting, and a getter can close over whatever state it
  * needs (no `const void *` plumbing).
  *
- * The registry subsumes the old flat StatGroup (the name survives as
- * an alias): it keeps the flat "name value" dump and one-row CSV, and
- * adds prefix-filtered dumps, an indented tree dump, and periodic
- * mid-simulation snapshots to a time-series CSV (one row per sample
- * tick, one column per stat) via SnapshotRecorder in sampler.hh.
+ * Reports are the flat "name value" dump (optionally prefix-filtered)
+ * and periodic mid-simulation snapshots to a time-series CSV (one row
+ * per sample tick, one column per stat) via SnapshotRecorder in
+ * sampler.hh.
  */
 
 #ifndef MACROSIM_SIM_TELEMETRY_REGISTRY_HH
@@ -70,15 +69,6 @@ class StatRegistry
     /** As dump(), but only stats whose name starts with @p prefix. */
     void dump(std::ostream &os, std::string_view prefix) const;
 
-    /** Write a single CSV row of values, preceded by a header row. */
-    void dumpCsv(std::ostream &os) const;
-
-    /**
-     * Write the registry as an indented tree: dotted components
-     * become nesting levels, leaves print their value.
-     */
-    void dumpTree(std::ostream &os) const;
-
     /** Header row for a time-series snapshot CSV: "tick,<names…>". */
     void writeSnapshotHeader(std::ostream &os) const;
 
@@ -102,12 +92,6 @@ class StatRegistry
     };
     std::vector<Entry> entries_;
 };
-
-/**
- * The old flat stat-group name; a StatRegistry ignored of its
- * hierarchy behaves exactly like one.
- */
-using StatGroup = StatRegistry;
 
 /**
  * A registration handle that prepends a fixed dotted prefix, so a

@@ -1,7 +1,6 @@
 #include "sim/telemetry/trace.hh"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 
 #include "sim/logging.hh"
@@ -28,49 +27,6 @@ ticksToUs(Tick ps)
 }
 
 } // namespace
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    // %.17g round-trips any double; trim to %g when exact so common
-    // integral values stay short ("3" not "3.0000000000000000").
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
-    if (back != v)
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 TraceSink::TraceSink(std::size_t capacity)
     : capacity_(capacity ? capacity : 1)
@@ -107,7 +63,8 @@ TraceSink::regStats(StatRegistry &registry,
 void
 TraceSink::span(std::string name, std::string cat, std::uint32_t pid,
                 std::uint32_t tid, Tick start, Tick dur,
-                std::vector<std::pair<std::string, std::string>> args)
+                const std::vector<std::pair<std::string, std::string>>
+                    &args)
 {
     TraceEvent ev;
     ev.ph = TraceEvent::Phase::Complete;
@@ -117,7 +74,10 @@ TraceSink::span(std::string name, std::string cat, std::uint32_t pid,
     ev.tid = tid;
     ev.ts = start;
     ev.dur = dur;
-    ev.args = std::move(args);
+    for (const auto &[key, value] : args) {
+        ev.args += (ev.args.empty() ? "\"" : ",\"") + jsonEscape(key)
+            + "\":" + value;
+    }
     push(std::move(ev));
 }
 
@@ -130,7 +90,7 @@ TraceSink::counter(std::string name, std::uint32_t pid, Tick ts,
     ev.name = std::move(name);
     ev.pid = pid;
     ev.ts = ts;
-    ev.args.emplace_back("value", jsonNumber(value));
+    ev.args = "\"value\":" + jsonNumber(value);
     push(std::move(ev));
 }
 
@@ -184,7 +144,7 @@ TraceSink::processName(std::uint32_t pid, const std::string &name)
     ev.ph = TraceEvent::Phase::Metadata;
     ev.name = "process_name";
     ev.pid = pid;
-    ev.args.emplace_back("name", '"' + jsonEscape(name) + '"');
+    ev.args = "\"name\":\"" + jsonEscape(name) + '"';
     push(std::move(ev));
 }
 
@@ -197,7 +157,7 @@ TraceSink::threadName(std::uint32_t pid, std::uint32_t tid,
     ev.name = "thread_name";
     ev.pid = pid;
     ev.tid = tid;
-    ev.args.emplace_back("name", '"' + jsonEscape(name) + '"');
+    ev.args = "\"name\":\"" + jsonEscape(name) + '"';
     push(std::move(ev));
 }
 
@@ -237,17 +197,8 @@ TraceSink::writeJson(std::ostream &os) const
             if (ev.ph == TraceEvent::Phase::FlowFinish)
                 os << ",\"bp\":\"e\"";
         }
-        if (!ev.args.empty()) {
-            os << ",\"args\":{";
-            bool firstArg = true;
-            for (const auto &[key, value] : ev.args) {
-                if (!firstArg)
-                    os << ",";
-                firstArg = false;
-                os << '"' << jsonEscape(key) << "\":" << value;
-            }
-            os << "}";
-        }
+        if (!ev.args.empty())
+            os << ",\"args\":{" << ev.args << "}";
         os << "}";
     }
     if (dropped_ > 0) {

@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/telemetry/json.hh"
 #include "sim/ticks.hh"
 
 namespace macrosim
@@ -63,10 +64,11 @@ struct TraceEvent
     Tick dur = 0; ///< Complete events only, ticks.
     std::uint64_t flowId = 0;
     /**
-     * Extra "args" entries; each value is emitted verbatim, so pass
-     * a number ("42", "3.5") or a pre-quoted JSON string.
+     * The members of the "args" object, rendered ("\"id\":1,
+     * \"dst\":2"); empty for none. One string rather than a list of
+     * pairs keeps a full ring (1 M events) at about half the memory.
      */
-    std::vector<std::pair<std::string, std::string>> args;
+    std::string args;
 };
 
 class TraceSink
@@ -77,13 +79,18 @@ class TraceSink
     /** Append a raw event (ring semantics, see dropped()). */
     void push(TraceEvent ev);
 
-    /** A "X" complete event covering [start, start+dur). */
+    /**
+     * A "X" complete event covering [start, start+dur). Each @p args
+     * value is emitted verbatim, so pass a number ("42", "3.5") or a
+     * pre-quoted JSON string.
+     */
     void span(std::string name, std::string cat, std::uint32_t pid,
               std::uint32_t tid, Tick start, Tick dur,
-              std::vector<std::pair<std::string, std::string>> args =
-                  {});
+              const std::vector<std::pair<std::string, std::string>>
+                  &args = {});
 
-    /** A point on a counter track (one track per (pid, name)). */
+    /** A point on a counter track (one track per (pid, name)); a
+     *  non-finite @p value is written as null (see jsonNumber()). */
     void counter(std::string name, std::uint32_t pid, Tick ts,
                  double value);
 
@@ -132,12 +139,6 @@ class TraceSink
     std::uint64_t dropped_ = 0;
     std::deque<TraceEvent> events_;
 };
-
-/** Escape a string for embedding inside JSON double quotes. */
-std::string jsonEscape(std::string_view s);
-
-/** Render @p v as a JSON number (handles non-finite values). */
-std::string jsonNumber(double v);
 
 } // namespace macrosim
 

@@ -1,5 +1,6 @@
 #include "workloads/packet_injector.hh"
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -79,6 +80,24 @@ struct InjectorState
 };
 
 } // namespace
+
+bool
+InjectorResult::identicalTo(const InjectorResult &o) const
+{
+    const auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof(double)) == 0;
+    };
+    return same(offeredLoadPct, o.offeredLoadPct)
+        && same(meanLatencyNs, o.meanLatencyNs)
+        && same(maxLatencyNs, o.maxLatencyNs)
+        && same(p50LatencyNs, o.p50LatencyNs)
+        && same(p99LatencyNs, o.p99LatencyNs)
+        && same(deliveredBytesPerNsPerSite, o.deliveredBytesPerNsPerSite)
+        && same(deliveredPct, o.deliveredPct)
+        && measuredPackets == o.measuredPackets
+        && overflowPackets == o.overflowPackets
+        && same(offeredMeasuredPct, o.offeredMeasuredPct);
+}
 
 InjectorResult
 runOpenLoop(Simulator &sim, Network &net, const InjectorConfig &cfg)

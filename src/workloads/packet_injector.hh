@@ -72,6 +72,13 @@ struct InjectorResult
      * inter-arrival, <= 1 packet per site).
      */
     double offeredMeasuredPct = 0.0;
+
+    /**
+     * Whether every field equals @p o's bit for bit: the identity
+     * contract of jobs counts, LP counts and worker threads. Unlike
+     * ==, this tells -0.0 from 0.0 and matches a NaN with itself.
+     */
+    bool identicalTo(const InjectorResult &o) const;
 };
 
 /**

@@ -452,7 +452,7 @@ TEST(EventQueue, RegStatsDumpsThroughStatGroup)
     EventQueue q;
     q.schedule(1, [] {});
     q.runUntil();
-    StatGroup g;
+    StatRegistry g;
     q.regStats(g, "evq");
     std::ostringstream os;
     g.dump(os);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "net/circuit_switched.hh"
 #include "net/pt2pt.hh"
@@ -163,6 +165,45 @@ TEST(Injector, OverflowLatenciesReportInfPercentilesNotClips)
     EXPECT_TRUE(std::isfinite(res.p50LatencyNs));
     EXPECT_GT(res.maxLatencyNs, 4000.0);
     EXPECT_GT(res.meanLatencyNs, res.p50LatencyNs);
+}
+
+TEST(Injector, IdenticalToComparesEveryFieldBitwise)
+{
+    InjectorResult base;
+    base.offeredLoadPct = 10.0;
+    base.meanLatencyNs = 20.0;
+    base.maxLatencyNs = 90.0;
+    base.p50LatencyNs = 18.0;
+    base.p99LatencyNs = 60.0;
+    base.deliveredBytesPerNsPerSite = 32.0;
+    base.deliveredPct = 9.5;
+    base.measuredPackets = 1000;
+    base.overflowPackets = 2;
+    base.offeredMeasuredPct = 10.1;
+    EXPECT_TRUE(base.identicalTo(base));
+
+    // Each variant differs from the base in exactly one field.
+    std::vector<InjectorResult> variants(10, base);
+    variants[0].offeredLoadPct = 11.0;
+    variants[1].meanLatencyNs = 21.0;
+    variants[2].maxLatencyNs = 91.0;
+    variants[3].p50LatencyNs = 19.0;
+    variants[4].p99LatencyNs = 61.0;
+    variants[5].deliveredBytesPerNsPerSite = 33.0;
+    variants[6].deliveredPct = 9.6;
+    variants[7].measuredPackets = 1001;
+    variants[8].overflowPackets = 3;
+    variants[9].offeredMeasuredPct = 10.2;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        EXPECT_FALSE(variants[i].identicalTo(base)) << "field " << i;
+        EXPECT_FALSE(base.identicalTo(variants[i])) << "field " << i;
+    }
+
+    // A saturated tail (+inf p99) is identical to itself.
+    InjectorResult saturated = base;
+    saturated.p99LatencyNs = std::numeric_limits<double>::infinity();
+    EXPECT_TRUE(saturated.identicalTo(saturated));
+    EXPECT_FALSE(saturated.identicalTo(base));
 }
 
 TEST(Injector, RejectsNonsenseLoad)

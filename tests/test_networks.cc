@@ -104,7 +104,7 @@ TEST_P(AllNetworks, StatsRegistrationPullsLiveValues)
     Simulator sim;
     auto net = makeNetworkFor(GetParam().net(), sim, simulatedConfig());
     net->setDefaultHandler([](const Message &) {});
-    StatGroup group;
+    StatRegistry group;
     net->registerStats(group, "net");
 
     Message m;
@@ -383,7 +383,7 @@ TEST(TokenRing, TokenVisitsWaitersInRingOrder)
 {
     Simulator sim;
     TokenRingCrossbar net(sim, simulatedConfig());
-    StatGroup group;
+    StatRegistry group;
     net.registerStats(group, "net");
     std::vector<SiteId> order;
     net.setDefaultHandler([&](const Message &m) {

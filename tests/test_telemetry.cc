@@ -3,12 +3,19 @@
  * Tests for the unified telemetry layer: StatRegistry hierarchy,
  * Perfetto trace export (golden JSON for a 3-message micro-run),
  * snapshot determinism across --jobs counts, event-loop profiler
- * count exactness, JSON validation, and the warn_once() latch.
+ * count exactness, the JSON writer and validator, and the
+ * warn_once() latch.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -254,6 +261,25 @@ TEST(PeriodicSampler, TwoSamplersDoNotSustainEachOther)
     EXPECT_GE(b.rows(), 1u);
 }
 
+TEST(PeriodicSampler, TrailingSampleLeavesModelEndAlone)
+{
+    // The model's last event runs at 150; the sampler, re-armed at
+    // 100 while it was pending, takes its trailing sample at 200.
+    Simulator sim(1);
+    SnapshotRecorder rec(sim, 100);
+    sim.events().scheduleAfter(150, [] {});
+    sim.run();
+    EXPECT_EQ(sim.now(), 200u);
+    EXPECT_EQ(sim.modelEnd(), 150u);
+    EXPECT_EQ(rec.rows(), 2u);
+
+    // Without observers the model's end is simply now().
+    Simulator plain(1);
+    plain.events().scheduleAfter(150, [] {});
+    plain.run();
+    EXPECT_EQ(plain.modelEnd(), 150u);
+}
+
 // ---------------------------------------------------------------- //
 // Event-loop profiler                                              //
 // ---------------------------------------------------------------- //
@@ -341,6 +367,106 @@ TEST(JsonValid, RejectsMalformedDocumentsWithAnError)
     EXPECT_FALSE(jsonValid("{\"bad\\q\":1}", &error));
     EXPECT_FALSE(jsonValid("01", &error));
     EXPECT_FALSE(jsonValid("", &error));
+}
+
+// ---------------------------------------------------------------- //
+// The JSON writer                                                  //
+// ---------------------------------------------------------------- //
+
+TEST(JsonWriter, NonFiniteNumbersAreNull)
+{
+    EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity()),
+              "null");
+    EXPECT_EQ(jsonNumber(-std::numeric_limits<double>::infinity()),
+              "null");
+    EXPECT_EQ(jsonNumber(std::nan("")), "null");
+}
+
+TEST(JsonWriter, FiniteNumbersParseBackExactly)
+{
+    for (const double v : {0.1, 1e300, 5e-324, 123456789.0, -0.0}) {
+        const std::string text = jsonNumber(v);
+        EXPECT_TRUE(jsonValid(text)) << text;
+        const double back = std::strtod(text.c_str(), nullptr);
+        EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << text;
+    }
+    EXPECT_EQ(jsonNumber(3.0), "3");
+}
+
+TEST(JsonWriter, NaNCounterSerializesAsNull)
+{
+    TraceSink sink;
+    sink.counter("net.x.occupancy", 0, 5, std::nan(""));
+    std::ostringstream os;
+    sink.writeJson(os);
+    EXPECT_NE(os.str().find("\"args\":{\"value\":null}"),
+              std::string::npos)
+        << os.str();
+    EXPECT_TRUE(jsonValid(os.str()));
+}
+
+TEST(JsonWriter, ObjectBuilderKeepsOrderEscapesAndNests)
+{
+    JsonObject inner;
+    inner.number("x", 1.5).numbers("v", {1.0, 2.5, std::nan("")});
+    JsonObject o;
+    o.string("z \"key\"", "tab\there\x01 \"q\"")
+        .number("a", 3)
+        .object("inner", inner)
+        .boolean("ok", true)
+        .objects("list", {JsonObject().number("i", 0),
+                          JsonObject().number("i", 1)});
+    EXPECT_EQ(o.str(),
+              "{\"z \\\"key\\\"\":\"tab\\there\\u0001 \\\"q\\\"\","
+              "\"a\":3,\"inner\":{\"x\":1.5,\"v\":[1,2.5,null]},"
+              "\"ok\":true,\"list\":[\n    {\"i\":0},\n    {\"i\":1}\n  ]}");
+    EXPECT_TRUE(jsonValid(o.str()));
+
+    // One top-level member per line, nested values kept compact.
+    EXPECT_EQ(o.str(true),
+              "{\n"
+              "  \"z \\\"key\\\"\": \"tab\\there\\u0001 \\\"q\\\"\",\n"
+              "  \"a\": 3,\n"
+              "  \"inner\": {\"x\":1.5,\"v\":[1,2.5,null]},\n"
+              "  \"ok\": true,\n"
+              "  \"list\": [\n"
+              "    {\"i\":0},\n"
+              "    {\"i\":1}\n"
+              "  ]\n"
+              "}\n");
+    EXPECT_TRUE(jsonValid(o.str(true)));
+}
+
+TEST(JsonWriter, PinCarriesBenchAndHost)
+{
+    const std::string pin =
+        pinJson("unit", JsonObject().number("value", 1));
+    EXPECT_TRUE(jsonValid(pin));
+    EXPECT_EQ(pin.rfind("{\n  \"bench\": \"unit\",\n  \"host\": {", 0),
+              0u)
+        << pin;
+    for (const char *key : {"\"nproc\":", "\"cpu\":", "\"compiler\":",
+                            "\"build_type\":", "\"thread_scaling_4\":"})
+        EXPECT_NE(pin.find(key), std::string::npos) << key;
+    EXPECT_EQ(pin.find("git_sha"), std::string::npos);
+    EXPECT_EQ(pin.find("null"), std::string::npos);
+    EXPECT_TRUE(pin.ends_with(",\n  \"value\": 1\n}\n")) << pin;
+}
+
+TEST(JsonWriter, WritersFailLoudly)
+{
+    EXPECT_THROW(writeTextFile("no-such-dir/out.json", "{}"),
+                 FatalError);
+
+    // Malformed JSON is refused before the file is created.
+    const std::string path =
+        ::testing::TempDir() + "macrosim_writer_test.json";
+    std::remove(path.c_str());
+    EXPECT_THROW(writeJsonFile(path, "{\"a\":}"), FatalError);
+    EXPECT_FALSE(std::ifstream(path).good());
+    writeJsonFile(path, "{\"a\":1}");
+    EXPECT_TRUE(std::ifstream(path).good());
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- //
