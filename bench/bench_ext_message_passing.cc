@@ -27,8 +27,9 @@ using namespace macrosim;
 using namespace macrosim::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectUnknownFlags(argc, argv);
     setQuiet(true);
     std::printf("Message-passing collectives: communication time per "
                 "iteration (ns)\n\n");

@@ -22,6 +22,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
+    rejectUnknownFlags(argc, argv);
     const std::uint64_t instr = instructionsArg(argc, argv, 1200);
 
     std::printf("Extended application kernels: speedup vs "

@@ -173,6 +173,7 @@ main(int argc, char **argv)
     std::string net_flag;
     const bool have_net =
         stripValueFlag(argc, argv, "network", &net_flag);
+    rejectUnknownFlags(argc, argv);
 
     std::vector<GridSpec> grids = {{8, 8}, {16, 16}, {24, 24}};
     if (topt.smoke)

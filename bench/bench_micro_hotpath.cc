@@ -459,6 +459,7 @@ main(int argc, char **argv)
 {
     installSweepSignalHandlers();
     const bool smoke = stripSwitch(argc, argv, "smoke");
+    rejectUnknownFlags(argc, argv);
 
     const CellResult sched = runScheduleHeavy(smoke);
     const CellResult hold = runDeepHold(smoke);

@@ -156,6 +156,7 @@ main(int argc, char **argv)
         && extra_threads == 0) {
         fatal("bench_pdes: --threads-per-sim must be positive");
     }
+    rejectUnknownFlags(argc, argv);
 
     const InjectorConfig cfg = benchConfig(smoke);
     std::vector<PdesBenchPoint> points;

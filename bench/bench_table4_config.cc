@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "arch/config.hh"
+#include "flags.hh"
 
 using namespace macrosim;
 
@@ -38,8 +39,9 @@ printConfig(const char *title, const MacrochipConfig &c)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::rejectUnknownFlags(argc, argv);
     printConfig("Table 4: Simulated Macrochip Configuration",
                 simulatedConfig());
     printConfig("Section 3: Full-scale 2015 target", fullScaleConfig());

@@ -17,8 +17,9 @@ using namespace macrosim;
 using namespace macrosim::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectUnknownFlags(argc, argv);
     std::printf("Table 5: Network Optical Power\n");
     std::printf("%-26s %12s %12s %14s\n", "Network Type", "Loss Factor",
                 "Laser P (W)", "10mW sources");

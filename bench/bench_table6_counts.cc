@@ -37,8 +37,9 @@ printRow(const char *name, const ComponentCounts &c)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    rejectUnknownFlags(argc, argv);
     std::printf("Table 6: Total Optical Component Counts\n");
     std::printf("%-26s %10s %10s %10s %10s %10s\n", "Network Type",
                 "Tx", "Rx", "Wgs", "Switches", "Routers");

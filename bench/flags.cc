@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -98,6 +99,21 @@ stripNumberFlag(int &argc, char **argv, const char *name,
     *value = parseUnsignedOrFatal(
         (std::string("--") + name).c_str(), text);
     return true;
+}
+
+void
+rejectUnknownFlags(int argc, char **argv)
+{
+    std::string unknown;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--", 2) == 0)
+            unknown += std::string(" ") + argv[i];
+    }
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "%s: unknown flag(s):%s\n", argv[0],
+                     unknown.c_str());
+        std::exit(2);
+    }
 }
 
 std::size_t

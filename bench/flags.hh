@@ -52,6 +52,15 @@ bool stripNumberFlag(int &argc, char **argv, const char *name,
 std::size_t stripJobsFlag(int &argc, char **argv);
 
 /**
+ * Exit with status 2, naming them on stderr, if any argument left in
+ * argv starts with "--".
+ * Each bench calls this once it has stripped the flags it takes (a
+ * bench that takes none calls it first), before any cell runs or any
+ * file is written, so a mistyped flag cannot turn into a full run.
+ */
+void rejectUnknownFlags(int argc, char **argv);
+
+/**
  * Telemetry knobs shared by every bench binary, stripped from argv
  * by telemetryArgs():
  *   --trace=<file>           write a Perfetto trace-event JSON

@@ -97,6 +97,14 @@ HermesNetwork::HermesNetwork(Simulator &sim,
         }
     }
 
+    // A bridge lands its arrivals in order. A ring lands each packet
+    // `hops` ring hops after its serialization ends, so its arrivals
+    // are in order only within one hop count: one FIFO per bridge,
+    // then one per (ring, hop count).
+    ringHopClasses_ = maxClusterSize();
+    useArrivalFifos(bridges_.size()
+                    + static_cast<std::size_t>(n_clusters)
+                        * ringHopClasses_);
     primeEnergyModel();
     registerTelemetry();
 }
@@ -200,12 +208,9 @@ HermesNetwork::route(Message msg)
             return;
         }
         msg.serialization = ring.serialization(msg.bytes);
-        const Tick ser_done =
-            ring.transmit(now() + interfaceOverhead_, msg.bytes);
-        const Tick arrival = ser_done
-            + static_cast<Tick>(ringHops(msg.src, msg.dst)) * hop_;
-        chargeOpticalHop(msg);
-        deliverAt(std::move(msg), arrival + interfaceOverhead_);
+        const std::uint32_t hops = ringHops(msg.src, msg.dst);
+        transmitOn(ring, ringFifo(cs, hops), now() + interfaceOverhead_,
+                   hops * hop_ + interfaceOverhead_, msg, Leg::Deliver);
         return;
     }
 
@@ -230,16 +235,20 @@ HermesNetwork::route(Message msg)
         return;
     }
     msg.serialization = ring.serialization(msg.bytes);
-    const Tick ser_done =
-        ring.transmit(now() + interfaceOverhead_, msg.bytes);
-    const Tick at_gateway = ser_done
-        + static_cast<Tick>(ringHops(msg.src, gateways_[cs])) * hop_;
-    chargeOpticalHop(msg);
-    sim().events().schedule(at_gateway + interfaceOverhead_,
-                            [this, msg = std::move(msg)]() mutable {
-                                bridgeLeg(std::move(msg));
-                            },
-                            "net.hermes.bridge");
+    const std::uint32_t hops = ringHops(msg.src, gateways_[cs]);
+    transmitOn(ring, ringFifo(cs, hops), now() + interfaceOverhead_,
+               hops * hop_ + interfaceOverhead_, msg, Leg::Bridge);
+}
+
+void
+HermesNetwork::runLeg(Leg leg, Message msg, std::uint32_t arg)
+{
+    if (leg == Leg::Bridge)
+        bridgeLeg(std::move(msg));
+    else if (leg == Leg::Ring)
+        destinationRingLeg(std::move(msg));
+    else
+        Network::runLeg(leg, std::move(msg), arg);
 }
 
 void
@@ -263,19 +272,9 @@ HermesNetwork::bridgeLeg(Message msg)
     // the destination gateway.
     energy().countRouterHop(msg.bytes);
     ++bridged_;
-    const Tick arrival =
-        bridge.transmit(now() + routerLatency_, msg.bytes);
-    chargeOpticalHop(msg);
-
-    if (msg.dst == gateways_[cd]) {
-        deliverAt(std::move(msg), arrival + interfaceOverhead_);
-        return;
-    }
-    sim().events().schedule(arrival + interfaceOverhead_,
-                            [this, msg = std::move(msg)]() mutable {
-                                destinationRingLeg(std::move(msg));
-                            },
-                            "net.hermes.ring");
+    const Leg next = msg.dst == gateways_[cd] ? Leg::Deliver : Leg::Ring;
+    transmitOn(bridge, bridgeIndex(cs, cd), now() + routerLatency_,
+               interfaceOverhead_, msg, next);
 }
 
 void
@@ -289,12 +288,9 @@ HermesNetwork::destinationRingLeg(Message msg)
     }
     // O-E-O at the destination gateway, then the final broadcast.
     energy().countRouterHop(msg.bytes);
-    const Tick ser_done =
-        ring.transmit(now() + routerLatency_, msg.bytes);
-    const Tick arrival = ser_done
-        + static_cast<Tick>(ringHops(gateways_[cd], msg.dst)) * hop_;
-    chargeOpticalHop(msg);
-    deliverAt(std::move(msg), arrival + interfaceOverhead_);
+    const std::uint32_t hops = ringHops(gateways_[cd], msg.dst);
+    transmitOn(ring, ringFifo(cd, hops), now() + routerLatency_,
+               hops * hop_ + interfaceOverhead_, msg, Leg::Deliver);
 }
 
 void

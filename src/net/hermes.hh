@@ -154,10 +154,27 @@ class HermesNetwork : public Network
     /** Third leg: O-E-O at the destination gateway, onto its ring. */
     void destinationRingLeg(Message msg);
 
+    void runLeg(Leg leg, Message msg, std::uint32_t arg) override;
+
+    /** Index of the (from, to) bridge, also its arrival FIFO's. */
+    std::uint32_t
+    bridgeIndex(std::uint32_t from, std::uint32_t to) const
+    {
+        return from * clusterCount() + to;
+    }
+
     OpticalChannel &bridgeAt(std::uint32_t from, std::uint32_t to)
     {
-        return bridges_[static_cast<std::size_t>(from)
-                        * clusterCount() + to];
+        return bridges_[bridgeIndex(from, to)];
+    }
+
+    /** Arrival FIFO of @p cluster's ring for packets landing @p hops
+     *  ring hops after their serialization ends. */
+    std::uint32_t
+    ringFifo(std::uint32_t cluster, std::uint32_t hops) const
+    {
+        return clusterCount() * clusterCount()
+            + cluster * ringHopClasses_ + hops - 1;
     }
 
     /** Worst-case broadcast loss in dB: off-resonance ring passes
@@ -181,6 +198,8 @@ class HermesNetwork : public Network
     std::vector<OpticalChannel> rings_;      ///< one per cluster
     std::vector<OpticalChannel> bridges_;    ///< dense pair matrix
     std::vector<bool> gatewayDead_;          ///< cluster -> severed
+    /** Ring FIFOs per cluster: one per hop count 1..largest size. */
+    std::uint32_t ringHopClasses_ = 0;
 
     std::uint64_t bridged_ = 0;
 };

@@ -1,11 +1,20 @@
 #include "net/limited_pt2pt.hh"
 
 #include <cstring>
+#include <limits>
 
 #include "sim/logging.hh"
 
 namespace macrosim
 {
+
+namespace
+{
+
+constexpr std::uint32_t noChannel =
+    std::numeric_limits<std::uint32_t>::max();
+
+} // namespace
 
 LimitedPointToPointNetwork::LimitedPointToPointNetwork(
         Simulator &sim, const MacrochipConfig &config)
@@ -13,19 +22,25 @@ LimitedPointToPointNetwork::LimitedPointToPointNetwork(
       lambdas_(config.wavelengthsPerWaveguide),
       interfaceOverhead_(config.clockPeriod),
       routerLatency_(config.clockPeriod),
-      failedRouters_(config.siteCount(), false)
+      failedRouters_(config.siteCount(), false),
+      channelOf_(static_cast<std::size_t>(config.siteCount())
+                     * config.siteCount(),
+                 noChannel)
 {
     const auto n = config.siteCount();
     for (SiteId s = 0; s < n; ++s) {
         for (SiteId d = 0; d < n; ++d) {
             if (s == d || !arePeers(s, d))
                 continue;
-            channels_.emplace(
-                static_cast<std::uint64_t>(s) * n + d,
-                OpticalChannel(lambdas_,
-                               geometry().propagationDelay(s, d)));
+            channelOf_[static_cast<std::size_t>(s) * n + d] =
+                static_cast<std::uint32_t>(channels_.size());
+            channels_.emplace_back(lambdas_,
+                                   geometry().propagationDelay(s, d));
         }
     }
+    // One FIFO per channel, shared by its deliveries and forward legs:
+    // each lands interfaceOverhead_ after the channel does.
+    useArrivalFifos(channels_.size());
     primeEnergyModel();
     registerTelemetry();
 }
@@ -45,24 +60,25 @@ LimitedPointToPointNetwork::registerStats(StatRegistry &registry,
         const Tick t = now();
         if (t == 0 || channels_.empty())
             return 0.0;
-        double busy = 0.0;
-        for (const auto &[key, ch] : channels_)
-            busy += static_cast<double>(ch.busyTicks());
-        return busy / static_cast<double>(t)
+        // An integer sum, so the channel order cannot change it.
+        Tick busy = 0;
+        for (const OpticalChannel &ch : channels_)
+            busy += ch.busyTicks();
+        return static_cast<double>(busy) / static_cast<double>(t)
             / static_cast<double>(channels_.size());
     });
 }
 
-OpticalChannel &
-LimitedPointToPointNetwork::peerChannel(SiteId src, SiteId dst)
+std::uint32_t
+LimitedPointToPointNetwork::peerIndex(SiteId src, SiteId dst) const
 {
-    const auto key = static_cast<std::uint64_t>(src)
-        * config().siteCount() + dst;
-    auto it = channels_.find(key);
-    if (it == channels_.end())
+    const std::uint32_t ci =
+        channelOf_[static_cast<std::size_t>(src) * config().siteCount()
+                   + dst];
+    if (ci == noChannel)
         panic("LimitedPointToPoint: no direct channel ", src, "->",
               dst);
-    return it->second;
+    return ci;
 }
 
 SiteId
@@ -142,16 +158,15 @@ void
 LimitedPointToPointNetwork::route(Message msg)
 {
     if (arePeers(msg.src, msg.dst)) {
-        OpticalChannel &ch = peerChannel(msg.src, msg.dst);
+        const std::uint32_t ci = peerIndex(msg.src, msg.dst);
+        OpticalChannel &ch = channels_[ci];
         if (ch.down()) {
             dropPacket(std::move(msg), "peer channel down");
             return;
         }
         msg.serialization = ch.serialization(msg.bytes);
-        const Tick arrival = ch.transmit(now() + interfaceOverhead_,
-                                         msg.bytes);
-        chargeOpticalHop(msg);
-        deliverAt(msg, arrival + interfaceOverhead_);
+        transmitOn(ch, ci, now() + interfaceOverhead_,
+                   interfaceOverhead_, msg, Leg::Deliver);
         return;
     }
 
@@ -172,32 +187,40 @@ LimitedPointToPointNetwork::route(Message msg)
         ++rerouted_;
     }
     ++forwarded_;
-    OpticalChannel &first = peerChannel(msg.src, via);
+    const std::uint32_t ci = peerIndex(msg.src, via);
+    OpticalChannel &first = channels_[ci];
     msg.serialization = first.serialization(msg.bytes);
+    if (!pdesBound()) {
+        transmitOn(first, ci, now() + interfaceOverhead_,
+                   interfaceOverhead_, msg, Leg::Forward, via);
+        return;
+    }
+    // Bound to PDES, the second leg transmits on the forwarder's
+    // channel, which the forwarder's LP owns — ship the hop there,
+    // keyed by the packet id so same-tick hops order identically for
+    // every partition.
     const Tick at_via = first.transmit(now() + interfaceOverhead_,
                                        msg.bytes);
     chargeOpticalHop(msg);
-    if (pdesBound()) {
-        // The second leg transmits on the forwarder's channel, which
-        // the forwarder's LP owns — ship the hop there, keyed by the
-        // packet id so same-tick hops order identically for every
-        // partition.
-        static_assert(sizeof(ForwardHop) <= pdesMaxPayload,
-                      "forward hop must fit a cross-LP event payload");
-        PdesEvent ev;
-        ev.when = at_via + interfaceOverhead_;
-        ev.key = msg.id;
-        ev.apply = &LimitedPointToPointNetwork::applyForward;
-        const ForwardHop hop{msg, via};
-        std::memcpy(ev.payload, &hop, sizeof(ForwardHop));
-        pdesRoute(via, ev, "net.lpt2pt.forward");
-        return;
-    }
-    sim().events().schedule(at_via + interfaceOverhead_,
-                            [this, msg, via]() mutable {
-                                forwardLeg(msg, via);
-                            },
-                            "net.lpt2pt.forward");
+    static_assert(sizeof(ForwardHop) <= pdesMaxPayload,
+                  "forward hop must fit a cross-LP event payload");
+    PdesEvent ev;
+    ev.when = at_via + interfaceOverhead_;
+    ev.key = msg.id;
+    ev.apply = &LimitedPointToPointNetwork::applyForward;
+    const ForwardHop hop{msg, via};
+    std::memcpy(ev.payload, &hop, sizeof(ForwardHop));
+    pdesRoute(via, ev, "net.lpt2pt.forward");
+}
+
+void
+LimitedPointToPointNetwork::runLeg(Leg leg, Message msg,
+                                   std::uint32_t arg)
+{
+    if (leg == Leg::Forward)
+        forwardLeg(std::move(msg), arg);
+    else
+        Network::runLeg(leg, std::move(msg), arg);
 }
 
 void
@@ -224,11 +247,10 @@ void
 LimitedPointToPointNetwork::forwardLeg(Message msg, SiteId via)
 {
     energy().countRouterHop(msg.bytes);
-    OpticalChannel &second = peerChannel(via, msg.dst);
-    const Tick arrival = second.transmit(
-        now() + routerLatency_ + interfaceOverhead_, msg.bytes);
-    chargeOpticalHop(msg);
-    deliverAt(msg, arrival + interfaceOverhead_);
+    const std::uint32_t ci = peerIndex(via, msg.dst);
+    transmitOn(channels_[ci], ci,
+               now() + routerLatency_ + interfaceOverhead_,
+               interfaceOverhead_, msg, Leg::Deliver);
 }
 
 ComponentCounts

@@ -16,7 +16,6 @@
 #ifndef MACROSIM_NET_LIMITED_PT2PT_HH
 #define MACROSIM_NET_LIMITED_PT2PT_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "net/channel.hh"
@@ -114,7 +113,17 @@ class LimitedPointToPointNetwork : public Network
     void route(Message msg) override;
 
   private:
-    OpticalChannel &peerChannel(SiteId src, SiteId dst);
+    /** Index of the (src, dst) peer channel in channels_, also its
+     *  arrival FIFO's; panics for a non-peer pair. */
+    std::uint32_t peerIndex(SiteId src, SiteId dst) const;
+
+    OpticalChannel &
+    peerChannel(SiteId src, SiteId dst)
+    {
+        return channels_[peerIndex(src, dst)];
+    }
+
+    void runLeg(Leg leg, Message msg, std::uint32_t arg) override;
 
     /** Whether @p via can forward: live routers and live legs. */
     bool forwarderUsable(SiteId src, SiteId via, SiteId dst);
@@ -139,8 +148,11 @@ class LimitedPointToPointNetwork : public Network
     std::uint64_t forwarded_ = 0;
     std::uint64_t rerouted_ = 0;
     std::vector<bool> failedRouters_;
-    /** Direct channels keyed by src * sites + dst (peers only). */
-    std::unordered_map<std::uint64_t, OpticalChannel> channels_;
+    /** Dense src * sites + dst index into channels_; noChannel for a
+     *  pair that is not peers. */
+    std::vector<std::uint32_t> channelOf_;
+    /** The peer channels, in (src, dst) order. */
+    std::vector<OpticalChannel> channels_;
 };
 
 } // namespace macrosim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "photonics/link_budget.hh"
 #include "sim/logging.hh"
@@ -69,6 +70,73 @@ Network::deliverAt(Message msg, Tick when)
     sim_.events().schedule(when, [this, msg]() mutable {
         finishDelivery(msg);
     }, "net.deliver");
+}
+
+void
+Network::useArrivalFifos(std::size_t count)
+{
+    if (count > std::numeric_limits<std::uint32_t>::max())
+        fatal("network '", name(), "': ", count,
+              " arrival FIFOs exceed the 32-bit index");
+    arrivalFifos_ = static_cast<std::uint32_t>(count);
+}
+
+void
+Network::queueArrival(std::uint32_t fifo, Tick when, const Message &msg,
+                      Leg leg, std::uint32_t arg)
+{
+    if (pdes_) {
+        if (leg == Leg::Deliver) {
+            deliverAt(msg, when);
+            return;
+        }
+        sim_.events().schedule(when, [this, m = msg, leg, arg]() mutable {
+            runLeg(leg, std::move(m), arg);
+        }, legTag(leg));
+        return;
+    }
+    if (++queued_ > peakQueued_)
+        peakQueued_ = queued_;
+    if (!arrivals_)
+        arrivals_ = std::make_unique<ArrivalFifos>(arrivalFifos_);
+    const std::uint64_t seq = sim_.events().reserveSeq();
+    if (arrivals_->push(fifo, when, seq, msg, leg, arg))
+        fileHead(fifo, when, seq, msg, leg, arg);
+}
+
+void
+Network::fileHead(std::uint32_t fifo, Tick when, std::uint64_t seq,
+                  const Message &msg, Leg leg, std::uint32_t arg)
+{
+    sim_.events().scheduleReserved(when, seq,
+                                   [this, fifo, m = msg, leg, arg]() mutable {
+        runHead(fifo, m, leg, arg);
+    }, legTag(leg));
+}
+
+void
+Network::runHead(std::uint32_t fifo, Message &msg, Leg leg,
+                 std::uint32_t arg)
+{
+    // The next head sorts after this one, so filing it before the leg
+    // runs cannot reorder anything, and a leg that queues on this FIFO
+    // again (a two-phase re-arbitration) waits behind it.
+    arrivals_->advance(fifo, [this, fifo](const Arrival &next) {
+        fileHead(fifo, next.when, next.seq, next.msg, next.leg, next.arg);
+    });
+    --queued_;
+    if (leg == Leg::Deliver)
+        finishDelivery(std::move(msg));
+    else
+        runLeg(leg, std::move(msg), arg);
+}
+
+void
+Network::runLeg(Leg leg, Message msg, std::uint32_t arg)
+{
+    (void)arg;
+    panic("network '", name(), "' has no leg ", static_cast<int>(leg),
+          " (packet ", msg.id, ")");
 }
 
 void
@@ -248,6 +316,14 @@ Network::registerStats(StatRegistry &registry,
     registry.add(prefix + ".router_bytes", [e] {
         return static_cast<double>(e->routerBytes());
     });
+    if (arrivalFifos_ > 0) {
+        registry.add(prefix + ".queued", [this] {
+            return static_cast<double>(queued_);
+        });
+        registry.add(prefix + ".peak_queued", [this] {
+            return static_cast<double>(peakQueued_);
+        });
+    }
 }
 
 void

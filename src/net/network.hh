@@ -16,12 +16,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "arch/config.hh"
+#include "net/arrival_fifo.hh"
+#include "net/channel.hh"
 #include "net/energy.hh"
 #include "net/message.hh"
 #include "photonics/laser_power.hh"
@@ -334,6 +337,52 @@ class Network
     void deliverAt(Message msg, Tick when);
 
     /**
+     * Declare @p count arrival FIFOs for queueArrival(), numbered from
+     * 0. Call before registerTelemetry(), which then adds
+     * "<prefix>.queued" and "<prefix>.peak_queued".
+     */
+    void useArrivalFifos(std::size_t count);
+
+    /**
+     * Run @p leg for @p msg at @p when: a delivery, or a named next leg
+     * that runLeg() carries out with @p arg.
+     *
+     * Outside PDES the arrival queues in FIFO @p fifo, and only the
+     * FIFO's head is an event. It takes the seq a schedule() would
+     * take now, so it runs exactly where that event would have. The
+     * caller keys FIFOs so that the arrivals queued on one never
+     * decrease (net/arrival_fifo.hh). A PDES-bound replica schedules
+     * every arrival at once: a delivery on deliverAt()'s keyed path, a
+     * named leg as a plain event.
+     */
+    void queueArrival(std::uint32_t fifo, Tick when, const Message &msg,
+                      Leg leg, std::uint32_t arg = 0);
+
+    /**
+     * Transmit @p msg on @p ch no earlier than @p earliest, charge the
+     * optical hop, and queue the arrival (see queueArrival()) @p after
+     * ticks past the channel's landing time. On one channel landings
+     * strictly increase (busy-until serialization, fixed flight), so a
+     * FIFO per (channel, @p after) keeps its arrivals in order.
+     */
+    void
+    transmitOn(OpticalChannel &ch, std::uint32_t fifo, Tick earliest,
+               Tick after, const Message &msg, Leg leg,
+               std::uint32_t arg = 0)
+    {
+        const Tick landed = ch.transmit(earliest, msg.bytes);
+        chargeOpticalHop(msg);
+        queueArrival(fifo, landed + after, msg, leg, arg);
+    }
+
+    /**
+     * Carry out named leg @p leg of @p msg with its queueArrival()
+     * argument @p arg. Topologies that queue named legs override this;
+     * the base panics.
+     */
+    virtual void runLeg(Leg leg, Message msg, std::uint32_t arg);
+
+    /**
      * A routing attempt for @p msg hit a dead resource (@p reason).
      * With a retry policy and attempts remaining, re-queues the packet
      * into route() after exponential backoff; once exhausted, counts
@@ -382,6 +431,16 @@ class Network
      *  Message, target the destination replica (as Network*). */
     static void applyDeliver(void *target, const void *payload);
 
+    /** File the new head of @p fifo under its reserved @p seq; the
+     *  event holds its packet. */
+    void fileHead(std::uint32_t fifo, Tick when, std::uint64_t seq,
+                  const Message &msg, Leg leg, std::uint32_t arg);
+
+    /** The head of @p fifo lands: file the next one, then deliver
+     *  @p msg or run its named leg. */
+    void runHead(std::uint32_t fifo, Message &msg, Leg leg,
+                 std::uint32_t arg);
+
     Simulator &sim_;
     MacrochipConfig config_;
     MacrochipGeometry geometry_;
@@ -394,6 +453,14 @@ class Network
     RetryPolicy retry_;
     MessageId nextId_ = 1;
     std::string statPrefix_;
+    /** Declared by useArrivalFifos(); the pool is built when the
+     *  first arrival queues. */
+    std::uint32_t arrivalFifos_ = 0;
+    std::unique_ptr<ArrivalFifos> arrivals_;
+    /** Arrivals queued outside PDES, heads included, and their peak:
+     *  "<prefix>.queued" and "<prefix>.peak_queued". */
+    std::uint64_t queued_ = 0;
+    std::uint64_t peakQueued_ = 0;
 
     PdesScheduler *pdes_ = nullptr;
     std::uint32_t pdesLp_ = 0;

@@ -24,6 +24,7 @@ PointToPointNetwork::PointToPointNetwork(Simulator &sim,
                                    geometry().propagationDelay(s, d));
         }
     }
+    useArrivalFifos(channels_.size());
     primeEnergyModel();
     registerTelemetry();
 }
@@ -48,18 +49,10 @@ PointToPointNetwork::registerStats(StatRegistry &registry,
     });
 }
 
-OpticalChannel &
-PointToPointNetwork::channelRef(SiteId src, SiteId dst)
-{
-    return channels_[static_cast<std::size_t>(src)
-                     * config().siteCount() + dst];
-}
-
 const OpticalChannel &
 PointToPointNetwork::channel(SiteId src, SiteId dst) const
 {
-    return channels_[static_cast<std::size_t>(src)
-                     * config().siteCount() + dst];
+    return channels_[channelIndex(src, dst)];
 }
 
 std::vector<std::pair<SiteId, SiteId>>
@@ -81,7 +74,7 @@ PointToPointNetwork::applyLinkHealth(SiteId a, SiteId b,
 {
     if (a >= config().siteCount() || b >= config().siteCount())
         return false;
-    OpticalChannel &ch = channelRef(a, b);
+    OpticalChannel &ch = channels_[channelIndex(a, b)];
     ch.setDown(health.down);
     ch.maskWavelengths(static_cast<std::uint32_t>(
         static_cast<double>(lambdas_) * health.bandwidthFraction + 0.5));
@@ -103,17 +96,17 @@ PointToPointNetwork::route(Message msg)
     // E-O at the source, serialize over the pair's channel, fly to
     // the destination column and down its drop filter, O-E at the
     // receiver. The channel's busy-until scheduling queues back-to-
-    // back packets of this pair FIFO.
-    OpticalChannel &ch = channelRef(msg.src, msg.dst);
+    // back packets of this pair FIFO, and their arrivals queue in the
+    // channel's FIFO.
+    const std::uint32_t ci = channelIndex(msg.src, msg.dst);
+    OpticalChannel &ch = channels_[ci];
     if (ch.down()) {
         dropPacket(std::move(msg), "pair channel down");
         return;
     }
     msg.serialization = ch.serialization(msg.bytes);
-    const Tick arrival = ch.transmit(now() + interfaceOverhead_,
-                                     msg.bytes);
-    chargeOpticalHop(msg);
-    deliverAt(msg, arrival + interfaceOverhead_);
+    transmitOn(ch, ci, now() + interfaceOverhead_, interfaceOverhead_,
+               msg, Leg::Deliver);
 }
 
 ComponentCounts

@@ -64,7 +64,12 @@ class PointToPointNetwork : public Network
     void route(Message msg) override;
 
   private:
-    OpticalChannel &channelRef(SiteId src, SiteId dst);
+    /** Dense index of the (src, dst) channel, also its FIFO's. */
+    std::uint32_t
+    channelIndex(SiteId src, SiteId dst) const
+    {
+        return src * config().siteCount() + dst;
+    }
 
     std::uint32_t lambdas_;
     /** Per-direction E-O + O-E conversion overhead (one cycle). */

@@ -37,6 +37,9 @@ TwoPhaseArbitratedNetwork::TwoPhaseArbitratedNetwork(
                   * config.cols * instances);
     notifications_.resize(static_cast<std::size_t>(config.rows)
                           * config.cols * instances);
+    // Each shared channel's slots start in strictly increasing order
+    // (busy-until commits), so its slot legs queue in one FIFO.
+    useArrivalFifos(n_channels);
     primeEnergyModel();
     registerTelemetry();
 }
@@ -158,9 +161,9 @@ TwoPhaseArbitratedNetwork::arbitrate(Message msg, Tick post_time)
     // input-select switch settle before the data slot begins.
     const Tick earliest_data = notif_done + colProp_ + switchSetup_;
 
-    const OpticalChannel probe(
-        chMasked_[ci] ? chMasked_[ci] : channelLambdas_, 0);
-    const Tick ser = probe.serialization(msg.bytes);
+    const std::uint32_t width =
+        chMasked_[ci] ? chMasked_[ci] : channelLambdas_;
+    const Tick ser = OpticalChannel(width, 0).serialization(msg.bytes);
     const bool sender_change = chLastSender_[ci] != msg.src;
     chLastSender_[ci] = msg.src;
     const Tick guard = sender_change ? senderGuard_ : 0;
@@ -175,13 +178,22 @@ TwoPhaseArbitratedNetwork::arbitrate(Message msg, Tick post_time)
     // Both arbitration messages are 8 B optical control transfers.
     energy().countOpticalTransfer(2 * controlMessageBytes);
 
-    sim().events().schedule(slot_start,
-                            [this, msg = std::move(msg), slot_start,
-                             ser]() mutable {
-                                transmitSlot(std::move(msg), slot_start,
-                                             ser);
-                            },
-                            "net.2phase.slot");
+    queueArrival(static_cast<std::uint32_t>(ci), slot_start, msg,
+                 Leg::Slot, width);
+}
+
+void
+TwoPhaseArbitratedNetwork::runLeg(Leg leg, Message msg,
+                                  std::uint32_t arg)
+{
+    if (leg != Leg::Slot) {
+        Network::runLeg(leg, std::move(msg), arg);
+        return;
+    }
+    // The slot starts now; it serializes at the width the channel had
+    // when the slot was granted.
+    const Tick ser = OpticalChannel(arg, 0).serialization(msg.bytes);
+    transmitSlot(std::move(msg), now(), ser);
 }
 
 BusyResource *

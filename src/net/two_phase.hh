@@ -137,6 +137,9 @@ class TwoPhaseArbitratedNetwork : public Network
     /** Attempt the granted transmission; re-arbitrate on collision. */
     void transmitSlot(Message msg, Tick slot_start, Tick ser);
 
+    /** The slot leg: @p arg is the channel width at the grant. */
+    void runLeg(Leg leg, Message msg, std::uint32_t arg) override;
+
     /** Switch trees for (site, column); alt has two per pair. */
     BusyResource *treeFor(SiteId site, std::uint32_t col,
                           Tick slot_start, Tick slot_end);

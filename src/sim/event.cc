@@ -59,6 +59,13 @@ EventQueue::keyPanic(std::uint64_t key)
 }
 
 void
+EventQueue::unreservedPanic(std::uint64_t seq) const
+{
+    panic("EventQueue::scheduleReserved: seq ", seq,
+          " was never reserved (next is ", nextSeq_, ")");
+}
+
+void
 EventQueue::emptyCallbackPanic()
 {
     panic("EventQueue::schedule: empty callback");
@@ -97,7 +104,6 @@ EventQueue::enqueue(const Record &rec)
 {
     file(rec);
     ++pending_;
-    ++stats_.scheduled;
     if (pending_ > stats_.peakPending)
         stats_.peakPending = pending_;
 }

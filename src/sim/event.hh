@@ -74,7 +74,8 @@ struct EventQueueStats
      *  the last bucket is unbounded above. */
     static constexpr std::size_t burstBuckets = 16;
 
-    /** Events accepted by schedule(). */
+    /** Events accepted by schedule() and scheduleKeyed(), plus seqs
+     *  handed out by reserveSeq(). */
     std::uint64_t scheduled = 0;
     /** Successful cancel() calls. */
     std::uint64_t cancelled = 0;
@@ -156,7 +157,10 @@ class EventQueue
     {
         if (when < now_)
             pastPanic("schedule", when);
-        return add(when, nextSeq_++, std::forward<F>(fn), tag);
+        const EventId id =
+            add(when, nextSeq_++, std::forward<F>(fn), tag);
+        ++stats_.scheduled;
+        return id;
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -193,7 +197,45 @@ class EventQueue
             pastPanic("scheduleKeyed", when);
         if (key >= keyedSeqBit)
             keyPanic(key);
-        return add(when, keyedSeqBit | key, std::forward<F>(fn), tag);
+        const EventId id =
+            add(when, keyedSeqBit | key, std::forward<F>(fn), tag);
+        ++stats_.scheduled;
+        return id;
+    }
+
+    /**
+     * Take the insertion seq a schedule() call would take now, and
+     * count the event as scheduled, without filing it. The caller
+     * files it later with scheduleReserved(); it then pops exactly
+     * where a schedule() made at the reservation would have popped.
+     * This is how a channel keeps the packets queued behind its head
+     * out of the queue (net/arrival_fifo.hh).
+     */
+    std::uint64_t
+    reserveSeq()
+    {
+        ++stats_.scheduled;
+        return nextSeq_++;
+    }
+
+    /**
+     * File @p fn at @p when under @p seq, a value from reserveSeq().
+     * Same-tick order follows the seq, not the filing time.
+     *
+     * @pre when >= now().
+     * @pre seq came from reserveSeq() and was not filed before.
+     * @return A handle usable with cancel().
+     */
+    template <typename F>
+    EventId
+    scheduleReserved(Tick when, std::uint64_t seq, F &&fn,
+                     const char *tag = nullptr)
+    {
+        if (when < now_)
+            pastPanic("scheduleReserved", when);
+        if (seq >= nextSeq_)
+            unreservedPanic(seq);
+        return add(when, seq, std::forward<F>(fn), tag);
     }
 
     /**
@@ -427,6 +469,7 @@ class EventQueue
 
     [[noreturn]] void pastPanic(const char *fn, Tick when) const;
     [[noreturn]] static void keyPanic(std::uint64_t key);
+    [[noreturn]] void unreservedPanic(std::uint64_t seq) const;
     [[noreturn]] static void emptyCallbackPanic();
 
     /** Construct one more slot (a new chunk when the last is full)

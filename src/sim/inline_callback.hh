@@ -36,11 +36,14 @@ namespace macrosim
 class InlineCallback
 {
   public:
-    /** Inline capture budget. Sized for the fattest in-tree capture:
-     *  two_phase's [this, Message, Tick, Tick] slot callback (104
-     *  bytes), with one pointer of headroom. Grow it if a callsite's
-     *  static_assert fires — but measure first; every Slot in the
-     *  event arena carries this many bytes. */
+    /** Inline capture budget. Sized for the fattest in-tree captures,
+     *  104 bytes each: the PDES scheduler's CrossApply (a cross-LP
+     *  event's apply thunk, target and payload) and a channel FIFO
+     *  head ([network, FIFO, Message, leg, argument]; the packets
+     *  behind it wait in net/arrival_fifo.hh), with one pointer of
+     *  headroom. Grow it if a callsite's static_assert fires — but
+     *  measure first; every Slot in the event arena carries this many
+     *  bytes. */
     static constexpr std::size_t inlineCapacity = 112;
     static constexpr std::size_t inlineAlign = alignof(std::max_align_t);
 

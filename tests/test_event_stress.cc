@@ -1,10 +1,11 @@
 /**
  * @file
  * Event-core stress test: randomized interleavings of
- * schedule/cancel/runOne/runUntil are applied to the real EventQueue
- * and to a naive reference model (a sorted std::map in (tick, plain
- * before keyed, insertion order or key) order), asserting identical
- * execution order, now() trajectory, and size() at every step. The
+ * schedule/scheduleKeyed/reserveSeq/scheduleReserved/cancel/runOne/
+ * runUntil are applied to the real EventQueue and to a naive reference
+ * model (a sorted std::map in (tick, plain before keyed, insertion
+ * order or key) order), asserting identical execution order, now()
+ * trajectory, and size() at every step. The
  * shallow cases keep a few hundred events pending; the deep ones keep
  * tens of thousands spread over 10^7 ticks, so records cross the heap,
  * the rung's buckets and the top, and cancels tombstone all three.
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -52,6 +54,17 @@ class ReferenceQueue
     scheduleKeyed(Tick when, std::uint64_t key, int tag)
     {
         return insert(Key{when, true, key}, tag);
+    }
+
+    /** The insertion seq a schedule() would take now. */
+    std::uint64_t reserveSeq() { return nextSeq_++; }
+
+    /** File at @p when under a seq from reserveSeq(): it sorts as a
+     *  plain event inserted at the reservation. */
+    std::uint64_t
+    scheduleReserved(Tick when, std::uint64_t seq, int tag)
+    {
+        return insert(Key{when, false, seq}, tag);
     }
 
     bool
@@ -157,8 +170,11 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
     std::unordered_map<int, EventId> handles;
     std::vector<int> live_tags;
     int next_tag = 0;
+    // Seqs reserved on both sides and not filed yet, each with the
+    // earliest tick it may be filed at.
+    std::vector<std::pair<std::uint64_t, Tick>> reserved;
 
-    const auto scheduleOne = [&] {
+    const auto pickWhen = [&] {
         // Mix of horizons; weight same-tick bursts heavily so FIFO
         // ordering inside a tick is exercised.
         const std::uint64_t kind = rng.below(4);
@@ -167,19 +183,56 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
             when += 1 + rng.below(16);
         else if (kind >= 2)
             when += rng.below(2000);
-        const int tag = next_tag++;
-        handles[tag] =
-            real.schedule(when, [tag, &real_order] {
-                real_order.push_back(tag);
-            });
-        ref.schedule(when, tag);
+        return when;
+    };
+    const auto track = [&](int tag, EventId id) {
+        handles[tag] = id;
         live_tags.push_back(tag);
+    };
+    const auto record = [&real_order](int tag) {
+        return [tag, &real_order] { real_order.push_back(tag); };
+    };
+
+    const auto scheduleOne = [&] {
+        const Tick when = pickWhen();
+        const int tag = next_tag++;
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 7) {
+            track(tag, real.schedule(when, record(tag)));
+            ref.schedule(when, tag);
+        } else if (kind < 9) {
+            // A reservation, filed by a later op at or after the
+            // tick it was made for, as a channel FIFO's next head is.
+            const std::uint64_t seq = real.reserveSeq();
+            ASSERT_EQ(seq, ref.reserveSeq());
+            reserved.emplace_back(seq, when);
+        } else {
+            const std::uint64_t key = mix64(static_cast<std::uint64_t>(
+                                          tag)) >> 1;
+            track(tag, real.scheduleKeyed(when, key, record(tag)));
+            ref.scheduleKeyed(when, key, tag);
+        }
+    };
+
+    const auto fileReserved = [&] {
+        // Oldest or newest reservation, at its own tick or later.
+        const std::size_t k = rng.below(2) ? 0 : reserved.size() - 1;
+        const auto [seq, made_for] = reserved[k];
+        reserved.erase(reserved.begin() + static_cast<long>(k));
+        const Tick when = std::max(made_for, real.now())
+            + (rng.below(2) ? 0 : rng.below(50));
+        const int tag = next_tag++;
+        track(tag, real.scheduleReserved(when, seq, record(tag)));
+        ref.scheduleReserved(when, seq, tag);
     };
 
     for (int i = 0; i < ops; ++i) {
         const std::uint64_t roll = rng.below(100);
         if (roll < 45) {
-            scheduleOne();
+            if (!reserved.empty() && rng.below(3) == 0)
+                fileReserved();
+            else
+                scheduleOne();
         } else if (roll < 45 + cancelWeight && !live_tags.empty()) {
             // Cancel a random live event — and sometimes a stale
             // handle, which both sides must reject.
@@ -221,13 +274,19 @@ stressRun(std::uint64_t seed, int ops, std::uint32_t cancelWeight)
         }
     }
 
-    // Drain both completely and compare the tail.
+    // File what is still reserved, drain both completely and compare
+    // the tail.
+    while (!reserved.empty())
+        fileReserved();
     real.runUntil();
     ref.runUntil(maxTick, ref_order);
     ASSERT_EQ(real_order, ref_order);
     ASSERT_EQ(real.now(), ref.now());
     ASSERT_EQ(real.size(), 0u);
     ASSERT_EQ(ref.size(), 0u);
+    ASSERT_EQ(real.stats().scheduled,
+              static_cast<std::uint64_t>(real.stats().executed
+                                         + real.stats().cancelled));
 }
 
 TEST(EventQueueStress, MatchesReferenceModelLightCancel)

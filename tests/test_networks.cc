@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "net/arrival_fifo.hh"
 #include "net/circuit_switched.hh"
+#include "net/factory.hh"
 #include "net/limited_pt2pt.hh"
 #include "net/pt2pt.hh"
 #include "net/token_ring.hh"
@@ -643,6 +646,177 @@ TEST(TokenRing, SaturatedStormsMatchParentDigests)
             << c.rows << "x" << c.cols << " traffic "
             << static_cast<int>(c.traffic) << ": 0x" << std::hex << got;
     }
+}
+
+/**
+ * A saturating uniform storm on a topology whose channels queue their
+ * arrivals in FIFOs (pt2pt, limited pt2pt, two-phase, two-phase ALT,
+ * hermes): every site injects 120 packets of 64 or 256 B inside 30 ns, one
+ * faultable link dies for the second quarter of that span and another
+ * drops to half width from a third of the way on. The digest hashes
+ * (src, dst, injected, delivered, serialization) in delivery order,
+ * then the delivered, dropped and retried counts, so it moves with any
+ * change to same-tick order, retry timing or a drop.
+ */
+std::uint64_t
+fifoStormDigest(NetSel sel, std::uint32_t rows, std::uint32_t cols)
+{
+    const MacrochipConfig cfg = scaledConfig(rows, cols);
+    const SiteId sites = cfg.siteCount();
+    Simulator sim;
+    const std::unique_ptr<Network> net = makeNetworkFor(sel, sim, cfg);
+    net->setRetryPolicy(RetryPolicy{50 * tickNs, 3});
+    std::uint64_t digest = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+    net->setDefaultHandler([&](const Message &m) {
+        for (const std::uint64_t v :
+             {std::uint64_t{m.src}, std::uint64_t{m.dst}, m.injected,
+              m.delivered, m.serialization}) {
+            digest = hashCombine(digest, v);
+        }
+        ++delivered;
+    });
+    net->setDropHandler([&](const Message &) { ++dropped; });
+
+    const Tick span = 30 * tickNs;
+    const std::uint64_t packets = 4 * 30 * std::uint64_t{sites};
+    Rng rng(hashCombine(rows * 1000 + cols, static_cast<std::uint64_t>(sel)));
+    for (std::uint64_t i = 0; i < packets; ++i) {
+        Message m;
+        m.src = static_cast<SiteId>(rng.below(sites));
+        m.dst = static_cast<SiteId>((m.src + 1 + rng.below(sites - 1))
+                                    % sites);
+        // A quarter of the packets serialize longer than the base
+        // two-phase design's grant spacing, so its trees collide too.
+        m.bytes = rng.below(4) == 0 ? 256 : 64;
+        m.cookie = i;
+        Network *n = net.get();
+        sim.events().schedule(rng.below(span), [n, m] { n->inject(m); },
+                              "test.inject");
+    }
+    const std::vector<std::pair<SiteId, SiteId>> links =
+        net->faultableLinks();
+    const std::pair<SiteId, SiteId> killed = links[links.size() / 2];
+    const std::pair<SiteId, SiteId> masked = links.front();
+    Network *n = net.get();
+    sim.events().schedule(span / 4, [n, killed] {
+        n->applyLinkHealth(killed.first, killed.second,
+                           LinkHealth{true, 1.0});
+    }, "test.fault");
+    sim.events().schedule(span / 2, [n, killed] {
+        n->applyLinkHealth(killed.first, killed.second, LinkHealth{});
+    }, "test.fault");
+    sim.events().schedule(span / 3, [n, masked] {
+        n->applyLinkHealth(masked.first, masked.second,
+                           LinkHealth{false, 0.5});
+    }, "test.fault");
+    sim.run();
+
+    EXPECT_EQ(net->stats().injected.value(), packets);
+    EXPECT_EQ(delivered + dropped, packets);
+    EXPECT_EQ(sim.events().size(), 0u);
+    if (sel == NetSel::TwoPhase || sel == NetSel::TwoPhaseAlt) {
+        EXPECT_GT(static_cast<const TwoPhaseArbitratedNetwork &>(*net)
+                      .wastedSlots(),
+                  0u);
+    }
+    return hashCombine(
+        hashCombine(hashCombine(digest, delivered), dropped),
+        net->retriedPackets());
+}
+
+TEST(ChannelFifos, SaturatedStormsMatchParentDigests)
+{
+    // Recorded before any of these topologies queued arrivals in
+    // channel FIFOs, when every queued packet was its own event.
+    struct Case
+    {
+        NetSel net;
+        std::uint32_t rows;
+        std::uint32_t cols;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {NetSel::PointToPoint, 8, 8, 0x0d55aab564937fccULL},
+        {NetSel::PointToPoint, 3, 5, 0x163e440d6cf981eeULL},
+        {NetSel::PointToPoint, 24, 24, 0x61a0671350fed86cULL},
+        {NetSel::LimitedPtToPt, 8, 8, 0x4aa5e290075a5eb5ULL},
+        {NetSel::LimitedPtToPt, 3, 5, 0x12219c05aa39e51dULL},
+        {NetSel::LimitedPtToPt, 24, 24, 0x24e9d59f32b51dccULL},
+        {NetSel::Hermes, 8, 8, 0x5789a43776e947c6ULL},
+        {NetSel::Hermes, 3, 5, 0x549e2be93a2440f3ULL},
+        {NetSel::Hermes, 24, 24, 0x600e3869f3d21427ULL},
+        {NetSel::TwoPhase, 8, 8, 0xc28b56fdf0c91b69ULL},
+        {NetSel::TwoPhase, 3, 5, 0xaebefc7c3fafaa1cULL},
+        {NetSel::TwoPhase, 24, 24, 0x8bda9bcfd5c809c0ULL},
+        {NetSel::TwoPhaseAlt, 8, 8, 0xff754bb57e36cfc0ULL},
+        {NetSel::TwoPhaseAlt, 3, 5, 0xd5cca218a8725ce2ULL},
+        {NetSel::TwoPhaseAlt, 24, 24, 0x7a8d594ec623ead1ULL},
+    };
+    for (const Case &c : cases) {
+        const std::uint64_t got = fifoStormDigest(c.net, c.rows, c.cols);
+        EXPECT_EQ(got, c.digest)
+            << netShortName(c.net) << " " << c.rows << "x" << c.cols
+            << ": 0x" << std::hex << got;
+    }
+}
+
+TEST(ChannelFifos, PeakQueuedCountsInterSitePacketsInFlight)
+{
+    // A saturated point-to-point storm without faults: every inter-site
+    // packet is an arrival pending on its channel from inject to
+    // delivery, queued or not, so peak_queued is the storm's own peak
+    // in flight.
+    Simulator sim;
+    PointToPointNetwork net(sim, simulatedConfig());
+    const SiteId sites = simulatedConfig().siteCount();
+    std::uint64_t injected = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t peak = 0;
+    net.setDefaultHandler([&](const Message &) { ++delivered; });
+    Rng rng(5);
+    const std::uint64_t packets = 120 * std::uint64_t{sites};
+    for (std::uint64_t i = 0; i < packets; ++i) {
+        Message m;
+        m.src = static_cast<SiteId>(rng.below(sites));
+        m.dst = static_cast<SiteId>((m.src + 1 + rng.below(sites - 1))
+                                    % sites);
+        sim.events().schedule(rng.below(30 * tickNs), [&, m] {
+            net.inject(m);
+            ++injected;
+            peak = std::max(peak, injected - delivered);
+        }, "test.inject");
+    }
+    sim.run();
+    ASSERT_EQ(delivered, packets);
+    const StatRegistry &reg = sim.telemetry();
+    EXPECT_EQ(reg.value(net.statPrefix() + ".peak_queued"),
+              static_cast<double>(peak));
+    EXPECT_EQ(reg.value(net.statPrefix() + ".queued"), 0.0);
+    EXPECT_GT(peak, packets / 2); // saturated: most of it at once
+}
+
+TEST(ChannelFifosDeathTest, ArrivalEarlierThanTailPanics)
+{
+    ArrivalFifos fifos(2);
+    const Message m;
+    // The head goes to the event queue; the rest wait in the pool.
+    EXPECT_TRUE(fifos.push(0, 100, 0, m, Leg::Deliver, 0));
+    EXPECT_FALSE(fifos.push(0, 120, 1, m, Leg::Deliver, 0));
+    EXPECT_FALSE(fifos.push(0, 120, 2, m, Leg::Deliver, 0));
+    // Another FIFO is free to start earlier.
+    EXPECT_TRUE(fifos.push(1, 50, 3, m, Leg::Deliver, 0));
+    EXPECT_DEATH(fifos.push(0, 119, 4, m, Leg::Deliver, 0),
+                 "earlier than its tail");
+    std::vector<std::uint64_t> filed;
+    const auto file = [&](const Arrival &a) { filed.push_back(a.seq); };
+    fifos.advance(0, file);
+    fifos.advance(0, file);
+    fifos.advance(0, file);
+    EXPECT_EQ(filed, (std::vector<std::uint64_t>{1, 2}));
+    // Idle again: the next arrival is a head, at any tick.
+    EXPECT_TRUE(fifos.push(0, 10, 5, m, Leg::Deliver, 0));
 }
 
 TEST(TokenRing, Table6Counts)
