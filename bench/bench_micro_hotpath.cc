@@ -457,7 +457,7 @@ checkJobsDeterminism()
 int
 main(int argc, char **argv)
 {
-    installSweepSignalHandlers();
+    exitOnFatalError();
     const bool smoke = stripSwitch(argc, argv, "smoke");
     rejectUnknownFlags(argc, argv);
 
@@ -519,5 +519,5 @@ main(int argc, char **argv)
     }
     if (!ok)
         return 1;
-    return sweepExitStatus();
+    return 0;
 }

@@ -139,7 +139,7 @@ captureTrace(const InjectorConfig &cfg, std::uint32_t lps,
 int
 main(int argc, char **argv)
 {
-    installSweepSignalHandlers();
+    exitOnFatalError();
     const TelemetryOptions topts = telemetryArgs(argc, argv);
     const bool simStats = simStatsArg(argc, argv);
     const bool smoke = topts.smoke;
@@ -272,5 +272,5 @@ main(int argc, char **argv)
         writeJsonFile("BENCH_pdes.json", pin);
     if (!ok)
         return 1;
-    return sweepExitStatus();
+    return 0;
 }

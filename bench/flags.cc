@@ -2,15 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
+#include <exception>
 
-#include "service/campaign.hh"
 #include "sim/logging.hh"
-#include "sim/sweep.hh"
 
 namespace macrosim::bench
 {
@@ -44,7 +41,33 @@ parseUnsignedOrFatal(const char *what, const std::string &text)
     return static_cast<std::uint64_t>(v);
 }
 
+std::terminate_handler defaultTerminate = nullptr;
+
+void
+terminateOnFatalError()
+{
+    try {
+        if (const std::exception_ptr e = std::current_exception())
+            std::rethrow_exception(e);
+    } catch (const FatalError &e) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        // _Exit, not exit: a sweep or PDES worker may still be
+        // running, and no static destructor may race it.
+        std::_Exit(2);
+    } catch (...) {
+    }
+    defaultTerminate();
+}
+
 } // namespace
+
+void
+exitOnFatalError()
+{
+    if (std::get_terminate() != terminateOnFatalError)
+        defaultTerminate = std::set_terminate(terminateOnFatalError);
+}
 
 bool
 stripValueFlag(int &argc, char **argv, const char *name,
@@ -192,85 +215,13 @@ telemetryArgs(int &argc, char **argv)
 BenchFlags
 benchFlags(int &argc, char **argv, std::uint64_t seed_fallback)
 {
-    installSweepSignalHandlers();
+    exitOnFatalError();
     BenchFlags flags;
     flags.jobs = stripJobsFlag(argc, argv);
     flags.simStats = simStatsArg(argc, argv);
     flags.seed = seedArg(argc, argv, seed_fallback);
     flags.telemetry = telemetryArgs(argc, argv);
     return flags;
-}
-
-namespace
-{
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = text.find(',', pos);
-        const std::size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        if (end > pos)
-            out.push_back(text.substr(pos, end - pos));
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-} // namespace
-
-service::CampaignSpec
-campaignArgs(int &argc, char **argv)
-{
-    service::CampaignSpec spec;
-    if (stripSwitch(argc, argv, "smoke"))
-        spec = service::CampaignSpec::smokeInjector();
-
-    std::string text;
-    if (stripValueFlag(argc, argv, "kind", &text)) {
-        if (text == "injector")
-            spec.kind = service::CampaignKind::InjectorSweep;
-        else if (text == "matrix")
-            spec.kind = service::CampaignKind::WorkloadMatrix;
-        else
-            fatal("--kind must be 'injector' or 'matrix', got '",
-                  text, "'");
-    }
-    if (stripValueFlag(argc, argv, "patterns", &text))
-        spec.patterns = splitList(text);
-    if (stripValueFlag(argc, argv, "networks", &text)) {
-        spec.networks.clear();
-        for (const std::string &name : splitList(text)) {
-            NetSel net;
-            if (!netFromString(name, &net))
-                fatal("--networks: unknown network '", name, "'");
-            spec.networks.push_back(net);
-        }
-    }
-    if (stripValueFlag(argc, argv, "loads", &text)) {
-        spec.loads.clear();
-        for (const std::string &item : splitList(text)) {
-            errno = 0;
-            char *end = nullptr;
-            const double v = std::strtod(item.c_str(), &end);
-            if (errno != 0 || end == item.c_str() || *end != '\0'
-                || !std::isfinite(v) || v < 0.0)
-                fatal("--loads: bad load fraction '", item, "'");
-            spec.loads.push_back(v);
-        }
-    }
-    stripNumberFlag(argc, argv, "warmup-ns", &spec.warmupNs);
-    stripNumberFlag(argc, argv, "window-ns", &spec.windowNs);
-    stripNumberFlag(argc, argv, "instr", &spec.instructionsPerCore);
-    if (stripValueFlag(argc, argv, "workloads", &text))
-        spec.workloads = splitList(text);
-    spec.seed = seedArg(argc, argv, spec.seed);
-    return spec;
 }
 
 } // namespace macrosim::bench

@@ -1,11 +1,12 @@
 /**
  * @file
- * Command-line flag parsing shared by every bench binary and
- * macrosimctl.
+ * Command-line flag parsing shared by every bench binary.
  *
  * All strippers remove the flag (and its value) from argv in place,
  * so each bench's positional arguments (e.g. instructions/core)
  * keep their historical position no matter which flags were given.
+ * A malformed value throws FatalError; a bench that has called
+ * exitOnFatalError() (benchFlags() does) reports it and exits 2.
  */
 
 #ifndef MACROSIM_BENCH_FLAGS_HH
@@ -15,13 +16,7 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/sweep.hh"
 #include "sim/ticks.hh"
-
-namespace macrosim::service
-{
-struct CampaignSpec;
-}
 
 namespace macrosim::bench
 {
@@ -50,6 +45,14 @@ bool stripNumberFlag(int &argc, char **argv, const char *name,
  * MACROSIM_JOBS / hardware_concurrency()).
  */
 std::size_t stripJobsFlag(int &argc, char **argv);
+
+/**
+ * Make an uncaught FatalError print "fatal: <message>" on stderr and
+ * exit with status 2, as an unknown flag does, instead of aborting.
+ * Any other uncaught exception still goes to the default terminate
+ * handler. Idempotent.
+ */
+void exitOnFatalError();
 
 /**
  * Exit with status 2, naming them on stderr, if any argument left in
@@ -131,32 +134,11 @@ struct BenchFlags
 };
 
 /**
- * One-call bench setup: strips --jobs/--seed/--sim-stats and the
- * telemetry flags, and installs the cooperative SIGINT/SIGTERM
- * handlers (sim/sweep.hh) so an interrupted sweep drains in-flight
- * cells and the bench exits via sweepExitStatus().
+ * One-call bench setup: calls exitOnFatalError(), then strips
+ * --jobs/--seed/--sim-stats and the telemetry flags.
  */
 BenchFlags benchFlags(int &argc, char **argv,
                       std::uint64_t seed_fallback);
-
-/**
- * Build a CampaignSpec from the campaign option table of
- * `macrosimctl run`, stripping the flags from argv (fatal() on
- * malformed values):
- *
- *   --kind=injector|matrix   campaign kind (default injector)
- *   --patterns=a,b           injector traffic patterns
- *   --networks=a,b           short or display network names
- *   --loads=0.01,0.1         offered-load fractions
- *   --warmup-ns=N            injector warmup window
- *   --window-ns=N            injector measurement window
- *   --instr=N                matrix instructions per core
- *   --workloads=a,b          matrix workload names
- *   --seed=N                 root seed (MACROSIM_SEED fallback)
- *   --smoke                  the smokeInjector() preset (other
- *                            campaign flags then refine it)
- */
-service::CampaignSpec campaignArgs(int &argc, char **argv);
 
 } // namespace macrosim::bench
 

@@ -7,6 +7,9 @@
 #include <sstream>
 #include <utility>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/sweep.hh"
@@ -96,7 +99,7 @@ SweepRecorder::Cell::finish(const std::string &label)
         std::string table = os.str();
         if (table.back() == '\n')
             table.pop_back();
-        sweepLog(table);
+        statusLine(table);
     }
     if (simStatsEnabled()) {
         // One line per simulation keeps parallel sweeps greppable.
@@ -104,7 +107,7 @@ SweepRecorder::Cell::finish(const std::string &label)
         sim_.telemetry().dump(os);
         std::string folded = os.str();
         std::replace(folded.begin(), folded.end(), '\n', ' ');
-        sweepLog("  [simstats] " + label + ": " + folded);
+        statusLine("  [simstats] " + label + ": " + folded);
     }
 }
 
@@ -167,7 +170,7 @@ runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed,
                         std::ostringstream line;
                         line << "  [matrix] " << label << ": runtime "
                              << r.runtimeNs() << " ns";
-                        sweepLog(line.str());
+                        statusLine(line.str());
                     }
                     return r;
                 }});
@@ -203,13 +206,27 @@ instructionsArg(int argc, char **argv, std::uint64_t fallback)
 void
 writeTextFile(const std::string &path, const std::string &text)
 {
-    std::ofstream os(path, std::ios::binary);
+    // Write a sibling and rename it over the path: a run killed
+    // mid-write leaves the old file or none, never a torn one. A
+    // device or FIFO (--trace=/dev/stdout) is written in place, as
+    // renaming over it would replace it.
+    struct stat st;
+    const bool inPlace =
+        ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+    const std::string tmp = inPlace
+        ? path
+        : path + "." + std::to_string(::getpid()) + ".tmp";
+    std::ofstream os(tmp, std::ios::binary);
     if (!os)
-        fatal("writeTextFile: cannot open '", path, "' for writing");
+        fatal("writeTextFile: cannot open '", tmp, "' for writing");
     os << text;
     os.close();
-    if (!os)
+    if (!os
+        || (!inPlace && std::rename(tmp.c_str(), path.c_str()) != 0)) {
+        if (!inPlace)
+            std::remove(tmp.c_str());
         fatal("writeTextFile: write to '", path, "' failed");
+    }
 }
 
 void

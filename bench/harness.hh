@@ -179,7 +179,13 @@ const TraceCpuResult &find(const std::vector<TraceCpuResult> &matrix,
 std::uint64_t instructionsArg(int argc, char **argv,
                               std::uint64_t fallback);
 
-/** Write @p text to @p path; fatal() on any I/O failure. */
+/**
+ * Write @p text to a temp file beside @p path, then rename() it over
+ * @p path, so the file is whole or absent even if the process dies
+ * mid-write. A @p path that exists and is not a regular file (a
+ * device or FIFO) is written in place. fatal() on any I/O failure,
+ * leaving no temp file.
+ */
 void writeTextFile(const std::string &path, const std::string &text);
 
 /**

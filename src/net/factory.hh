@@ -1,8 +1,8 @@
 /**
  * @file
  * The network selector and factory: one name per topology, shared by
- * the figure benches, the campaign runner and the tests, so "Token
- * Ring" means the same constructor everywhere.
+ * the benches and the tests, so "Token Ring" means the same
+ * constructor everywhere.
  */
 
 #ifndef MACROSIM_NET_FACTORY_HH
@@ -20,8 +20,9 @@ namespace macrosim
 
 /**
  * The paper's five architectures, the ALT arbitration variant, and
- * the hermes extension. The values are stored in campaign journals
- * and hashed into campaign fingerprints; never renumber them.
+ * the hermes extension. The values seed the pinned storm digests of
+ * ChannelFifos.SaturatedStormsMatchParentDigests; never renumber
+ * them.
  */
 enum class NetSel : std::uint8_t
 {

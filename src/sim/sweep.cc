@@ -1,7 +1,5 @@
 #include "sim/sweep.hh"
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -18,18 +16,6 @@ namespace
 
 std::mutex progressMutex;
 
-/** Async-signal-safe interrupt latch (SIGINT/SIGTERM). */
-volatile std::sig_atomic_t signalInterrupt = 0;
-
-/** Programmatic latch (requestSweepInterrupt; tests). */
-std::atomic<bool> manualInterrupt{false};
-
-void
-onSweepSignal(int)
-{
-    signalInterrupt = 1;
-}
-
 } // namespace
 
 std::size_t
@@ -42,52 +28,6 @@ defaultJobs()
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-void
-sweepLog(const std::string &line)
-{
-    statusLine(line);
-}
-
-void
-installSweepSignalHandlers()
-{
-    static std::once_flag once;
-    std::call_once(once, [] {
-        struct sigaction sa = {};
-        sa.sa_handler = onSweepSignal;
-        sigemptyset(&sa.sa_mask);
-        sa.sa_flags = 0; // no SA_RESTART: interrupt blocking calls
-        sigaction(SIGINT, &sa, nullptr);
-        sigaction(SIGTERM, &sa, nullptr);
-    });
-}
-
-bool
-sweepInterrupted()
-{
-    return signalInterrupt != 0
-           || manualInterrupt.load(std::memory_order_relaxed);
-}
-
-void
-requestSweepInterrupt()
-{
-    manualInterrupt.store(true, std::memory_order_relaxed);
-}
-
-void
-clearSweepInterrupt()
-{
-    signalInterrupt = 0;
-    manualInterrupt.store(false, std::memory_order_relaxed);
-}
-
-int
-sweepExitStatus()
-{
-    return sweepInterrupted() ? 130 : 0;
 }
 
 SweepRunner::SweepRunner(std::size_t jobs, bool progress)
@@ -132,28 +72,19 @@ SweepRunner::noteJobDone(const std::string &label, double ns,
 }
 
 void
-SweepRunner::noteSweepDone(const std::string &name,
-                           std::size_t completed, std::size_t count,
-                           bool interrupted, double wall_ns,
-                           double busy_ns)
+SweepRunner::noteSweepDone(const std::string &name, std::size_t count,
+                           double wall_ns, double busy_ns)
 {
     if (!progress_)
         return;
     std::ostringstream os;
     os.setf(std::ios::fixed);
     os.precision(1);
-    if (interrupted) {
-        os << "[sweep] " << name << ": INTERRUPTED after "
-           << completed << "/" << count << " jobs ("
-           << wall_ns * 1e-6
-           << " ms wall); completed cells were flushed";
-    } else {
-        os << "[sweep] " << name << ": " << count << " jobs on "
-           << jobs_ << " threads, " << wall_ns * 1e-6
-           << " ms wall, " << busy_ns * 1e-6 << " ms cpu, speedup ";
-        os.precision(2);
-        os << (wall_ns > 0.0 ? busy_ns / wall_ns : 0.0) << "x";
-    }
+    os << "[sweep] " << name << ": " << count << " jobs on " << jobs_
+       << " threads, " << wall_ns * 1e-6 << " ms wall, "
+       << busy_ns * 1e-6 << " ms cpu, speedup ";
+    os.precision(2);
+    os << (wall_ns > 0.0 ? busy_ns / wall_ns : 0.0) << "x";
     statusLine(os.str());
 }
 

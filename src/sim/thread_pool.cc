@@ -28,39 +28,6 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-namespace
-{
-thread_local bool tlsCancelling = false;
-} // namespace
-
-std::size_t
-ThreadPool::cancelPending()
-{
-    std::deque<std::function<void()>> flushed;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        flushed.swap(queue_);
-    }
-    tlsCancelling = true;
-    for (std::function<void()> &task : flushed)
-        task();
-    tlsCancelling = false;
-    return flushed.size();
-}
-
-bool
-ThreadPool::cancelling()
-{
-    return tlsCancelling;
-}
-
-std::size_t
-ThreadPool::pending() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
-
 void
 ThreadPool::post(std::function<void()> task)
 {

@@ -63,31 +63,11 @@ class ThreadPool
         return future;
     }
 
-    /**
-     * Cooperative cancellation: atomically take every task still
-     * queued (not yet picked up by a worker) and run them inline on
-     * the calling thread with cancelling() == true. Cancel-aware
-     * tasks check that flag first and return immediately, so their
-     * futures resolve (no broken promises) while the work itself is
-     * skipped. Tasks already running on workers are unaffected —
-     * they drain normally. @return Number of tasks flushed.
-     */
-    std::size_t cancelPending();
-
-    /**
-     * Whether the current thread is executing a task flushed by
-     * cancelPending() — the task's cue to skip its real work.
-     */
-    static bool cancelling();
-
-    /** Tasks queued but not yet started (diagnostic). */
-    std::size_t pending() const;
-
   private:
     void post(std::function<void()> task);
     void workerLoop();
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable available_;
     std::deque<std::function<void()>> queue_;
     bool closed_ = false;

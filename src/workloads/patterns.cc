@@ -18,21 +18,6 @@ to_string(TrafficPattern p)
     return "?";
 }
 
-bool
-patternFromString(std::string_view name, TrafficPattern *out)
-{
-    for (const TrafficPattern p :
-         {TrafficPattern::Uniform, TrafficPattern::Transpose,
-          TrafficPattern::Butterfly, TrafficPattern::Neighbor,
-          TrafficPattern::AllToAll}) {
-        if (to_string(p) == name) {
-            *out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 SiteId
 transposeOf(SiteId src, std::uint32_t bits)
 {

@@ -39,13 +39,6 @@ enum class TrafficPattern
 
 std::string_view to_string(TrafficPattern p);
 
-/**
- * Inverse of to_string(): parse a pattern name ("uniform",
- * "transpose", "butterfly", "neighbor", "all-to-all").
- * @return Whether @p name was recognized; *out untouched otherwise.
- */
-bool patternFromString(std::string_view name, TrafficPattern *out);
-
 /** The fixed transpose permutation on @p bits-bit site ids. */
 SiteId transposeOf(SiteId src, std::uint32_t bits);
 

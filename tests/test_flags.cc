@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the shared bench flag strippers (bench/flags.cc):
  * argv surgery, strict numeric parsing (trailing garbage, negative
- * values, overflow), and the telemetry/campaign option tables.
+ * values, overflow), and the telemetry option table.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "flags.hh"
-#include "service/campaign.hh"
 #include "sim/logging.hh"
 
 using namespace macrosim;
@@ -216,39 +215,4 @@ TEST(FlagsTelemetry, MetricsPeriodStrictlyParsed)
         Args a({"bench", "--metrics-period=0"});
         EXPECT_THROW(telemetryArgs(a.argc(), a.argv()), FatalError);
     }
-}
-
-TEST(FlagsCampaign, NumericCampaignKnobsRejectGarbage)
-{
-    {
-        Args a({"bench", "--warmup-ns=100ns"});
-        EXPECT_THROW(campaignArgs(a.argc(), a.argv()), FatalError);
-    }
-    {
-        Args a({"bench", "--loads=0.1,oops"});
-        EXPECT_THROW(campaignArgs(a.argc(), a.argv()), FatalError);
-    }
-    {
-        Args a({"bench", "--loads=0.1,-0.5"});
-        EXPECT_THROW(campaignArgs(a.argc(), a.argv()), FatalError);
-    }
-    {
-        Args a({"bench", "--loads=inf"});
-        EXPECT_THROW(campaignArgs(a.argc(), a.argv()), FatalError);
-    }
-}
-
-TEST(FlagsCampaign, ValidSpecRoundTrips)
-{
-    Args a({"bench", "--kind=matrix", "--loads=0.25,0.5",
-            "--warmup-ns=100", "--window-ns=400", "--instr=5000"});
-    const service::CampaignSpec spec = campaignArgs(a.argc(), a.argv());
-    EXPECT_EQ(spec.kind, service::CampaignKind::WorkloadMatrix);
-    ASSERT_EQ(spec.loads.size(), 2u);
-    EXPECT_DOUBLE_EQ(spec.loads[0], 0.25);
-    EXPECT_DOUBLE_EQ(spec.loads[1], 0.5);
-    EXPECT_EQ(spec.warmupNs, 100u);
-    EXPECT_EQ(spec.windowNs, 400u);
-    EXPECT_EQ(spec.instructionsPerCore, 5000u);
-    EXPECT_EQ(a.remaining(), (std::vector<std::string>{"bench"}));
 }

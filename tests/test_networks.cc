@@ -1096,4 +1096,22 @@ TEST(TwoPhase, Table5Power)
     EXPECT_NEAR(specs[0].watts(), 65.2, 0.3);
 }
 
+TEST(NetFactory, NamesRoundTripThroughParser)
+{
+    const NetSel all[] = {NetSel::TokenRing,  NetSel::CircuitSwitched,
+                          NetSel::PointToPoint, NetSel::LimitedPtToPt,
+                          NetSel::TwoPhase,   NetSel::TwoPhaseAlt,
+                          NetSel::Hermes};
+    for (const NetSel id : all) {
+        NetSel back;
+        ASSERT_TRUE(netFromString(netShortName(id), &back))
+            << netShortName(id);
+        EXPECT_EQ(back, id);
+        ASSERT_TRUE(netFromString(netDisplayName(id), &back));
+        EXPECT_EQ(back, id);
+    }
+    NetSel out;
+    EXPECT_FALSE(netFromString("no-such-network", &out));
+}
+
 } // namespace

@@ -11,14 +11,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "harness.hh"
 #include "net/pt2pt.hh"
@@ -467,6 +471,70 @@ TEST(JsonWriter, WritersFailLoudly)
     writeJsonFile(path, "{\"a\":1}");
     EXPECT_TRUE(std::ifstream(path).good());
     std::remove(path.c_str());
+}
+
+TEST(JsonWriter, WritesRenameATempFileIntoPlace)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "macrosim_atomic_write_test";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const auto names = [&dir] {
+        std::vector<std::string> out;
+        for (const fs::directory_entry &e : fs::directory_iterator(dir))
+            out.push_back(e.path().filename().string());
+        std::sort(out.begin(), out.end());
+        return out;
+    };
+
+    // A rewrite renames a new file into place, so a reader that
+    // opened the old one still reads it whole, and no temp file is
+    // left behind.
+    const fs::path path = dir / "out.csv";
+    writeTextFile(path.string(), "old\n");
+    std::ifstream reader(path);
+    writeTextFile(path.string(), "new\n");
+    std::ostringstream before;
+    std::ostringstream after;
+    before << reader.rdbuf();
+    after << std::ifstream(path).rdbuf();
+    EXPECT_EQ(before.str(), "old\n");
+    EXPECT_EQ(after.str(), "new\n");
+    EXPECT_EQ(names(), std::vector<std::string>{"out.csv"});
+
+    // An unopenable path, or a write that fails part-way (here past
+    // RLIMIT_FSIZE), is loud and leaves nothing behind.
+    fs::remove(path);
+    fs::create_directory(dir / "sub");
+    EXPECT_THROW(writeTextFile((dir / "no-such-dir" / "out.csv").string(),
+                               "x"),
+                 FatalError);
+    EXPECT_THROW(writeTextFile((dir / "sub").string(), "x"), FatalError);
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit tiny = saved;
+    tiny.rlim_cur = 4;
+    const auto xfsz = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &tiny), 0);
+    bool threw = false; // checked once the limit is lifted again
+    try {
+        writeTextFile(path.string(), "longer than four bytes");
+    } catch (const FatalError &) {
+        threw = true;
+    }
+    setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, xfsz);
+    EXPECT_TRUE(threw);
+    EXPECT_EQ(names(), std::vector<std::string>{"sub"});
+    EXPECT_TRUE(fs::is_empty(dir / "sub"));
+
+    // A device is written through, not renamed over.
+    fs::create_symlink("/dev/null", dir / "null");
+    writeTextFile((dir / "null").string(), "x");
+    EXPECT_TRUE(fs::is_symlink(dir / "null"));
+    EXPECT_EQ(names(), (std::vector<std::string>{"null", "sub"}));
+    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------- //
