@@ -23,6 +23,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
+    exitOnFatalError();
     rejectUnknownFlags(argc, argv);
     const std::uint64_t instr = instructionsArg(argc, argv, 1200);
     WorkloadSpec spec = workloadByName("swaptions");

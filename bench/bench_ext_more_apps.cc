@@ -22,6 +22,7 @@ int
 main(int argc, char **argv)
 {
     setQuiet(true);
+    exitOnFatalError();
     rejectUnknownFlags(argc, argv);
     const std::uint64_t instr = instructionsArg(argc, argv, 1200);
 

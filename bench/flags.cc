@@ -143,9 +143,24 @@ std::size_t
 stripJobsFlag(int &argc, char **argv)
 {
     std::uint64_t v = 0;
-    if (!stripNumberFlag(argc, argv, "jobs", &v))
-        return 0;
+    if (!stripNumberFlag(argc, argv, "jobs", &v)) {
+        const char *env = std::getenv("MACROSIM_JOBS");
+        if (env != nullptr && *env != '\0')
+            v = parseUnsignedOrFatal("MACROSIM_JOBS", env);
+    }
     return static_cast<std::size_t>(v);
+}
+
+std::uint64_t
+instructionsArg(int argc, char **argv, std::uint64_t fallback)
+{
+    if (argc < 2)
+        return fallback;
+    const std::uint64_t v =
+        parseUnsignedOrFatal("instructions/core", argv[1]);
+    if (v == 0)
+        fatal("instructions/core must be positive, got '", argv[1], "'");
+    return v;
 }
 
 std::uint64_t

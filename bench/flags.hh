@@ -40,11 +40,20 @@ bool stripNumberFlag(int &argc, char **argv, const char *name,
                      std::uint64_t *value);
 
 /**
- * Remove a "--jobs N" (or "--jobs=N") from argv and return N;
- * returns 0 when the flag is absent (SweepRunner then falls back to
- * MACROSIM_JOBS / hardware_concurrency()).
+ * Remove a "--jobs N" (or "--jobs=N") from argv and return N. Without
+ * the flag, returns the MACROSIM_JOBS environment variable if it is
+ * set and non-empty, else 0 (SweepRunner then uses
+ * hardware_concurrency()). Both parse strictly; fatal() on a
+ * malformed value.
  */
 std::size_t stripJobsFlag(int &argc, char **argv);
+
+/**
+ * Instructions per core: the positional argv[1] if given, else
+ * @p fallback. fatal() unless argv[1] is a positive integer.
+ */
+std::uint64_t instructionsArg(int argc, char **argv,
+                              std::uint64_t fallback);
 
 /**
  * Make an uncaught FatalError print "fatal: <message>" on stderr and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -190,17 +189,6 @@ find(const std::vector<TraceCpuResult> &matrix,
             return r;
     }
     panic("bench::find: no result for ", workload, " on ", wanted);
-}
-
-std::uint64_t
-instructionsArg(int argc, char **argv, std::uint64_t fallback)
-{
-    if (argc > 1) {
-        const long v = std::atol(argv[1]);
-        if (v > 0)
-            return static_cast<std::uint64_t>(v);
-    }
-    return fallback;
 }
 
 void

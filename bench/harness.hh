@@ -157,8 +157,8 @@ class SweepRecorder
 
 /**
  * Run every (workload x network) pair of figures 7-10, fanned out
- * over @p jobs worker threads (0 = --jobs / MACROSIM_JOBS /
- * hardware_concurrency), and collect the results in figure order.
+ * over @p jobs worker threads (0 = hardware_concurrency), and
+ * collect the results in figure order.
  * Each cell runs in its own Simulator with a seed derived from
  * (@p seed, workload, network), so the matrix is bit-identical for
  * every jobs value. Emits one progress line per cell to stderr.
@@ -174,10 +174,6 @@ runWorkloadMatrix(std::uint64_t instr_per_core, std::uint64_t seed = 1,
 const TraceCpuResult &find(const std::vector<TraceCpuResult> &matrix,
                            const std::string &workload,
                            NetSel net);
-
-/** Instructions per core: argv[1] if given, else @p fallback. */
-std::uint64_t instructionsArg(int argc, char **argv,
-                              std::uint64_t fallback);
 
 /**
  * Write @p text to a temp file beside @p path, then rename() it over

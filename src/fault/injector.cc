@@ -6,34 +6,33 @@
 namespace macrosim
 {
 
-FaultInjector::FaultInjector(Simulator &sim, Network &net,
-                             FaultSchedule schedule,
-                             const FaultModelParams &params,
-                             TraceSink *trace, std::uint32_t trace_pid)
-    : sim_(sim), net_(net), schedule_(std::move(schedule)),
-      params_(params), trace_(trace), tracePid_(trace_pid),
-      minMarginDb_(params.basePath
-                       .margin(params.launch, params.sensitivity)
-                       .value())
+namespace
 {
-    // Flatten the base path once: the per-element loss terms, in path
-    // order, are exactly what totalLoss() folds — keeping them as a
-    // dense array lets foldMargin() replay the identical operation
-    // sequence without rebuilding (and heap-copying) the path.
-    baseExtraDb_ = params_.basePath.extraLoss().value();
-    elemLossDb_.reserve(params_.basePath.elements().size());
-    for (const PathElement &e : params_.basePath.elements()) {
-        elemLossDb_.push_back(
-            (properties(e.component).insertionLoss * e.count).value());
-    }
-    launchDbm_ = params_.launch.value();
-    sensitivityDbm_ = params_.sensitivity.value();
 
-    // Seed one degradation lane per faultable link of the topology,
-    // so sweepMargins() covers the whole network from the start.
-    for (const auto &[a, b] : net_.faultableLinks())
-        laneFor(FaultTarget{FaultTarget::Scope::Channel, a, b}.key());
+/** A channel's health at @p margin_db: down when killed or below
+ *  0 dB, derated under the threshold. */
+LinkHealth
+healthAt(bool killed, double margin_db)
+{
+    LinkHealth out;
+    out.down = killed || margin_db < 0.0;
+    if (!out.down && margin_db < FaultInjector::derateThreshold.value())
+        out.bandwidthFraction = FaultInjector::deratedFraction;
+    return out;
+}
 
+} // namespace
+
+FaultInjector::FaultInjector(Simulator &sim, Network &net,
+                             FaultSchedule schedule, TraceSink *trace,
+                             std::uint32_t trace_pid)
+    : sim_(sim), net_(net), schedule_(std::move(schedule)),
+      trace_(trace), tracePid_(trace_pid),
+      minMarginDb_(marginDb(ChannelState{}))
+{
+    // Each event hits one target, so neither map grows mid-run.
+    channels_.reserve(schedule_.size());
+    sites_.reserve(schedule_.size());
     registerStats();
 }
 
@@ -60,31 +59,6 @@ FaultInjector::registerStats()
     reg.add(prefix + ".min_margin_db", [this] {
         return minMarginDb_;
     });
-    reg.add(prefix + ".tracked_links", [this] {
-        return static_cast<double>(laneKeys_.size());
-    });
-}
-
-std::uint32_t
-FaultInjector::laneFor(std::uint64_t key)
-{
-    const auto it = laneIndex_.find(key);
-    if (it != laneIndex_.end())
-        return it->second;
-    const auto i = static_cast<std::uint32_t>(laneKeys_.size());
-    laneKeys_.push_back(key);
-    droopDb_.push_back(0.0);
-    dropDb_.push_back(0.0);
-    wgDb_.push_back(0.0);
-    rxDb_.push_back(0.0);
-    killed_.push_back(0);
-    // A fresh lane's margin is the base margin; cache it directly so
-    // construction does not pay one evaluate per faultable link.
-    marginDb_.push_back(params_.basePath
-                            .margin(params_.launch, params_.sensitivity)
-                            .value());
-    laneIndex_.try_emplace(key, i);
-    return i;
 }
 
 void
@@ -102,65 +76,19 @@ FaultInjector::arm()
 }
 
 double
-FaultInjector::foldMargin(double droop_db, double drop_db, double wg_db,
-                          double rx_db) const
+FaultInjector::marginDb(const ChannelState &st) const
 {
-    // The accumulated soft degradation re-runs the section 2 budget,
-    // basePath.deratedPath(drop + wg).margin(launch - droop,
-    // sensitivity + rx), in that object path's operation order:
-    // totalLoss() starts from the extra (derate) loss and folds each
-    // element's term in path order; margin is (launch - loss) -
-    // sensitivity. Keeping the fold order makes the result
-    // bit-identical to the photonics arithmetic despite FP
-    // non-associativity.
-    double total = baseExtraDb_ + (drop_db + wg_db);
-    for (const double term : elemLossDb_)
-        total += term;
-    return ((launchDbm_ - droop_db) - total) - (sensitivityDbm_ + rx_db);
-}
-
-double
-FaultInjector::marginOfLane(std::uint32_t i) const
-{
-    return foldMargin(droopDb_[i], dropDb_[i], wgDb_[i], rxDb_[i]);
-}
-
-LinkHealth
-FaultInjector::healthAt(std::uint32_t i, double margin_db) const
-{
-    LinkHealth out;
-    out.down = killed_[i] != 0 || margin_db < 0.0;
-    if (!out.down && margin_db < params_.derateThreshold.value())
-        out.bandwidthFraction = params_.deratedFraction;
-    return out;
-}
-
-double
-FaultInjector::sweepMargins()
-{
-    if (laneKeys_.empty()) {
-        return params_.basePath
-            .margin(params_.launch, params_.sensitivity)
-            .value();
-    }
-    // One flat pass over the lanes: no path copies, no Decibel
-    // temporaries.
-    for (std::uint32_t i = 0; i < marginDb_.size(); ++i)
-        marginDb_[i] = marginOfLane(i);
-    double min = marginDb_[0];
-    for (const double m : marginDb_)
-        min = m < min ? m : min;
-    return min;
+    return basePath_.deratedPath(Decibel(st.dropDb + st.wgDb))
+        .margin(launchPower - Decibel(st.droopDb),
+                receiverSensitivity + Decibel(st.rxDb))
+        .value();
 }
 
 double
 FaultInjector::marginDbOf(const FaultTarget &target) const
 {
-    const auto it = laneIndex_.find(target.key());
-    if (it != laneIndex_.end())
-        return marginOfLane(it->second);
-    // Unknown target: fresh health, base margin.
-    return foldMargin(0.0, 0.0, 0.0, 0.0);
+    const auto it = channels_.find(target.key());
+    return marginDb(it != channels_.end() ? it->second : ChannelState{});
 }
 
 void
@@ -181,40 +109,34 @@ FaultInjector::apply(const FaultEvent &ev)
 void
 FaultInjector::applyChannel(const FaultEvent &ev)
 {
-    const std::uint32_t lane = laneFor(ev.target.key());
-    const double before_db = marginOfLane(lane);
-    const LinkHealth before = healthAt(lane, before_db);
+    ChannelState &st = channels_[ev.target.key()];
+    const LinkHealth before = healthAt(st.killed, marginDb(st));
 
     switch (ev.kind) {
       case FaultKind::LaserDroop:
-        droopDb_[lane] += ev.magnitudeDb;
+        st.droopDb += ev.magnitudeDb;
         break;
       case FaultKind::RingDrift:
-        dropDb_[lane] += ev.magnitudeDb;
+        st.dropDb += ev.magnitudeDb;
         break;
       case FaultKind::WaveguideCreep:
-        wgDb_[lane] += ev.magnitudeDb;
+        st.wgDb += ev.magnitudeDb;
         break;
       case FaultKind::ReceiverDegrade:
-        rxDb_[lane] += ev.magnitudeDb;
+        st.rxDb += ev.magnitudeDb;
         break;
       case FaultKind::ChannelKill:
-        killed_[lane] = 1;
+        st.killed = true;
         break;
       case FaultKind::Repair:
-        droopDb_[lane] = 0.0;
-        dropDb_[lane] = 0.0;
-        wgDb_[lane] = 0.0;
-        rxDb_[lane] = 0.0;
-        killed_[lane] = 0;
+        st = ChannelState{};
         break;
       case FaultKind::SiteKill:
         panic("FaultInjector: SiteKill against a channel target");
     }
 
-    const double after_db = marginOfLane(lane);
-    marginDb_[lane] = after_db;
-    const LinkHealth after = healthAt(lane, after_db);
+    const double after_db = marginDb(st);
+    const LinkHealth after = healthAt(st.killed, after_db);
     if (!net_.applyLinkHealth(ev.target.a, ev.target.b, after)) {
         warn_once("fault: network '", net_.name(),
                   "' has no channel (", ev.target.a, ", ",

@@ -4,28 +4,24 @@
  *
  * A FaultInjector arms a FaultSchedule against one simulation: each
  * event fires at its appointed tick, updates the target's accumulated
- * degradation, and re-evaluates the affected OpticalPath's margin —
- * the same arithmetic the static Table 5 analysis uses. Negative
- * margin (or a hard kill) marks the channel down; margin still
- * positive but inside the derate threshold masks wavelengths,
- * reducing the channel's aggregate bandwidth. Both transitions
- * surface as trace instant events and "fault.*" stats.
+ * degradation, and re-evaluates the target's margin through the
+ * section 2 link budget — deratedPath() + margin() on the canonical
+ * un-switched link, the same arithmetic the static Table 5 analysis
+ * uses. Negative margin (or a hard kill) marks the channel down;
+ * margin still positive but under derateThreshold masks wavelengths,
+ * reducing the channel's aggregate bandwidth to deratedFraction.
+ * Both transitions surface as trace instant events and "fault.*"
+ * stats.
  *
- * Per-link degradation lives in structure-of-arrays lanes —
- * droop/drop/waveguide/receiver dB, kill flags, cached margins — and
- * margins come from a flat fold over the base path's precomputed
- * per-element loss terms. The fold replays the operation sequence of
- * the photonics object path (deratedPath() + margin(), which copies
- * the OpticalPath per call) exactly, so it is bit-identical to that
- * reference while a whole topology's links re-evaluate in one pass
- * with no allocation.
+ * State is kept only for the targets events have hit: one entry per
+ * channel or site, created on its first event, so construction does
+ * no per-link work however large the topology.
  */
 
 #ifndef MACROSIM_FAULT_INJECTOR_HH
 #define MACROSIM_FAULT_INJECTOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hh"
@@ -39,28 +35,19 @@ namespace macrosim
 
 class TraceSink;
 
-/** Optical parameters the injector evaluates margins against. */
-struct FaultModelParams
-{
-    /** The healthy path every channel is engineered to (17 dB). */
-    OpticalPath basePath = canonicalUnswitchedLink();
-    PowerDbm launch = launchPower;
-    PowerDbm sensitivity = receiverSensitivity;
-    /** Margin below this (but still >= 0) derates the channel. */
-    Decibel derateThreshold{2.0};
-    /** Bandwidth fraction of a derated (reduced-margin) channel. */
-    double deratedFraction = 0.5;
-};
-
 class FaultInjector
 {
   public:
+    /** Margin below this (but still >= 0) derates a channel. */
+    static constexpr Decibel derateThreshold{2.0};
+    /** Bandwidth fraction of a derated (reduced-margin) channel. */
+    static constexpr double deratedFraction = 0.5;
+
     /**
      * @param trace Optional sink for "fault" instant events;
      *        @p trace_pid is the Perfetto process row to use.
      */
     FaultInjector(Simulator &sim, Network &net, FaultSchedule schedule,
-                  const FaultModelParams &params = {},
                   TraceSink *trace = nullptr,
                   std::uint32_t trace_pid = 0);
 
@@ -76,18 +63,6 @@ class FaultInjector
     /** Margin of a channel target right now, in dB. */
     double marginDbOf(const FaultTarget &target) const;
 
-    /**
-     * Re-evaluate every tracked link's margin in one flat pass over
-     * the degradation lanes, refreshing the margin cache. @return the
-     * minimum margin across all tracked links, in dB (the base margin
-     * when none are tracked).
-     */
-    double sweepMargins();
-
-    /** Number of links with degradation lanes (every faultable link
-     *  of the network, plus any targets events added). */
-    std::size_t trackedLinks() const { return laneKeys_.size(); }
-
     std::uint64_t injectedFaults() const { return injected_; }
     std::uint64_t repairs() const { return repairs_; }
     /** Channels currently down (killed or negative margin). */
@@ -100,21 +75,20 @@ class FaultInjector
     double minMarginDb() const { return minMarginDb_; }
 
   private:
-    /** Margin under the given accumulated degradation (laser droop,
-     *  drop-filter and waveguide loss, receiver penalty; all dB):
-     *  the photonics budget's operation order over the precomputed
-     *  element-loss terms, no allocation. */
-    double foldMargin(double droop_db, double drop_db, double wg_db,
-                      double rx_db) const;
+    /** Accumulated degradation of one channel target (all dB). */
+    struct ChannelState
+    {
+        double droopDb = 0.0;
+        double dropDb = 0.0;
+        double wgDb = 0.0;
+        double rxDb = 0.0;
+        bool killed = false;
+    };
 
-    /** Margin of lane @p i. */
-    double marginOfLane(std::uint32_t i) const;
-
-    /** Margin -> LinkHealth under the model params. */
-    LinkHealth healthAt(std::uint32_t i, double margin_db) const;
-
-    /** Lane of @p key, creating zeroed lanes on first sight. */
-    std::uint32_t laneFor(std::uint64_t key);
+    /** The section 2 budget under @p st: laser droop lowers the
+     *  launch power, drop-filter and waveguide loss derate the path,
+     *  the receiver penalty raises the sensitivity. */
+    double marginDb(const ChannelState &st) const;
 
     void applyChannel(const FaultEvent &ev);
     void applySite(const FaultEvent &ev);
@@ -126,33 +100,16 @@ class FaultInjector
     /** The armed timeline, pinned so the injection events capture
      *  just [this, index] instead of a FaultEvent by value. */
     std::vector<FaultEvent> armedEvents_;
-    FaultModelParams params_;
+    /** The healthy path every channel is engineered to (17 dB). */
+    const OpticalPath basePath_ = canonicalUnswitchedLink();
     TraceSink *trace_;
     std::uint32_t tracePid_;
     bool armed_ = false;
 
-    /** Per-link degradation lanes (index = lane id). Seeded with
-     *  every faultableLinks() key at construction; events against
-     *  other keys grow the lanes on demand. */
-    std::vector<std::uint64_t> laneKeys_;
-    std::vector<double> droopDb_;
-    std::vector<double> dropDb_;
-    std::vector<double> wgDb_;
-    std::vector<double> rxDb_;
-    std::vector<std::uint8_t> killed_;
-    /** Cached margins, refreshed on every mutation and by
-     *  sweepMargins(). */
-    std::vector<double> marginDb_;
-    FlatMap<std::uint64_t, std::uint32_t> laneIndex_;
-
-    /** Per-element loss terms of params_.basePath, in path order:
-     *  insertionLoss x count, exactly the terms totalLoss() folds. */
-    std::vector<double> elemLossDb_;
-    double baseExtraDb_ = 0.0;
-    double launchDbm_ = 0.0;
-    double sensitivityDbm_ = 0.0;
-
-    std::unordered_map<std::uint64_t, bool> sites_;
+    /** Keyed by FaultTarget::key(). */
+    FlatMap<std::uint64_t, ChannelState> channels_;
+    /** Whether each site target is dead, keyed by FaultTarget::key(). */
+    FlatMap<std::uint64_t, bool> sites_;
 
     std::uint64_t injected_ = 0;
     std::uint64_t repairs_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/sweep.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -21,11 +20,6 @@ std::mutex progressMutex;
 std::size_t
 defaultJobs()
 {
-    if (const char *env = std::getenv("MACROSIM_JOBS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<std::size_t>(v);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -42,10 +42,7 @@ struct SweepJob
     std::function<Result()> fn;
 };
 
-/**
- * Default worker count: the MACROSIM_JOBS environment variable if
- * set to a positive integer, else hardware_concurrency().
- */
+/** Default worker count: hardware_concurrency(), at least 1. */
 std::size_t defaultJobs();
 
 class SweepRunner

@@ -9,17 +9,26 @@
 namespace macrosim
 {
 
-PdesTracer::PdesTracer(PdesScheduler &sched,
-                       std::size_t shard_capacity,
-                       std::uint64_t flow_sample_mask,
-                       std::uint32_t pid)
-    : sched_(sched),
-      window_(std::max<Tick>(sched.lookahead(), 1)),
-      flowMask_(flow_sample_mask), pid_(pid)
+namespace
+{
+
+/** Perfetto process the LP thread rows live under. */
+constexpr std::uint32_t tracePid = 90;
+/** Per-LP TraceSink ring capacity. */
+constexpr std::size_t shardCapacity = 1 << 16;
+/** A cross-LP post becomes a flow arrow when (key & mask) == 0: a
+ *  deterministic 1-in-64 sample, so heavy runs do not flood the
+ *  rings. */
+constexpr std::uint64_t flowSampleMask = 63;
+
+} // namespace
+
+PdesTracer::PdesTracer(PdesScheduler &sched)
+    : sched_(sched), window_(std::max<Tick>(sched.lookahead(), 1))
 {
     const std::uint32_t n = sched_.lpCount();
     for (std::uint32_t i = 0; i < n; ++i)
-        shards_.emplace_back(this, i, shard_capacity);
+        shards_.emplace_back(this, i, shardCapacity);
     for (std::uint32_t i = 0; i < n; ++i) {
         sched_.simOf(i).events().setTickObserver(&PdesTracer::tickThunk,
                                                  &shards_[i]);
@@ -78,7 +87,7 @@ PdesTracer::closeWindow(Shard &shard)
     // message below last tick + lookahead can ever leave this LP.
     const Tick eot = shard.lastTick + window_;
     shard.sink.span(
-        "horizon", "pdes", pid_, shard.lp, start, window_,
+        "horizon", "pdes", tracePid, shard.lp, start, window_,
         {{"events", std::to_string(shard.events)},
          {"first_tick", std::to_string(shard.firstTick)},
          {"last_tick", std::to_string(shard.lastTick)},
@@ -91,14 +100,14 @@ void
 PdesTracer::recordPost(std::uint32_t src_lp, std::uint32_t dst_lp,
                        Tick send_tick, const PdesEvent &ev)
 {
-    if (flowMask_ != 0 && (ev.key & flowMask_) != 0)
+    if ((ev.key & flowSampleMask) != 0)
         return;
     // Both arrow ends come from the sender: (send tick, delivery
     // tick, key) are simulated quantities, so the arrow is identical
     // no matter when the receiver actually drains the channel.
     Shard &shard = shards_[src_lp];
-    shard.sink.flowStart("msg", pid_, src_lp, send_tick, ev.key);
-    shard.sink.flowFinish("msg", pid_, dst_lp, ev.when, ev.key);
+    shard.sink.flowStart("msg", tracePid, src_lp, send_tick, ev.key);
+    shard.sink.flowFinish("msg", tracePid, dst_lp, ev.when, ev.key);
 }
 
 std::uint64_t
@@ -129,7 +138,7 @@ PdesTracer::finish(TraceSink &out)
 
     // Metadata first, then the shards in fixed LP order, then the
     // derived counter tracks — a fully deterministic serialization.
-    out.processName(pid_, "pdes horizon");
+    out.processName(tracePid, "pdes horizon");
     const std::vector<std::uint32_t> &siteLp = sched_.sitePartition();
     for (std::uint32_t i = 0; i < n; ++i) {
         std::string label = "lp" + std::to_string(i);
@@ -150,14 +159,14 @@ PdesTracer::finish(TraceSink &out)
             label += " sites " + std::to_string(first) + ".."
                 + std::to_string(last);
         }
-        out.threadName(pid_, i, label);
+        out.threadName(tracePid, i, label);
     }
     for (Shard &shard : shards_)
         out.append(std::move(shard.sink));
     for (const Shard &shard : shards_) {
         const std::string track = "eot.lp" + std::to_string(shard.lp);
         for (const auto &[ts, eot] : shard.eotPoints) {
-            out.counter(track, pid_, ts,
+            out.counter(track, tracePid, ts,
                         static_cast<double>(eot));
         }
     }
@@ -188,7 +197,7 @@ PdesTracer::finish(TraceSink &out)
             const Tick floor = *std::min_element(cur.begin(),
                                                  cur.end());
             if (floor != lastFloor) {
-                out.counter("eit.floor", pid_, pickTs,
+                out.counter("eit.floor", tracePid, pickTs,
                             static_cast<double>(floor));
                 lastFloor = floor;
             }

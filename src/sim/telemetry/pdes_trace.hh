@@ -51,25 +51,16 @@ struct PdesEvent;
 class PdesTracer
 {
   public:
-    /** pid the LP thread rows live under in the Perfetto UI. */
-    static constexpr std::uint32_t defaultPid = 90;
-
     /**
      * Attach to @p sched: installs a tick observer on every LP's
      * event queue and registers as the scheduler's post hook. The
      * scheduler's lookahead must already be set (it defines the
      * horizon-window width); attach after buildPdesModel() / after
-     * setLookahead().
-     *
-     * @param shard_capacity Per-LP TraceSink ring capacity.
-     * @param flow_sample_mask Record a cross-LP flow arrow only when
-     *        (key & mask) == 0 — a deterministic 1-in-(mask+1)
-     *        sample; 0 records every post.
+     * setLookahead(). The rows live under pid 90, each LP's shard
+     * holds 65 536 trace events, and one cross-LP post in 64 (by
+     * message key) becomes a flow arrow.
      */
-    explicit PdesTracer(PdesScheduler &sched,
-                        std::size_t shard_capacity = 1 << 16,
-                        std::uint64_t flow_sample_mask = 63,
-                        std::uint32_t pid = defaultPid);
+    explicit PdesTracer(PdesScheduler &sched);
 
     /** Detaches the hooks if finish() was never called. */
     ~PdesTracer();
@@ -124,8 +115,6 @@ class PdesTracer
 
     PdesScheduler &sched_;
     Tick window_;
-    std::uint64_t flowMask_;
-    std::uint32_t pid_;
     /** Stable addresses: the tick observers hold shard pointers. */
     std::deque<Shard> shards_;
     bool attached_ = false;

@@ -55,11 +55,8 @@ armPdesObservability(PdesModel &model, const PdesObservability *obs)
         for (std::uint32_t i = 0; i < model.effectiveLps; ++i)
             model.sched->simOf(i).events().setProfiling(true);
     }
-    if (obs->trace != nullptr) {
-        return std::make_unique<PdesTracer>(*model.sched,
-                                            obs->traceShardCapacity,
-                                            obs->flowSampleMask);
-    }
+    if (obs->trace != nullptr)
+        return std::make_unique<PdesTracer>(*model.sched);
     return nullptr;
 }
 

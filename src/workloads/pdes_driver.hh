@@ -73,10 +73,6 @@ struct PdesObservability
     bool profile = false;
     /** When set, receive the merged Perfetto timeline (PdesTracer). */
     TraceSink *trace = nullptr;
-    /** Per-LP tracer shard ring capacity. */
-    std::size_t traceShardCapacity = 1 << 16;
-    /** Record a cross-LP flow arrow when (key & mask) == 0. */
-    std::uint64_t flowSampleMask = 63;
     /** When set with profile: the per-LP profiler tables, folded in
      *  fixed LP order (thread-count invariant layout; the wall-time
      *  numbers inside are real-time measurements). */

@@ -3,8 +3,8 @@
  * Fault-injection subsystem tests: deterministic schedules, link
  * margin re-evaluation through the section 2 budget arithmetic,
  * fault.* telemetry, protocol retry/timeout behaviour, sweep
- * determinism across worker-thread counts, the flat margin fold
- * against the photonics reference, and packet accounting on
+ * determinism across worker-thread counts, injector margins against
+ * the photonics reference, and packet accounting on
  * arbitrated topologies with dead and masked channels.
  */
 
@@ -151,7 +151,7 @@ TEST(FaultInjector, StatsAndTraceInstantEventsSurface)
     const FaultTarget t = FaultTarget::channel(0, 1);
     sched.add(100, FaultKind::ChannelKill, t);
     sched.add(200, FaultKind::Repair, t);
-    FaultInjector inj(sim, net, sched, {}, &trace, 7);
+    FaultInjector inj(sim, net, sched, &trace, 7);
     inj.arm();
 
     net.setRetryPolicy({10 * tickNs, 2});
@@ -328,7 +328,7 @@ TEST(FaultSweep, BitIdenticalForAnyJobsCount)
 }
 
 
-// ----------------------------------------------- flat margin fold
+// ------------------------------------- margins vs photonics reference
 
 /** Accumulated soft degradation of one channel, replayed alongside
  *  the injector so the test can price it independently. */
@@ -369,39 +369,37 @@ struct Degradation
 
     /** The section 2 budget through the photonics object path. */
     double
-    referenceMarginDb(const FaultModelParams &p) const
+    referenceMarginDb() const
     {
-        return p.basePath.deratedPath(Decibel(dropDb + wgDb))
-            .margin(p.launch - Decibel(droopDb),
-                    p.sensitivity + Decibel(rxDb))
+        return canonicalUnswitchedLink()
+            .deratedPath(Decibel(dropDb + wgDb))
+            .margin(launchPower - Decibel(droopDb),
+                    receiverSensitivity + Decibel(rxDb))
             .value();
     }
 };
 
-/** Every tracked link's margin, the sweep minimum and the down /
- *  derated counters must equal what the photonics reference implies
- *  for @p state — margins bit for bit, not within a tolerance. */
+/** Every link's margin and the down / derated counters must equal
+ *  what the photonics reference implies for @p state — margins bit
+ *  for bit, not within a tolerance. */
 void
-expectMatchesReference(FaultInjector &inj, const FaultModelParams &p,
+expectMatchesReference(const FaultInjector &inj,
                        const std::vector<std::pair<SiteId, SiteId>> &links,
                        const std::vector<Degradation> &state)
 {
-    double min = state[0].referenceMarginDb(p);
     std::uint64_t down = 0;
     std::uint64_t derated = 0;
     for (std::size_t i = 0; i < links.size(); ++i) {
-        const double ref = state[i].referenceMarginDb(p);
+        const double ref = state[i].referenceMarginDb();
         EXPECT_EQ(inj.marginDbOf(FaultTarget::channel(links[i].first,
                                                       links[i].second)),
                   ref)
             << "link " << i;
-        min = ref < min ? ref : min;
         if (state[i].killed || ref < 0.0)
             ++down;
-        else if (ref < p.derateThreshold.value())
+        else if (ref < FaultInjector::derateThreshold.value())
             ++derated;
     }
-    EXPECT_EQ(inj.sweepMargins(), min);
     EXPECT_EQ(inj.linksDown(), down);
     EXPECT_EQ(inj.linksDerated(), derated);
 }
@@ -411,10 +409,8 @@ TEST(FaultMarginFold, FuzzedStatesMatchPhotonicsReference)
     setQuiet(true);
     Simulator sim;
     auto net = makeNetworkFor(NetSel::PointToPoint, sim, simulatedConfig());
-    const FaultModelParams params;
-    FaultInjector inj(sim, *net, FaultSchedule{}, params);
+    FaultInjector inj(sim, *net, FaultSchedule{});
     const auto links = net->faultableLinks();
-    ASSERT_EQ(inj.trackedLinks(), links.size());
     std::vector<Degradation> state(links.size());
 
     std::mt19937_64 rng(1234);
@@ -424,7 +420,7 @@ TEST(FaultMarginFold, FuzzedStatesMatchPhotonicsReference)
         FaultKind::WaveguideCreep, FaultKind::ReceiverDegrade,
         FaultKind::ChannelKill,  FaultKind::Repair,
     };
-    double min_seen = Degradation{}.referenceMarginDb(params);
+    double min_seen = Degradation{}.referenceMarginDb();
     for (int step = 0; step < 400; ++step) {
         const std::size_t li = rng() % links.size();
         FaultEvent ev;
@@ -434,11 +430,11 @@ TEST(FaultMarginFold, FuzzedStatesMatchPhotonicsReference)
         ev.magnitudeDb = mag(rng);
         inj.apply(ev);
         state[li].apply(ev);
-        const double ref = state[li].referenceMarginDb(params);
+        const double ref = state[li].referenceMarginDb();
         EXPECT_EQ(inj.marginDbOf(ev.target), ref) << "step " << step;
         min_seen = ref < min_seen ? ref : min_seen;
     }
-    expectMatchesReference(inj, params, links, state);
+    expectMatchesReference(inj, links, state);
     EXPECT_EQ(inj.minMarginDb(), min_seen);
 }
 
@@ -447,14 +443,13 @@ TEST(FaultMarginFold, KillAllRepairAllMatchesPhotonicsReference)
     setQuiet(true);
     Simulator sim;
     auto net = makeNetworkFor(NetSel::TokenRing, sim, simulatedConfig());
-    const FaultModelParams params;
-    FaultInjector inj(sim, *net, FaultSchedule{}, params);
+    FaultInjector inj(sim, *net, FaultSchedule{});
     const auto links = net->faultableLinks();
     std::vector<Degradation> state(links.size());
 
     // Drift every bundle into the derate band, kill them all, then
     // repair them all: the counters walk derated -> down -> healthy
-    // and the repair zeroes every lane.
+    // and the repair zeroes every channel's degradation.
     for (const FaultKind kind : {FaultKind::RingDrift,
                                  FaultKind::ChannelKill,
                                  FaultKind::Repair}) {
@@ -468,14 +463,14 @@ TEST(FaultMarginFold, KillAllRepairAllMatchesPhotonicsReference)
             state[i].apply(ev);
         }
         SCOPED_TRACE(faultKindName(kind));
-        expectMatchesReference(inj, params, links, state);
+        expectMatchesReference(inj, links, state);
     }
     EXPECT_EQ(inj.linksDown(), 0u);
     EXPECT_EQ(inj.linksDerated(), 0u);
     EXPECT_EQ(inj.repairs(), links.size());
     Degradation drifted;
     drifted.dropDb = 3.0;
-    EXPECT_EQ(inj.minMarginDb(), drifted.referenceMarginDb(params));
+    EXPECT_EQ(inj.minMarginDb(), drifted.referenceMarginDb());
 }
 
 // -------------------------------------------- degraded arbitration

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,55 @@ TEST(FlagsNumber, RejectsOutOfRange)
     std::uint64_t v = 0;
     EXPECT_THROW(stripNumberFlag(a.argc(), a.argv(), "jobs", &v),
                  FatalError);
+}
+
+TEST(FlagsInstructions, PositiveIntegerOrFallback)
+{
+    {
+        Args a({"bench", "60"});
+        EXPECT_EQ(instructionsArg(a.argc(), a.argv(), 1200), 60u);
+    }
+    {
+        Args a({"bench"});
+        EXPECT_EQ(instructionsArg(a.argc(), a.argv(), 1200), 1200u);
+    }
+}
+
+TEST(FlagsInstructions, RejectsGarbageZeroAndNegative)
+{
+    for (const char *bad : {"60x", "abc", "0", "-5"}) {
+        Args a({"bench", bad});
+        EXPECT_THROW(instructionsArg(a.argc(), a.argv(), 1200),
+                     FatalError)
+            << "accepted '" << bad << "'";
+    }
+}
+
+TEST(FlagsJobs, EnvFallbackIsStrictlyParsed)
+{
+    unsetenv("MACROSIM_JOBS");
+    {
+        Args a({"bench"});
+        EXPECT_EQ(stripJobsFlag(a.argc(), a.argv()), 0u);
+    }
+    setenv("MACROSIM_JOBS", "60", 1);
+    {
+        Args a({"bench"});
+        EXPECT_EQ(stripJobsFlag(a.argc(), a.argv()), 60u);
+    }
+    {
+        // The flag wins; the environment is not read.
+        setenv("MACROSIM_JOBS", "abc", 1);
+        Args a({"bench", "--jobs=3"});
+        EXPECT_EQ(stripJobsFlag(a.argc(), a.argv()), 3u);
+    }
+    for (const char *bad : {"60x", "abc", "-5"}) {
+        setenv("MACROSIM_JOBS", bad, 1);
+        Args a({"bench"});
+        EXPECT_THROW(stripJobsFlag(a.argc(), a.argv()), FatalError)
+            << "accepted MACROSIM_JOBS='" << bad << "'";
+    }
+    unsetenv("MACROSIM_JOBS");
 }
 
 TEST(FlagsSeed, FlagBeatsFallbackAndRejectsGarbage)

@@ -28,7 +28,6 @@
 #include "sim/spsc.hh"
 #include "sim/telemetry/json.hh"
 #include "sim/telemetry/trace.hh"
-#include "workloads/coherence_pdes.hh"
 #include "workloads/packet_injector.hh"
 
 namespace
@@ -411,27 +410,6 @@ TEST(BatchDifferential, PdesResultsIdenticalAcrossLpCounts)
         runOpenLoopPdes(factory, cfg, /*lps=*/4, /*threads=*/2);
     EXPECT_GE(four.effectiveLps, 1u);
     expectIdentical(one.result, four.result);
-}
-
-// ------------------------------------------------------ coherence PDES
-
-TEST(PdesCoherence, ReproducibleThroughKeyedDeliveries)
-{
-    CoherencePdesConfig cfg;
-    cfg.transactionsPerSite = 12;
-    cfg.mix = SharerMix::moreSharing();
-    cfg.seed = 5;
-    const CoherencePdesResult a = runCoherencePdes(pt2ptFactory(), cfg);
-    EXPECT_EQ(a.effectiveLps, 1u);
-    EXPECT_EQ(a.completed, 64u * 12u);
-    EXPECT_GT(a.messagesSent, a.completed);
-    EXPECT_GT(a.meanOpLatencyNs, 0.0);
-    const CoherencePdesResult b = runCoherencePdes(pt2ptFactory(), cfg);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.messagesSent, b.messagesSent);
-    EXPECT_EQ(a.meanOpLatencyNs, b.meanOpLatencyNs);
-    EXPECT_EQ(a.maxOpLatencyNs, b.maxOpLatencyNs);
-    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
 }
 
 // -------------------------------------------------- block partition
