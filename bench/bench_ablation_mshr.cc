@@ -24,8 +24,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     exitOnFatalError();
-    rejectUnknownFlags(argc, argv);
     const std::uint64_t instr = instructionsArg(argc, argv, 1200);
+    rejectUnknownFlags(argc, argv);
     WorkloadSpec spec = workloadByName("swaptions");
     spec.instructionsPerCore = instr;
 

@@ -23,8 +23,8 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     exitOnFatalError();
-    rejectUnknownFlags(argc, argv);
     const std::uint64_t instr = instructionsArg(argc, argv, 1200);
+    rejectUnknownFlags(argc, argv);
 
     std::printf("Extended application kernels: speedup vs "
                 "circuit-switched / latency per op (ns)\n\n");

@@ -27,12 +27,12 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const BenchFlags flags = benchFlags(argc, argv, 1);
-    rejectUnknownFlags(argc, argv);
     const std::size_t jobs = flags.jobs;
     const std::uint64_t seed = flags.seed;
     const TelemetryOptions &topt = flags.telemetry;
     const std::uint64_t instr =
         instructionsArg(argc, argv, topt.smoke ? 200 : 1200);
+    rejectUnknownFlags(argc, argv);
     std::fprintf(stderr, "fig7: %llu instructions/core\n",
                  static_cast<unsigned long long>(instr));
     SweepRecorder rec(topt);

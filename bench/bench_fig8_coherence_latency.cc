@@ -23,12 +23,12 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const BenchFlags flags = benchFlags(argc, argv, 1);
-    rejectUnknownFlags(argc, argv);
     const std::size_t jobs = flags.jobs;
     const std::uint64_t seed = flags.seed;
     const TelemetryOptions &topt = flags.telemetry;
     const std::uint64_t instr =
         instructionsArg(argc, argv, topt.smoke ? 200 : 1200);
+    rejectUnknownFlags(argc, argv);
     SweepRecorder rec(topt);
     const auto matrix = runWorkloadMatrix(instr, seed, jobs, true, &rec);
     rec.write();

@@ -29,10 +29,10 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     const BenchFlags flags = benchFlags(argc, argv, 1);
-    rejectUnknownFlags(argc, argv);
     const std::size_t jobs = flags.jobs;
     const std::uint64_t seed = flags.seed;
     const std::uint64_t instr = instructionsArg(argc, argv, 1200);
+    rejectUnknownFlags(argc, argv);
 
     std::printf("Figure 9: Router Energy in the Limited "
                 "Point-to-Point Network (%% of total system "

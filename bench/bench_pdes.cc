@@ -10,8 +10,10 @@
  *  - speedup: events/sec at 4 LPs over the single-LP run.
  *
  * Timed points run with metrics timing on, so the per-LP horizon
- * breakdown (busy vs blocked wall time, spills, peak channel depth)
- * lands in BENCH_pdes.json next to the speedup — the perf trajectory
+ * breakdown (busy vs blocked wall time, spills) lands in
+ * BENCH_pdes.json next to the speedup, with the lookahead and the
+ * 2-LP mean EOT advance (near 1 lookahead per round when the LPs run
+ * side by side, near 2 when they take turns) — the perf trajectory
  * records *why* a point is slow. --sim-stats prints each point's
  * load-balance report (PdesLoadReport).
  *
@@ -36,6 +38,7 @@
  * defaults to N); a malformed or zero value is an error.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -228,8 +231,17 @@ main(int argc, char **argv)
     // The 4-LP point's per-LP breakdown goes into the pinned JSON:
     // busy (drain+exec) and blocked wall per LP sum to roughly
     // wall_sec_4lp x active workers, so a slow point explains itself.
+    const PdesBenchPoint &p2 = points[1];
     const PdesBenchPoint &p4 = points[2];
     const PdesLoadReport &load4 = p4.run.load;
+    // The deepest drain at a point: how close a step's posts came to
+    // the channel ring's capacity (past it, posts spill).
+    const auto peakDepth = [](const PdesLoadReport &load) {
+        std::uint64_t peak = 0;
+        for (const PdesLpLoad &l : load.lps)
+            peak = std::max(peak, l.peakDepth);
+        return static_cast<double>(peak);
+    };
     const auto perLp = [&load4](auto value) {
         std::vector<double> v;
         for (const PdesLpLoad &l : load4.lps)
@@ -239,13 +251,18 @@ main(int argc, char **argv)
     JsonObject fields;
     fields.string("grid", "16x16")
         .number("load", cfg.load)
+        .number("lookahead_ticks", static_cast<double>(load4.lookahead))
+        .number("eot_advance_2lp", p2.run.load.eotAdvance)
         .number("events_per_sec_1lp", points[0].eventsPerSec)
         .number("events_per_sec_2lp", points[1].eventsPerSec)
         .number("events_per_sec_4lp", points[2].eventsPerSec)
         .number("speedup_2lp", speedup2)
         .number("speedup_4lp", speedup4)
+        .number("spsc_spills_2lp", static_cast<double>(p2.run.spscSpills))
+        .number("spsc_peak_depth_2lp", peakDepth(p2.run.load))
         .number("cross_posts_4lp", static_cast<double>(p4.run.crossPosts))
         .number("spsc_spills_4lp", static_cast<double>(p4.run.spscSpills))
+        .number("spsc_peak_depth_4lp", peakDepth(load4))
         .number("wall_sec_4lp", p4.wallSec)
         .number("blocked_frac_4lp", load4.blockedFraction)
         .number("imbalance_4lp", load4.eventImbalance)

@@ -127,16 +127,14 @@ stripNumberFlag(int &argc, char **argv, const char *name,
 void
 rejectUnknownFlags(int argc, char **argv)
 {
+    if (argc <= 1)
+        return;
     std::string unknown;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--", 2) == 0)
-            unknown += std::string(" ") + argv[i];
-    }
-    if (!unknown.empty()) {
-        std::fprintf(stderr, "%s: unknown flag(s):%s\n", argv[0],
-                     unknown.c_str());
-        std::exit(2);
-    }
+    for (int i = 1; i < argc; ++i)
+        unknown += std::string(" ") + argv[i];
+    std::fprintf(stderr, "%s: unknown argument(s):%s\n", argv[0],
+                 unknown.c_str());
+    std::exit(2);
 }
 
 std::size_t
@@ -152,14 +150,17 @@ stripJobsFlag(int &argc, char **argv)
 }
 
 std::uint64_t
-instructionsArg(int argc, char **argv, std::uint64_t fallback)
+instructionsArg(int &argc, char **argv, std::uint64_t fallback)
 {
-    if (argc < 2)
+    if (argc < 2 || std::strncmp(argv[1], "--", 2) == 0)
         return fallback;
     const std::uint64_t v =
         parseUnsignedOrFatal("instructions/core", argv[1]);
     if (v == 0)
         fatal("instructions/core must be positive, got '", argv[1], "'");
+    for (int j = 1; j + 1 <= argc; ++j)
+        argv[j] = argv[j + 1];
+    --argc;
     return v;
 }
 

@@ -49,10 +49,11 @@ bool stripNumberFlag(int &argc, char **argv, const char *name,
 std::size_t stripJobsFlag(int &argc, char **argv);
 
 /**
- * Instructions per core: the positional argv[1] if given, else
- * @p fallback. fatal() unless argv[1] is a positive integer.
+ * Instructions per core: strip the positional argv[1] if given (and
+ * not a "--" flag) and return it, else @p fallback. fatal() unless
+ * argv[1] is a positive integer.
  */
-std::uint64_t instructionsArg(int argc, char **argv,
+std::uint64_t instructionsArg(int &argc, char **argv,
                               std::uint64_t fallback);
 
 /**
@@ -64,11 +65,12 @@ std::uint64_t instructionsArg(int argc, char **argv,
 void exitOnFatalError();
 
 /**
- * Exit with status 2, naming them on stderr, if any argument left in
- * argv starts with "--".
- * Each bench calls this once it has stripped the flags it takes (a
- * bench that takes none calls it first), before any cell runs or any
- * file is written, so a mistyped flag cannot turn into a full run.
+ * Exit with status 2, naming them on stderr, if any argument is left
+ * in argv: an unknown "--" flag or a stray positional word.
+ * Each bench calls this once it has stripped the flags and the
+ * positional it takes (a bench that takes none calls it first),
+ * before any cell runs or any file is written, so a mistyped flag
+ * cannot turn into a full run.
  */
 void rejectUnknownFlags(int argc, char **argv);
 

@@ -235,12 +235,14 @@ LimitedPointToPointNetwork::applyForward(void *target,
 }
 
 Tick
-LimitedPointToPointNetwork::pdesLookahead() const
+LimitedPointToPointNetwork::pdesLookahead(std::uint32_t min_bytes) const
 {
     // Both cross-LP event kinds — final deliveries and forward hops —
-    // pay at least E-O, one site pitch of flight plus a serialization
-    // tick, and O-E before their timestamp.
-    return Network::pdesLookahead() + 2 * interfaceOverhead_ + 1;
+    // pay at least E-O, serialization of min_bytes over a peer
+    // channel, one site pitch of flight, and O-E before their
+    // timestamp. Masked wavelengths only lengthen serialization.
+    return Network::pdesLookahead(min_bytes) + 2 * interfaceOverhead_
+        + OpticalChannel(lambdas_, 0).serialization(min_bytes);
 }
 
 void

@@ -107,7 +107,7 @@ class LimitedPointToPointNetwork : public Network
         return PdesPartition::BySourceSite;
     }
 
-    Tick pdesLookahead() const override;
+    Tick pdesLookahead(std::uint32_t min_bytes) const override;
 
   protected:
     void route(Message msg) override;

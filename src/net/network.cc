@@ -28,6 +28,11 @@ Network::inject(Message msg)
                   pdes_->lpOfSite(msg.src), ", not this replica's LP ",
                   pdesLp_);
         }
+        if (msg.bytes < pdesMinBytes_) {
+            panic("Network::inject: ", msg.bytes, "-byte message below "
+                  "the ", pdesMinBytes_, "-byte floor the PDES "
+                  "lookahead was derived from");
+        }
         if (msg.id == 0) {
             msg.id = ((static_cast<MessageId>(msg.src) + 1) << 40)
                 | ++pdesSeq_[msg.src];
@@ -163,14 +168,15 @@ Network::applyDeliver(void *target, const void *payload)
 }
 
 Tick
-Network::pdesLookahead() const
+Network::pdesLookahead(std::uint32_t /*min_bytes*/) const
 {
     return std::max<Tick>(
         MacrochipGeometry::waveguideDelay(config_.sitePitchCm), 1);
 }
 
 void
-Network::bindPdes(PdesScheduler &sched, std::uint32_t lp)
+Network::bindPdes(PdesScheduler &sched, std::uint32_t lp,
+                  std::uint32_t min_bytes)
 {
     if (pdes_)
         panic("Network::bindPdes: '", name(), "' is already bound");
@@ -191,6 +197,7 @@ Network::bindPdes(PdesScheduler &sched, std::uint32_t lp)
     }
     pdes_ = &sched;
     pdesLp_ = lp;
+    pdesMinBytes_ = min_bytes;
     pdesSeq_.assign(config_.siteCount(), 0);
     sched.setTarget(lp, this);
 }

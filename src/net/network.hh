@@ -291,14 +291,15 @@ class Network
     }
 
     /**
-     * Lower bound on the latency of any message between sites owned
-     * by different LPs: no inject() at local time t may cause a
-     * delivery (or any other cross-LP event) before t + lookahead.
-     * The base bound is the optical flight time over one site pitch —
-     * distinct sites are at least that far apart; topologies add
-     * their unavoidable per-message overheads on top.
+     * Lower bound on the latency of any message of at least
+     * @p min_bytes between sites owned by different LPs: no inject()
+     * at local time t may cause a delivery (or any other cross-LP
+     * event) before t + lookahead. The base bound is the optical
+     * flight time over one site pitch — distinct sites are at least
+     * that far apart; topologies add their unavoidable per-message
+     * overheads on top, such as serializing @p min_bytes.
      */
-    virtual Tick pdesLookahead() const;
+    virtual Tick pdesLookahead(std::uint32_t min_bytes) const;
 
     /**
      * Bind this replica to logical process @p lp of @p sched. The
@@ -307,9 +308,12 @@ class Network
      * inject()/deliverAt() onto the deterministic keyed path (ids
      * become source-scoped sequence numbers, deliveries are ordered
      * by id rather than insertion). A Colocated topology may only
-     * bind to a single-LP scheduler.
+     * bind to a single-LP scheduler. From then on inject() panics on
+     * a message smaller than @p min_bytes, the size the scheduler's
+     * lookahead was derived from.
      */
-    void bindPdes(PdesScheduler &sched, std::uint32_t lp);
+    void bindPdes(PdesScheduler &sched, std::uint32_t lp,
+                  std::uint32_t min_bytes);
 
     /** Whether bindPdes() has run. */
     bool pdesBound() const { return pdes_ != nullptr; }
@@ -464,6 +468,8 @@ class Network
 
     PdesScheduler *pdes_ = nullptr;
     std::uint32_t pdesLp_ = 0;
+    /** Smallest message a bound replica accepts (bindPdes()). */
+    std::uint32_t pdesMinBytes_ = 0;
     /** Per-source injection sequence numbers backing the PDES message
      *  ids: ((src + 1) << 40) | seq is unique, grows in each site's
      *  own injection order, and so is identical for every LP count —

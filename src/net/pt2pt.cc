@@ -82,12 +82,14 @@ PointToPointNetwork::applyLinkHealth(SiteId a, SiteId b,
 }
 
 Tick
-PointToPointNetwork::pdesLookahead() const
+PointToPointNetwork::pdesLookahead(std::uint32_t min_bytes) const
 {
-    // Every inter-site delivery pays E-O at the source, at least one
-    // site pitch of flight plus a tick of serialization, and O-E at
-    // the destination; channel queueing only pushes arrivals later.
-    return Network::pdesLookahead() + 2 * interfaceOverhead_ + 1;
+    // Every inter-site delivery pays E-O at the source, serialization
+    // of at least min_bytes over the pair's channel, at least one
+    // site pitch of flight, and O-E at the destination. Channel
+    // queueing and masked wavelengths only push arrivals later.
+    return Network::pdesLookahead(min_bytes) + 2 * interfaceOverhead_
+        + OpticalChannel(lambdas_, 0).serialization(min_bytes);
 }
 
 void

@@ -58,7 +58,7 @@ class PointToPointNetwork : public Network
         return PdesPartition::BySourceSite;
     }
 
-    Tick pdesLookahead() const override;
+    Tick pdesLookahead(std::uint32_t min_bytes) const override;
 
   protected:
     void route(Message msg) override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "sim/logging.hh"
 #include "sim/pdes_scheduler.hh"
 
 namespace macrosim
@@ -19,19 +20,17 @@ LogicalProcess::drainInboxes()
 {
     std::uint64_t drained = 0;
     const std::uint32_t n = sched_.lpCount();
-    PdesEvent ev;
+    EventQueue &q = sim_.events();
     for (std::uint32_t j = 0; j < n; ++j) {
         if (j == id_)
             continue;
-        SpscChannel<PdesEvent> &ch = sched_.channel(j, id_);
-        while (ch.pop(ev)) {
-            // Scheduling is not execution: the event enters the local
-            // queue unconditionally (so inboxes are always drained
-            // dry and a sender can never be wedged on a full ring),
-            // but it only *runs* once the horizon passes its tick.
-            schedulePdesEvent(sim_.events(), ev, "pdes.cross");
-            ++drained;
-        }
+        // Scheduling is not execution: the event enters the local
+        // queue unconditionally (so inboxes are always drained dry
+        // and a sender can never be wedged on a full ring), but it
+        // only *runs* once the horizon passes its tick.
+        drained += sched_.channel(j, id_).drain([&q](const PdesEvent &ev) {
+            schedulePdesEvent(q, ev, "pdes.cross");
+        });
     }
     return drained;
 }
@@ -82,11 +81,21 @@ LogicalProcess::step(Tick limit)
     if (timing)
         t1 = WallClock::now();
 
-    // 3. Execute strictly below the horizon (and never past limit).
+    // 3. Execute strictly below the horizon (and never past limit),
+    // and stop one lookahead past the first pending tick: the EOT
+    // then advances while work remains, so no LP runs far ahead while
+    // the others wait for it to publish (which would leave the LPs
+    // running in turns, not side by side).
+    const Tick look = sched_.lookahead();
     std::uint64_t ran = 0;
     const Tick nowBefore = sim_.now();
-    if (eit > 0)
-        ran = sim_.events().runUntil(std::min(eit - 1, limit));
+    if (eit > 0) {
+        Tick until = std::min(eit - 1, limit);
+        const Tick first = sim_.events().peekNextTick();
+        if (first <= maxTick - look)
+            until = std::min(until, first + look);
+        ran = sim_.events().runUntil(until);
+    }
     executed_ += ran;
     if (ran > 0) {
         metrics_.consumedTicks += sim_.now() - nowBefore;
@@ -94,14 +103,15 @@ LogicalProcess::step(Tick limit)
             metrics_.maxRoundExecuted = ran;
     }
 
-    // 4. Publish the new output horizon. After step 3 every local
-    // event below eit has run, so the next local tick is >= eit
-    // whenever the queue kept us busy; EOT = min(next, eit) +
-    // lookahead is therefore monotone (the max() guards the stale-eit
-    // case where another LP's EOT was read early).
+    // 4. Publish this step's posts, then the new output horizon: a
+    // peer that reads the new EOT also sees every message this LP
+    // posted before it. Every future local event is at or after
+    // min(next, eit), so EOT = min(next, eit) + lookahead bounds
+    // every future post (the prevEot check guards the stale-eit case
+    // where another LP's EOT was read early).
+    sched_.publishPosts(id_);
     const Tick next = sim_.events().peekNextTick();
     const Tick base = std::min(next, eit);
-    const Tick look = sched_.lookahead();
     const Tick eot = base > maxTick - look ? maxTick : base + look;
     const Tick prevEot = eot_.load(std::memory_order_relaxed);
     if (eot > prevEot) {
@@ -127,8 +137,12 @@ LogicalProcess::step(Tick limit)
     // limit itself is maxTick (the default run-to-completion case).
     publishState(/*idle=*/next > limit || next == maxTick,
                  /*worked=*/drained > 0 || ran > 0);
-    if (drained > 0)
-        sched_.inFlight_.fetch_sub(drained, std::memory_order_seq_cst);
+    if (drained > 0
+        && sched_.inFlight_.fetch_sub(drained, std::memory_order_seq_cst)
+               < drained) {
+        panic("LogicalProcess::step: LP ", id_, " drained ", drained,
+              " messages that were never counted in flight");
+    }
 
     const bool progress = drained > 0 || ran > 0;
     if (progress)

@@ -89,7 +89,9 @@ class LogicalProcess
      * One round of the horizon protocol: compute the earliest input
      * time from the other LPs' EOTs, drain every inbound channel into
      * the local queue, execute strictly below the horizon (capped at
-     * @p limit, inclusive), publish the new EOT and idle state.
+     * @p limit, inclusive, and at one lookahead past the first
+     * pending tick), then publish this round's cross-LP posts, the
+     * new EOT and the idle state.
      *
      * Must only be called by the worker thread that owns this LP.
      *

@@ -191,12 +191,29 @@ PdesScheduler::post(std::uint32_t src_lp, std::uint32_t dst_lp,
     // shares post()'s single-producer contract.
     if (tracer_ != nullptr)
         tracer_->recordPost(src_lp, dst_lp, src_now, ev);
-    // Count the message in flight *before* it becomes visible, so the
-    // termination check can never observe the channel-resident message
-    // as neither in flight nor scheduled.
-    inFlight_.fetch_add(1, std::memory_order_seq_cst);
-    channel(src_lp, dst_lp).push(ev);
-    crossPosts_.fetch_add(1, std::memory_order_relaxed);
+    // Counted in flight by publishPosts(), before it is visible.
+    channel(src_lp, dst_lp).stage(ev);
+}
+
+void
+PdesScheduler::publishPosts(std::uint32_t src_lp)
+{
+    const std::uint32_t n = lpCount();
+    std::uint64_t staged = 0;
+    for (std::uint32_t d = 0; d < n; ++d) {
+        if (d != src_lp)
+            staged += channel(src_lp, d).unpublished();
+    }
+    if (staged == 0)
+        return;
+    // In flight before visible: the termination check can never
+    // observe a channel-resident message as neither in flight nor
+    // scheduled.
+    inFlight_.fetch_add(staged, std::memory_order_seq_cst);
+    for (std::uint32_t d = 0; d < n; ++d) {
+        if (d != src_lp && channel(src_lp, d).unpublished() > 0)
+            channel(src_lp, d).publish();
+    }
 }
 
 bool
@@ -278,6 +295,17 @@ PdesScheduler::run(Tick limit)
 }
 
 std::uint64_t
+PdesScheduler::crossPosts() const
+{
+    std::uint64_t total = 0;
+    for (const auto &ch : channels_) {
+        if (ch)
+            total += ch->posts();
+    }
+    return total;
+}
+
+std::uint64_t
 PdesScheduler::spills() const
 {
     std::uint64_t total = 0;
@@ -310,6 +338,7 @@ PdesScheduler::loadReport() const
         ++sitesPer[g];
     r.lps.reserve(n);
     r.minExecuted = maxTick;
+    PdesLpLoad total;
     for (std::uint32_t i = 0; i < n; ++i) {
         const LogicalProcess &lp = *lps_[i];
         const LpMetrics &m = lp.metrics();
@@ -324,6 +353,7 @@ PdesScheduler::loadReport() const
         row.maxRoundExecuted = m.maxRoundExecuted;
         row.eotEventAdvances = m.eotEventAdvances;
         row.eotRatchetAdvances = m.eotRatchetAdvances;
+        row.eotAdvanceTicks = m.eotAdvanceTicks;
         row.grantedTicks = m.grantedTicks;
         row.consumedTicks = m.consumedTicks;
         row.drainWallNs = m.drainWallNs;
@@ -339,6 +369,9 @@ PdesScheduler::loadReport() const
             row.peakDepth = std::max<std::uint64_t>(row.peakDepth,
                                                     ch.peakDepth());
         }
+        total.eotEventAdvances += row.eotEventAdvances;
+        total.eotRatchetAdvances += row.eotRatchetAdvances;
+        total.eotAdvanceTicks += row.eotAdvanceTicks;
         r.totalExecuted += row.executed;
         r.minExecuted = std::min(r.minExecuted, row.executed);
         r.maxExecuted = std::max(r.maxExecuted, row.executed);
@@ -365,10 +398,21 @@ PdesScheduler::loadReport() const
         if (busier)
             r.criticalLp = i;
     }
-    const double total =
+    const double wall =
         r.drainWallNs + r.execWallNs + r.blockedWallNs;
-    r.blockedFraction = total > 0.0 ? r.blockedWallNs / total : 0.0;
+    r.blockedFraction = wall > 0.0 ? r.blockedWallNs / wall : 0.0;
+    r.eotAdvance = total.eotAdvance(lookahead_);
     return r;
+}
+
+double
+PdesLpLoad::eotAdvance(Tick lookahead) const
+{
+    const std::uint64_t advances = eotEventAdvances + eotRatchetAdvances;
+    if (advances == 0 || lookahead == 0)
+        return 0.0;
+    return static_cast<double>(eotAdvanceTicks)
+        / static_cast<double>(advances) / static_cast<double>(lookahead);
 }
 
 void
@@ -380,19 +424,19 @@ PdesLoadReport::print(std::ostream &os) const
         buf, sizeof(buf),
         "[pdes] %u LPs  lookahead=%llu ticks  events=%llu  "
         "cross_posts=%llu (spills=%llu)  imbalance=%.3f  "
-        "critical=lp%u  blocked=%.1f%%%s\n",
+        "critical=lp%u  eot_adv=%.3f  blocked=%.1f%%%s\n",
         static_cast<unsigned>(lps.size()), static_cast<Ull>(lookahead),
         static_cast<Ull>(totalExecuted), static_cast<Ull>(crossPosts),
         static_cast<Ull>(spills), eventImbalance, criticalLp,
-        100.0 * blockedFraction,
+        eotAdvance, 100.0 * blockedFraction,
         timed ? "" : "  (untimed: wall columns are zero)");
     os << buf;
     std::snprintf(buf, sizeof(buf),
-                  "  %3s %6s %10s %9s %8s %7s %7s %18s %17s %10s %10s"
-                  " %11s\n",
+                  "  %3s %6s %10s %9s %8s %7s %7s %18s %17s %7s %10s"
+                  " %10s %11s\n",
                   "lp", "sites", "events", "drained", "posts",
                   "spills", "peak_q", "rounds(prog/blk)",
-                  "eot(evt/ratchet)", "drain_ms", "exec_ms",
+                  "eot(evt/ratchet)", "eot_adv", "drain_ms", "exec_ms",
                   "blocked_ms");
     os << buf;
     for (const PdesLpLoad &row : lps) {
@@ -408,13 +452,14 @@ PdesLoadReport::print(std::ostream &os) const
         std::snprintf(
             buf, sizeof(buf),
             "  %3u %6llu %10llu %9llu %8llu %7llu %7llu %18s %17s "
-            "%10.3f %10.3f %11.3f\n",
+            "%7.3f %10.3f %10.3f %11.3f\n",
             row.lp, static_cast<Ull>(row.sites),
             static_cast<Ull>(row.executed),
             static_cast<Ull>(row.drained), static_cast<Ull>(row.posts),
             static_cast<Ull>(row.spills),
             static_cast<Ull>(row.peakDepth), rounds, eot,
-            row.drainWallNs / 1e6, row.execWallNs / 1e6,
+            row.eotAdvance(lookahead), row.drainWallNs / 1e6,
+            row.execWallNs / 1e6,
             row.blockedWallNs / 1e6);
         os << buf;
     }

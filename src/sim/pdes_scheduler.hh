@@ -25,19 +25,30 @@
  * drains was sent after the LP read the sender's EOT, and therefore
  * carries a timestamp >= that EOT >= the EIT the LP executes below.
  *
+ * A step executes at most one lookahead past its first pending tick,
+ * so every LP republishes its EOT while it still has work and the
+ * LPs advance side by side instead of in turns.
+ *
  * Cross-LP messages travel through bounded SPSC channels (spsc.hh)
  * as PdesEvents — (timestamp, key, apply-function, opaque payload) —
  * and are folded into the receiver's queue with
  * EventQueue::scheduleKeyed, so same-tick ordering comes from the
  * message's causal key, not from real-time arrival order: results
- * are bit-identical for every LP and worker-thread count.
+ * are bit-identical for every LP and worker-thread count. A post is
+ * staged into its ring and published with the rest of the sender's
+ * step, before the sender's new EOT: a message staged in a round
+ * carries a timestamp >= the EOT the previous round published, and
+ * no receiver can run that tick before it reads this round's EOT,
+ * which is stored after this round's tail.
  *
  * Termination uses an in-flight message counter plus per-LP versioned
  * idle words: the check reads every LP's word, verifies all idle and
- * nothing in flight, then re-reads the words; an LP republishes its
- * word *before* releasing its drained messages' in-flight counts, so
- * a check that observes in-flight == 0 also observes the version bump
- * of whichever step drained the last message.
+ * nothing in flight, then re-reads the words. A message is counted in
+ * flight before it becomes visible (at the sender's publish), and an
+ * LP republishes its word *before* releasing its drained messages'
+ * in-flight counts, so a check that observes in-flight == 0 also
+ * observes the version bump of whichever step drained the last
+ * message.
  */
 
 #ifndef MACROSIM_SIM_PDES_SCHEDULER_HH
@@ -82,6 +93,7 @@ struct PdesLpLoad
     std::uint64_t maxRoundExecuted = 0;
     std::uint64_t eotEventAdvances = 0;
     std::uint64_t eotRatchetAdvances = 0;
+    std::uint64_t eotAdvanceTicks = 0;
     std::uint64_t grantedTicks = 0;
     std::uint64_t consumedTicks = 0;
     /** Outgoing cross-LP posts / spills / peak channel depth. */
@@ -94,6 +106,10 @@ struct PdesLpLoad
 
     /** drain + exec wall time (the LP's useful work), ns. */
     double busyWallNs() const { return drainWallNs + execWallNs; }
+
+    /** Mean EOT advance in lookaheads: near 1 when the LPs run side
+     *  by side, near 2 when they take turns; 0 without advances. */
+    double eotAdvance(Tick lookahead) const;
 };
 
 /**
@@ -123,6 +139,8 @@ struct PdesLoadReport
     double blockedWallNs = 0.0;
     /** blocked / (busy + blocked) over all LPs; 0 when not timed. */
     double blockedFraction = 0.0;
+    /** PdesLpLoad::eotAdvance over every LP's advances together. */
+    double eotAdvance = 0.0;
 
     /** Aligned human-readable table (one header + one row per LP). */
     void print(std::ostream &os) const;
@@ -233,7 +251,9 @@ class PdesScheduler
     /**
      * Post @p ev from @p src_lp to @p dst_lp. Must be called from the
      * worker thread currently stepping @p src_lp (the channels are
-     * SPSC). @pre ev.when >= simOf(src_lp).now() + lookahead().
+     * SPSC). The event is staged, touching no shared state, and
+     * reaches @p dst_lp when the sender's step publishes. @pre
+     * ev.when >= simOf(src_lp).now() + lookahead().
      */
     void post(std::uint32_t src_lp, std::uint32_t dst_lp,
               const PdesEvent &ev);
@@ -249,15 +269,13 @@ class PdesScheduler
      */
     std::uint64_t run(Tick limit = maxTick);
 
-    /** Cross-LP events posted since construction. */
-    std::uint64_t
-    crossPosts() const
-    {
-        return crossPosts_.load(std::memory_order_relaxed);
-    }
+    /** Cross-LP events posted since construction (the channels'
+     *  producer-side counts: read after run() returns). */
+    std::uint64_t crossPosts() const;
 
-    /** Channel-ring overflows since construction (healthy runs: 0,
-     *  but any value is correct — overflow spills, never drops). */
+    /** Posts that found their channel's ring full since construction
+     *  (healthy runs: 0, but any value is correct — they travel in
+     *  the channel's overflow batch, never dropped). */
     std::uint64_t spills() const;
 
     /**
@@ -308,6 +326,10 @@ class PdesScheduler
                           + dst];
     }
 
+    /** End of @p src_lp's step: count its staged posts in flight,
+     *  then publish every outgoing channel. */
+    void publishPosts(std::uint32_t src_lp);
+
     void workerLoop(std::size_t worker, Tick limit);
     bool tryFinish();
 
@@ -324,9 +346,12 @@ class PdesScheduler
     std::vector<void *> targets_;
     std::vector<std::uint32_t> siteLp_;
 
-    std::atomic<std::uint64_t> inFlight_{0};
-    std::atomic<bool> done_{false};
-    std::atomic<std::uint64_t> crossPosts_{0};
+    /** Written at every publish and release; polled by the
+     *  termination check. */
+    alignas(64) std::atomic<std::uint64_t> inFlight_{0};
+    /** Polled by every worker each pass: on its own line, so the
+     *  in-flight traffic does not invalidate it. */
+    alignas(64) std::atomic<bool> done_{false};
 };
 
 } // namespace macrosim

@@ -227,7 +227,8 @@ runOpenLoopPdes(const PdesNetworkFactory &make_net,
               " outside (0, 1.5]");
 
     PdesInjectorState st;
-    st.model = buildPdesModel(make_net, lps, threads, cfg.seed);
+    st.model = buildPdesModel(make_net, lps, threads, cfg.seed,
+                              cfg.packetBytes);
     st.cfg = cfg;
     st.windowStart = cfg.warmup;
     st.stopAt = cfg.warmup + cfg.window;

@@ -10,7 +10,8 @@ namespace macrosim
 
 PdesModel
 buildPdesModel(const PdesNetworkFactory &make_net, std::uint32_t lps,
-               std::size_t threads, std::uint64_t seed)
+               std::size_t threads, std::uint64_t seed,
+               std::uint32_t min_message_bytes)
 {
     if (!make_net)
         panic("buildPdesModel: empty network factory");
@@ -39,9 +40,10 @@ buildPdesModel(const PdesNetworkFactory &make_net, std::uint32_t lps,
     model.nets.reserve(model.effectiveLps);
     for (std::uint32_t i = 0; i < model.effectiveLps; ++i) {
         model.nets.push_back(make_net(model.sched->simOf(i)));
-        model.nets.back()->bindPdes(*model.sched, i);
+        model.nets.back()->bindPdes(*model.sched, i, min_message_bytes);
     }
-    model.sched->setLookahead(model.nets.front()->pdesLookahead());
+    model.sched->setLookahead(
+        model.nets.front()->pdesLookahead(min_message_bytes));
     return model;
 }
 

@@ -52,10 +52,14 @@ struct PdesModel
  * @param lps Requested LP count (>= 1); clamped to the site count,
  *        and to 1 for Colocated topologies.
  * @param threads Worker threads (0 = one per LP).
+ * @param min_message_bytes The workload's smallest message: the
+ *        lookahead counts its serialization, and every replica
+ *        panics on a smaller inject.
  */
 PdesModel buildPdesModel(const PdesNetworkFactory &make_net,
                          std::uint32_t lps, std::size_t threads,
-                         std::uint64_t seed);
+                         std::uint64_t seed,
+                         std::uint32_t min_message_bytes = 1);
 
 /**
  * Optional observability for a PDES workload run. Every field

@@ -173,12 +173,24 @@ TEST(FlagsNumber, RejectsOutOfRange)
 TEST(FlagsInstructions, PositiveIntegerOrFallback)
 {
     {
-        Args a({"bench", "60"});
+        // The positional is stripped, so a stray word behind it is
+        // what rejectUnknownFlags() sees.
+        Args a({"bench", "60", "junk"});
         EXPECT_EQ(instructionsArg(a.argc(), a.argv(), 1200), 60u);
+        EXPECT_EQ(a.remaining(),
+                  (std::vector<std::string>{"bench", "junk"}));
     }
     {
         Args a({"bench"});
         EXPECT_EQ(instructionsArg(a.argc(), a.argv(), 1200), 1200u);
+    }
+    {
+        // A leftover flag is not a positional: it stays for
+        // rejectUnknownFlags() to name.
+        Args a({"bench", "--bogus-flag"});
+        EXPECT_EQ(instructionsArg(a.argc(), a.argv(), 1200), 1200u);
+        EXPECT_EQ(a.remaining(),
+                  (std::vector<std::string>{"bench", "--bogus-flag"}));
     }
 }
 

@@ -37,31 +37,74 @@ using namespace macrosim;
 
 // ---------------------------------------------------------------- SPSC
 
+template <typename T>
+std::vector<T>
+drainAll(SpscChannel<T> &ch)
+{
+    std::vector<T> got;
+    const std::uint64_t n =
+        ch.drain([&got](const T &v) { got.push_back(v); });
+    EXPECT_EQ(n, got.size());
+    return got;
+}
+
 TEST(Spsc, FifoWithinRingCapacity)
 {
     SpscChannel<int> ch(8);
     EXPECT_EQ(ch.capacity(), 8u);
-    for (int i = 0; i < 8; ++i)
-        ch.push(i);
-    int v = -1;
-    for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(ch.pop(v));
-        EXPECT_EQ(v, i);
+    for (int round = 0; round < 3; ++round) {
+        // A full ring's worth per round: the producer must see the
+        // consumer's released slots again each time.
+        for (int i = 0; i < 8; ++i)
+            ch.stage(round * 8 + i);
+        ASSERT_EQ(ch.spills(), 0u);
+        ch.publish();
+        const std::vector<int> got = drainAll(ch);
+        ASSERT_EQ(got.size(), 8u);
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(got[i], round * 8 + i);
     }
-    EXPECT_FALSE(ch.pop(v));
+    EXPECT_TRUE(drainAll(ch).empty());
     EXPECT_EQ(ch.spills(), 0u);
+    EXPECT_EQ(ch.posts(), 24u);
+    EXPECT_EQ(ch.peakDepth(), 8u);
+}
+
+TEST(Spsc, StagedEntriesStayInvisibleUntilPublished)
+{
+    SpscChannel<int> ch(4);
+    for (int i = 0; i < 3; ++i)
+        ch.stage(i);
+    EXPECT_EQ(ch.unpublished(), 3u);
+    EXPECT_TRUE(drainAll(ch).empty());
+    ch.publish();
+    EXPECT_EQ(ch.unpublished(), 0u);
+    ch.stage(3);
+    // One publish makes the whole batch visible, and only the batch.
+    EXPECT_EQ(drainAll(ch), (std::vector<int>{0, 1, 2}));
+    // Entries past a full ring wait for the publish too.
+    for (int i = 4; i < 8; ++i)
+        ch.stage(i);
+    EXPECT_EQ(ch.spills(), 1u);
+    EXPECT_EQ(ch.unpublished(), 5u);
+    EXPECT_TRUE(drainAll(ch).empty());
+    ch.publish();
+    EXPECT_EQ(ch.unpublished(), 0u);
+    std::vector<int> got = drainAll(ch);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<int>{3, 4, 5, 6, 7}));
+    EXPECT_EQ(ch.posts(), 8u);
 }
 
 TEST(Spsc, OverflowSpillsWithoutLoss)
 {
     SpscChannel<int> ch(4);
     for (int i = 0; i < 100; ++i)
-        ch.push(i);
-    EXPECT_GT(ch.spills(), 0u);
-    std::vector<int> got;
-    int v = -1;
-    while (ch.pop(v))
-        got.push_back(v);
+        ch.stage(i);
+    EXPECT_EQ(ch.spills(), 96u);
+    EXPECT_EQ(ch.unpublished(), 100u);
+    ch.publish();
+    std::vector<int> got = drainAll(ch);
     // Order across the ring/spill boundary is not guaranteed (the
     // payloads carry their own ordering), but nothing may be lost or
     // duplicated.
@@ -69,26 +112,44 @@ TEST(Spsc, OverflowSpillsWithoutLoss)
     std::sort(got.begin(), got.end());
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(got[i], i);
+    EXPECT_EQ(ch.posts(), 100u);
 }
 
 TEST(Spsc, TwoThreadedStream)
 {
+    // Random publish batches up to twice the ring size: some fill it
+    // and spill, and the producer keeps re-reading the consumer's
+    // head. Every value must arrive exactly once.
     SpscChannel<std::uint64_t> ch(64);
     constexpr std::uint64_t n = 20000;
     std::thread producer([&ch] {
-        for (std::uint64_t i = 1; i <= n; ++i)
-            ch.push(i);
-    });
-    std::uint64_t sum = 0, popped = 0, v = 0;
-    while (popped < n) {
-        if (ch.pop(v)) {
-            sum += v;
-            ++popped;
+        Rng rng(deriveSeed(5, "spsc", "batches"));
+        std::uint64_t left = 1 + rng.below(128);
+        for (std::uint64_t i = 1; i <= n; ++i) {
+            ch.stage(i);
+            if (--left == 0) {
+                ch.publish();
+                left = 1 + rng.below(128);
+            }
         }
+        ch.publish();
+    });
+    std::vector<bool> seen(n + 1, false);
+    std::uint64_t got = 0, dups = 0;
+    while (got < n) {
+        got += ch.drain([&seen, &dups](std::uint64_t v) {
+            if (seen[v])
+                ++dups;
+            seen[v] = true;
+        });
     }
     producer.join();
-    EXPECT_EQ(sum, n * (n + 1) / 2);
-    EXPECT_FALSE(ch.pop(v));
+    EXPECT_EQ(got, n);
+    EXPECT_EQ(dups, 0u);
+    EXPECT_EQ(std::count(seen.begin() + 1, seen.end(), true),
+              static_cast<std::ptrdiff_t>(n));
+    EXPECT_TRUE(drainAll(ch).empty());
+    EXPECT_EQ(ch.posts(), n);
 }
 
 // -------------------------------------------------------- keyed events
@@ -280,6 +341,57 @@ TEST(PdesScheduler, RandomStormIsThreadCountInvariant)
     EXPECT_GT(total, 1000u); // the storm actually stormed
 }
 
+/** Counts the events it receives; the target of a one-shot burst. */
+struct BurstSink
+{
+    std::uint64_t received = 0;
+    Tick last = 0;
+
+    static void
+    apply(void *target, const void *payload)
+    {
+        auto *sink = static_cast<BurstSink *>(target);
+        Tick when = 0;
+        std::memcpy(&when, payload, sizeof(when));
+        ++sink->received;
+        sink->last = when;
+    }
+};
+
+TEST(PdesScheduler, SpilledPostsTerminateAndDeliver)
+{
+    // One event posts more than a ring's 4 096 entries to the other
+    // LP in one step: the overflow is published with the step and
+    // counted in flight before it is visible, and the run must still
+    // deliver every post and terminate.
+    constexpr std::uint64_t burst = 6000;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        PdesScheduler sched(2, threads);
+        sched.setLookahead(10);
+        BurstSink sinks[2];
+        sched.setTarget(0, &sinks[0]);
+        sched.setTarget(1, &sinks[1]);
+        sched.simOf(0).events().schedule(5, [&sched] {
+            for (std::uint64_t i = 0; i < burst; ++i) {
+                PdesEvent ev;
+                ev.when = 5 + sched.lookahead() + i % 97;
+                ev.key = i;
+                ev.apply = &BurstSink::apply;
+                ev.target = sched.target(1);
+                std::memcpy(ev.payload, &ev.when, sizeof(ev.when));
+                sched.post(0, 1, ev);
+            }
+        });
+        const std::uint64_t executed = sched.run();
+        EXPECT_EQ(sinks[1].received, burst) << threads << " threads";
+        EXPECT_EQ(sinks[0].received, 0u);
+        EXPECT_EQ(executed, burst + 1);
+        EXPECT_EQ(sched.crossPosts(), burst);
+        EXPECT_GT(sched.spills(), 0u);
+        EXPECT_EQ(sinks[1].last, 5 + sched.lookahead() + 96);
+    }
+}
+
 // --------------------------------------- partitioned injector results
 
 PdesNetworkFactory
@@ -410,6 +522,93 @@ TEST(BatchDifferential, PdesResultsIdenticalAcrossLpCounts)
         runOpenLoopPdes(factory, cfg, /*lps=*/4, /*threads=*/2);
     EXPECT_GE(four.effectiveLps, 1u);
     expectIdentical(one.result, four.result);
+}
+
+// ------------------------------------------------- lookahead floor
+
+/** flight over one pitch + E-O + O-E + serializing @p bytes over
+ *  @p lambdas wavelengths: the bound the topologies must declare. */
+Tick
+expectedLookahead(const MacrochipConfig &cfg, std::uint32_t lambdas,
+                  std::uint32_t bytes)
+{
+    return MacrochipGeometry::waveguideDelay(cfg.sitePitchCm)
+        + 2 * cfg.clockPeriod
+        + OpticalChannel(lambdas, 0).serialization(bytes);
+}
+
+TEST(PdesLookahead, PointToPointCountsTheFloorsSerialization)
+{
+    for (const std::uint32_t side : {8u, 16u, 24u}) {
+        const MacrochipConfig cfg = scaledConfig(side, side);
+        Simulator sim;
+        const PointToPointNetwork net(sim, cfg);
+        for (const std::uint32_t bytes : {1u, 8u, 64u}) {
+            EXPECT_EQ(net.pdesLookahead(bytes),
+                      expectedLookahead(cfg, net.wavelengthsPerChannel(),
+                                        bytes))
+                << side << "x" << side << ", " << bytes << " B";
+        }
+    }
+    // The 16x16 model's 2-wavelength pair channels.
+    Simulator sim;
+    const PointToPointNetwork net(sim, scaledConfig(16, 16));
+    EXPECT_EQ(net.pdesLookahead(64), 13450u);
+    EXPECT_EQ(net.pdesLookahead(8), 2250u);
+}
+
+TEST(PdesLookahead, LimitedPointToPointCountsTheFloorsSerialization)
+{
+    for (const std::uint32_t side : {8u, 16u, 24u}) {
+        const MacrochipConfig cfg = scaledConfig(side, side);
+        Simulator sim;
+        const LimitedPointToPointNetwork net(sim, cfg);
+        for (const std::uint32_t bytes : {1u, 8u, 64u}) {
+            EXPECT_EQ(net.pdesLookahead(bytes),
+                      expectedLookahead(cfg, net.wavelengthsPerChannel(),
+                                        bytes))
+                << side << "x" << side << ", " << bytes << " B";
+        }
+    }
+    Simulator sim;
+    const LimitedPointToPointNetwork net(sim, scaledConfig(16, 16));
+    EXPECT_EQ(net.pdesLookahead(64), 3850u);
+}
+
+TEST(PdesLookahead, ModelTakesTheWorkloadsFloor)
+{
+    const PdesNetworkFactory factory =
+        [](Simulator &sim) -> std::unique_ptr<Network> {
+        return std::make_unique<PointToPointNetwork>(
+            sim, scaledConfig(16, 16));
+    };
+    EXPECT_EQ(buildPdesModel(factory, 2, 1, 1, 64).sched->lookahead(),
+              13450u);
+    // The default floor of one byte still counts its serialization.
+    EXPECT_EQ(buildPdesModel(factory, 2, 1, 1).sched->lookahead(),
+              expectedLookahead(scaledConfig(16, 16), 2, 1));
+    const PdesInjectorResult r =
+        runOpenLoopPdes(pt2ptFactory(), pdesCfg(0.05, 3), 2, 1);
+    Simulator sim;
+    EXPECT_EQ(r.load.lookahead,
+              PointToPointNetwork(sim, simulatedConfig())
+                  .pdesLookahead(InjectorConfig{}.packetBytes));
+}
+
+TEST(PdesLookahead, InjectBelowTheFloorPanicsAtAnyLpCount)
+{
+    for (const std::uint32_t lps : {1u, 2u}) {
+        PdesModel model = buildPdesModel(pt2ptFactory(), lps, 1, 1, 64);
+        Message m;
+        m.src = 0;
+        m.dst = 1;
+        m.bytes = 32;
+        EXPECT_DEATH(model.net(0).inject(m), "below the 64-byte floor")
+            << lps << " LPs";
+        m.bytes = 64;
+        model.net(0).inject(m);
+        EXPECT_EQ(model.net(0).stats().injected.value(), 1u);
+    }
 }
 
 // -------------------------------------------------- block partition
@@ -556,6 +755,24 @@ TEST(PdesObservabilityRun, LoadReportInternalConsistency)
     std::ostringstream table;
     load.print(table);
     EXPECT_NE(table.str().find("critical=lp"), std::string::npos);
+}
+
+TEST(PdesObservabilityRun, TwoLpsAdvanceOneLookaheadPerStep)
+{
+    // One worker steps the two LPs in a fixed order. A step that ran
+    // to the horizon would leave each LP publishing an EOT two
+    // lookaheads past its last one while the other waits (turn
+    // taking); a step capped at one lookahead past its first pending
+    // tick keeps every advance near one lookahead.
+    const PdesInjectorResult r =
+        runOpenLoopPdes(pt2ptFactory(), pdesCfg(0.10, 31), 2, 1);
+    ASSERT_EQ(r.load.lps.size(), 2u);
+    EXPECT_GT(r.load.eotAdvance, 0.0);
+    EXPECT_LE(r.load.eotAdvance, 1.2);
+    for (const PdesLpLoad &lp : r.load.lps) {
+        EXPECT_GT(lp.eotAdvance(r.load.lookahead), 0.0) << "lp" << lp.lp;
+        EXPECT_LE(lp.eotAdvance(r.load.lookahead), 1.2) << "lp" << lp.lp;
+    }
 }
 
 TEST(PdesObservabilityRun, UntimedRunLeavesWallColumnsZero)
