@@ -10,7 +10,7 @@
  *  - speedup: events/sec at 4 LPs over the single-LP run.
  *
  * Timed points run with metrics timing on, so the per-LP horizon
- * breakdown (busy vs blocked wall time, spills) lands in
+ * breakdown (busy vs blocked wall time, deepest drain) lands in
  * BENCH_pdes.json next to the speedup, with the lookahead and the
  * 2-LP mean EOT advance (near 1 lookahead per round when the LPs run
  * side by side, near 2 when they take turns) — the perf trajectory
@@ -234,8 +234,8 @@ main(int argc, char **argv)
     const PdesBenchPoint &p2 = points[1];
     const PdesBenchPoint &p4 = points[2];
     const PdesLoadReport &load4 = p4.run.load;
-    // The deepest drain at a point: how close a step's posts came to
-    // the channel ring's capacity (past it, posts spill).
+    // The deepest drain at a point: the largest batch of posts one
+    // channel handed over, which is what its buffers grow to.
     const auto peakDepth = [](const PdesLoadReport &load) {
         std::uint64_t peak = 0;
         for (const PdesLpLoad &l : load.lps)
@@ -258,10 +258,8 @@ main(int argc, char **argv)
         .number("events_per_sec_4lp", points[2].eventsPerSec)
         .number("speedup_2lp", speedup2)
         .number("speedup_4lp", speedup4)
-        .number("spsc_spills_2lp", static_cast<double>(p2.run.spscSpills))
         .number("spsc_peak_depth_2lp", peakDepth(p2.run.load))
         .number("cross_posts_4lp", static_cast<double>(p4.run.crossPosts))
-        .number("spsc_spills_4lp", static_cast<double>(p4.run.spscSpills))
         .number("spsc_peak_depth_4lp", peakDepth(load4))
         .number("wall_sec_4lp", p4.wallSec)
         .number("blocked_frac_4lp", load4.blockedFraction)
@@ -279,8 +277,6 @@ main(int argc, char **argv)
                  }))
         .numbers("lp_posts_4lp",
                  perLp([](const PdesLpLoad &l) { return l.posts; }))
-        .numbers("lp_spills_4lp",
-                 perLp([](const PdesLpLoad &l) { return l.spills; }))
         .boolean("bit_identical", ok);
     const std::string pin = pinJson("pdes", fields);
     std::fputs(pin.c_str(), stdout);

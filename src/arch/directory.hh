@@ -29,7 +29,7 @@ namespace macrosim
  * first 64 sites live in one inline word — the whole paper-scale
  * (8x8) macrochip fits there, so directory entries on the Table 4
  * configuration stay allocation-free (the PR 5 hot-path contract).
- * Larger grids (16x16, 24x24 scaling studies) spill sites >= 64 into
+ * Larger grids (16x16, 24x24 scaling studies) keep sites >= 64 in
  * an overflow word vector that grows on first touch and keeps its
  * capacity across clear(), so pooled coherence records still reuse
  * their storage in steady state.

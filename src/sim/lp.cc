@@ -25,9 +25,8 @@ LogicalProcess::drainInboxes()
         if (j == id_)
             continue;
         // Scheduling is not execution: the event enters the local
-        // queue unconditionally (so inboxes are always drained dry
-        // and a sender can never be wedged on a full ring), but it
-        // only *runs* once the horizon passes its tick.
+        // queue unconditionally (so inboxes are always drained dry),
+        // but it only *runs* once the horizon passes its tick.
         drained += sched_.channel(j, id_).drain([&q](const PdesEvent &ev) {
             schedulePdesEvent(q, ev, "pdes.cross");
         });

@@ -44,7 +44,8 @@ schedulePdesEvent(EventQueue &q, const PdesEvent &ev, const char *tag)
 
 PdesScheduler::PdesScheduler(std::uint32_t lp_count,
                              std::size_t threads, std::uint64_t seed)
-    : threads_(threads == 0 ? lp_count : threads)
+    : threads_(threads == 0 ? lp_count : threads),
+      channels_(static_cast<std::size_t>(lp_count) * lp_count)
 {
     if (lp_count == 0)
         panic("PdesScheduler: lp_count must be >= 1");
@@ -54,15 +55,6 @@ PdesScheduler::PdesScheduler(std::uint32_t lp_count,
     for (std::uint32_t i = 0; i < lp_count; ++i) {
         lps_.push_back(std::make_unique<LogicalProcess>(
             *this, i, mix64(hashCombine(seed, i))));
-    }
-    channels_.resize(static_cast<std::size_t>(lp_count) * lp_count);
-    for (std::uint32_t s = 0; s < lp_count; ++s) {
-        for (std::uint32_t d = 0; d < lp_count; ++d) {
-            if (s != d) {
-                channels_[static_cast<std::size_t>(s) * lp_count + d] =
-                    std::make_unique<SpscChannel<PdesEvent>>(4096);
-            }
-        }
     }
     targets_.assign(lp_count, nullptr);
     registerStats();
@@ -79,9 +71,6 @@ PdesScheduler::registerStats()
     });
     pdes.add("cross_posts", [this] {
         return static_cast<double>(crossPosts());
-    });
-    pdes.add("spills", [this] {
-        return static_cast<double>(spills());
     });
     const auto u64 = [](const std::uint64_t &v) {
         return [p = &v] { return static_cast<double>(*p); };
@@ -110,15 +99,11 @@ PdesScheduler::registerStats()
         for (std::uint32_t dst = 0; dst < n; ++dst) {
             if (src == dst)
                 continue;
-            const SpscChannel<PdesEvent> *ch =
-                channels_[static_cast<std::size_t>(src) * n + dst]
-                    .get();
+            const SpscChannel<PdesEvent> *ch = &channel(src, dst);
             StatScope s = pdes.scope("ch" + std::to_string(src) + "_"
                                      + std::to_string(dst));
             s.add("posts",
                   [ch] { return static_cast<double>(ch->posts()); });
-            s.add("spills",
-                  [ch] { return static_cast<double>(ch->spills()); });
             s.add("peak_depth", [ch] {
                 return static_cast<double>(ch->peakDepth());
             });
@@ -175,7 +160,7 @@ void
 PdesScheduler::post(std::uint32_t src_lp, std::uint32_t dst_lp,
                     const PdesEvent &ev)
 {
-    if (src_lp == dst_lp || dst_lp >= lpCount())
+    if (src_lp == dst_lp || src_lp >= lpCount() || dst_lp >= lpCount())
         panic("PdesScheduler::post: bad LP pair ", src_lp, " -> ",
               dst_lp);
     if (!ev.apply)
@@ -211,7 +196,7 @@ PdesScheduler::publishPosts(std::uint32_t src_lp)
     // scheduled.
     inFlight_.fetch_add(staged, std::memory_order_seq_cst);
     for (std::uint32_t d = 0; d < n; ++d) {
-        if (d != src_lp && channel(src_lp, d).unpublished() > 0)
+        if (d != src_lp)
             channel(src_lp, d).publish();
     }
 }
@@ -298,21 +283,8 @@ std::uint64_t
 PdesScheduler::crossPosts() const
 {
     std::uint64_t total = 0;
-    for (const auto &ch : channels_) {
-        if (ch)
-            total += ch->posts();
-    }
-    return total;
-}
-
-std::uint64_t
-PdesScheduler::spills() const
-{
-    std::uint64_t total = 0;
-    for (const auto &ch : channels_) {
-        if (ch)
-            total += ch->spills();
-    }
+    for (const SpscChannel<PdesEvent> &ch : channels_)
+        total += ch.posts();
     return total;
 }
 
@@ -332,7 +304,6 @@ PdesScheduler::loadReport() const
     r.lookahead = lookahead_;
     r.timed = metricsTiming_;
     r.crossPosts = crossPosts();
-    r.spills = spills();
     std::vector<std::uint64_t> sitesPer(n, 0);
     for (std::uint32_t g : siteLp_)
         ++sitesPer[g];
@@ -363,9 +334,8 @@ PdesScheduler::loadReport() const
             if (d == i)
                 continue;
             const SpscChannel<PdesEvent> &ch =
-                *channels_[static_cast<std::size_t>(i) * n + d];
+                channels_[static_cast<std::size_t>(i) * n + d];
             row.posts += ch.posts();
-            row.spills += ch.spills();
             row.peakDepth = std::max<std::uint64_t>(row.peakDepth,
                                                     ch.peakDepth());
         }
@@ -423,19 +393,19 @@ PdesLoadReport::print(std::ostream &os) const
     std::snprintf(
         buf, sizeof(buf),
         "[pdes] %u LPs  lookahead=%llu ticks  events=%llu  "
-        "cross_posts=%llu (spills=%llu)  imbalance=%.3f  "
+        "cross_posts=%llu  imbalance=%.3f  "
         "critical=lp%u  eot_adv=%.3f  blocked=%.1f%%%s\n",
         static_cast<unsigned>(lps.size()), static_cast<Ull>(lookahead),
         static_cast<Ull>(totalExecuted), static_cast<Ull>(crossPosts),
-        static_cast<Ull>(spills), eventImbalance, criticalLp,
+        eventImbalance, criticalLp,
         eotAdvance, 100.0 * blockedFraction,
         timed ? "" : "  (untimed: wall columns are zero)");
     os << buf;
     std::snprintf(buf, sizeof(buf),
-                  "  %3s %6s %10s %9s %8s %7s %7s %18s %17s %7s %10s"
+                  "  %3s %6s %10s %9s %8s %7s %18s %17s %7s %10s"
                   " %10s %11s\n",
                   "lp", "sites", "events", "drained", "posts",
-                  "spills", "peak_q", "rounds(prog/blk)",
+                  "peak_q", "rounds(prog/blk)",
                   "eot(evt/ratchet)", "eot_adv", "drain_ms", "exec_ms",
                   "blocked_ms");
     os << buf;
@@ -451,12 +421,11 @@ PdesLoadReport::print(std::ostream &os) const
                       static_cast<Ull>(row.eotRatchetAdvances));
         std::snprintf(
             buf, sizeof(buf),
-            "  %3u %6llu %10llu %9llu %8llu %7llu %7llu %18s %17s "
+            "  %3u %6llu %10llu %9llu %8llu %7llu %18s %17s "
             "%7.3f %10.3f %10.3f %11.3f\n",
             row.lp, static_cast<Ull>(row.sites),
             static_cast<Ull>(row.executed),
             static_cast<Ull>(row.drained), static_cast<Ull>(row.posts),
-            static_cast<Ull>(row.spills),
             static_cast<Ull>(row.peakDepth), rounds, eot,
             row.eotAdvance(lookahead), row.drainWallNs / 1e6,
             row.execWallNs / 1e6,

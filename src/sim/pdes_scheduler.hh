@@ -29,17 +29,17 @@
  * so every LP republishes its EOT while it still has work and the
  * LPs advance side by side instead of in turns.
  *
- * Cross-LP messages travel through bounded SPSC channels (spsc.hh)
- * as PdesEvents — (timestamp, key, apply-function, opaque payload) —
+ * Cross-LP messages travel through SPSC channels (spsc.hh) as
+ * PdesEvents — (timestamp, key, apply-function, opaque payload) —
  * and are folded into the receiver's queue with
  * EventQueue::scheduleKeyed, so same-tick ordering comes from the
  * message's causal key, not from real-time arrival order: results
  * are bit-identical for every LP and worker-thread count. A post is
- * staged into its ring and published with the rest of the sender's
- * step, before the sender's new EOT: a message staged in a round
- * carries a timestamp >= the EOT the previous round published, and
- * no receiver can run that tick before it reads this round's EOT,
- * which is stored after this round's tail.
+ * staged into its channel's batch and published with the rest of the
+ * sender's step, before the sender's new EOT: a message staged in a
+ * round carries a timestamp >= the EOT the previous round published,
+ * and no receiver can run that tick before it reads this round's
+ * EOT, which is stored after this round's handoff.
  *
  * Termination uses an in-flight message counter plus per-LP versioned
  * idle words: the check reads every LP's word, verifies all idle and
@@ -96,9 +96,9 @@ struct PdesLpLoad
     std::uint64_t eotAdvanceTicks = 0;
     std::uint64_t grantedTicks = 0;
     std::uint64_t consumedTicks = 0;
-    /** Outgoing cross-LP posts / spills / peak channel depth. */
+    /** Outgoing cross-LP posts / largest batch one of its outgoing
+     *  channels delivered in one drain. */
     std::uint64_t posts = 0;
-    std::uint64_t spills = 0;
     std::uint64_t peakDepth = 0;
     double drainWallNs = 0.0;
     double execWallNs = 0.0;
@@ -133,7 +133,6 @@ struct PdesLoadReport
      *  lowest id). With timing off, falls back to most events. */
     std::uint32_t criticalLp = 0;
     std::uint64_t crossPosts = 0;
-    std::uint64_t spills = 0;
     double drainWallNs = 0.0;
     double execWallNs = 0.0;
     double blockedWallNs = 0.0;
@@ -273,11 +272,6 @@ class PdesScheduler
      *  producer-side counts: read after run() returns). */
     std::uint64_t crossPosts() const;
 
-    /** Posts that found their channel's ring full since construction
-     *  (healthy runs: 0, but any value is correct — they travel in
-     *  the channel's overflow batch, never dropped). */
-    std::uint64_t spills() const;
-
     /**
      * Enable wall-clock round timing in every LP's step (two
      * steady_clock reads per round). Off by default so the horizon
@@ -322,8 +316,8 @@ class PdesScheduler
     SpscChannel<PdesEvent> &
     channel(std::uint32_t src, std::uint32_t dst)
     {
-        return *channels_[static_cast<std::size_t>(src) * lps_.size()
-                          + dst];
+        return channels_[static_cast<std::size_t>(src) * lps_.size()
+                         + dst];
     }
 
     /** End of @p src_lp's step: count its staged posts in flight,
@@ -341,8 +335,9 @@ class PdesScheduler
     PdesTracer *tracer_ = nullptr;
     StatRegistry telemetry_;
     std::vector<std::unique_ptr<LogicalProcess>> lps_;
-    /** Ordered-pair channels, src * lpCount + dst (diagonal unused). */
-    std::vector<std::unique_ptr<SpscChannel<PdesEvent>>> channels_;
+    /** Ordered-pair channels, src * lpCount + dst (diagonal unused;
+     *  an idle channel holds no entries). */
+    std::vector<SpscChannel<PdesEvent>> channels_;
     std::vector<void *> targets_;
     std::vector<std::uint32_t> siteLp_;
 

@@ -163,8 +163,12 @@ threadScaling4()
             s += i * i;
         sink.fetch_add(s, std::memory_order_relaxed);
     };
+    // The serial burn runs on a thread too, so both phases time the
+    // one compiled copy of the loop (std::thread's entry point): an
+    // inlined second copy would sit at its own code alignment and
+    // move the ratio by placement alone.
     const Clock::time_point t0 = Clock::now();
-    burn();
+    std::thread(burn).join();
     const Clock::time_point t1 = Clock::now();
     std::vector<std::thread> threads;
     for (int i = 0; i < 4; ++i)

@@ -26,8 +26,8 @@
  * global "eit.floor" track (minimum over the per-LP EOT envelopes —
  * the horizon every LP's EIT is ratcheting along) at merge time.
  *
- * Timing-dependent protocol metrics (blocked wall time, spills, round
- * counts) deliberately do not appear here; they live in
+ * Timing-dependent protocol metrics (blocked wall time, peak channel
+ * depth, round counts) deliberately do not appear here; they live in
  * PdesScheduler::telemetry() and loadReport().
  */
 

@@ -274,7 +274,6 @@ runOpenLoopPdes(const PdesNetworkFactory &make_net,
     finishPdesObservability(st.model, obs, std::move(tracer));
     out.effectiveLps = n_lps;
     out.crossPosts = st.model.sched->crossPosts();
-    out.spscSpills = st.model.sched->spills();
     out.load = st.model.sched->loadReport();
 
     // Fold per-site/per-LP shards in a fixed global order, so the

@@ -99,8 +99,8 @@ struct PdesInjectorResult
     std::uint64_t eventsExecuted = 0;
     /** Cross-LP events posted through the scheduler. */
     std::uint64_t crossPosts = 0;
-    /** Cross-LP posts that overflowed an SPSC ring into its
-     *  overflow batch (capacity-tuning telemetry; harmless when > 0). */
+    /** Always 0: a channel moves each step's posts as one batch, so
+     *  nothing overflows. Kept only while perfbench still reads it. */
     std::uint64_t spscSpills = 0;
     /** Per-LP load-balance breakdown (PdesScheduler::loadReport();
      *  wall-clock columns filled when PdesObservability::timing). */
