@@ -36,6 +36,11 @@
  * --lp N / --threads-per-sim T time one extra point with N logical
  * processes (1..256, the model's sites) on T worker threads (T
  * defaults to N); a malformed or zero value is an error.
+ *
+ * The process's peak resident memory after the timed points (the
+ * extra point included) is printed and pinned as peak_rss_mb: a
+ * partition's replicas hold only their own sources' channels, so it
+ * should follow the LP count only through per-LP state.
  */
 
 #include <algorithm>
@@ -46,6 +51,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "arch/config.hh"
 #include "harness.hh"
@@ -118,6 +125,15 @@ timePoint(const InjectorConfig &cfg, std::uint32_t lps,
     return p;
 }
 
+/** This process's peak resident set so far (getrusage), MB. */
+double
+peakRssMb()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0; // KB on Linux
+}
+
 /**
  * Capture the PDES Perfetto timeline of one untimed run and return
  * its serialized JSON. Called twice with different worker-thread
@@ -171,6 +187,9 @@ main(int argc, char **argv)
             extra_threads > 0 ? extra_threads : extra_lp, topts));
     }
 
+    // Before the trace captures below, which run their own models.
+    const double peak_rss_mb = peakRssMb();
+
     bool ok = true;
     for (const PdesBenchPoint &p : points) {
         std::printf("pdes lp=%-2u threads=%-2zu  %10.6f s  "
@@ -218,6 +237,10 @@ main(int argc, char **argv)
     }
     if (!topts.metricsPath.empty())
         writeTextFile(topts.metricsPath, points.back().metrics);
+    std::printf("pdes peak RSS: %.1f MB over lp=1,2,4", peak_rss_mb);
+    if (extra_lp > 0)
+        std::printf(",%llu", static_cast<unsigned long long>(extra_lp));
+    std::printf("\n");
 
     const double base = points[0].eventsPerSec;
     const double speedup2 = base > 0.0
@@ -262,6 +285,7 @@ main(int argc, char **argv)
         .number("cross_posts_4lp", static_cast<double>(p4.run.crossPosts))
         .number("spsc_peak_depth_4lp", peakDepth(load4))
         .number("wall_sec_4lp", p4.wallSec)
+        .number("peak_rss_mb", peak_rss_mb)
         .number("blocked_frac_4lp", load4.blockedFraction)
         .number("imbalance_4lp", load4.eventImbalance)
         .number("critical_lp_4lp", static_cast<double>(load4.criticalLp))

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "photonics/components.hh"
+#include "sim/logging.hh"
 #include "sim/ticks.hh"
 
 namespace macrosim
@@ -56,21 +57,46 @@ class BusyResource
     Tick busyTicks_ = 0;
 };
 
-/** A WDM optical channel: serialization bandwidth + flight time. */
+/**
+ * A WDM optical channel: serialization bandwidth + flight time.
+ *
+ * 24 bytes: the busy-until line, a 32-bit flight time, a 15-bit width
+ * with the down flag beside it, and a 16-bit active width. The point-
+ * to-point topology holds one per ordered site pair (65 536 at 16x16,
+ * 1.57 MB), so every byte counts; the constructor rejects a width or
+ * flight time the narrow fields cannot hold.
+ */
 class OpticalChannel
 {
   public:
+    /** Widest channel the width fields hold. */
+    static constexpr std::uint32_t maxWavelengths = 0x7fff;
+    /** Longest flight time the 32-bit field holds, ps (~4.3 ms). */
+    static constexpr Tick maxPropagation = 0xffffffffu;
+
     /**
      * @param wavelengths Number of 20 Gb/s wavelengths ganged into
-     *        this logical channel (its data-path width).
-     * @param propagation Source-to-destination flight time.
+     *        this logical channel (its data-path width), in
+     *        [1, maxWavelengths].
+     * @param propagation Source-to-destination flight time, at most
+     *        maxPropagation.
      */
     OpticalChannel(std::uint32_t wavelengths, Tick propagation)
-        : wavelengths_(wavelengths), active_(wavelengths),
-          propagation_(propagation)
-    {}
+    {
+        if (wavelengths == 0 || wavelengths > maxWavelengths) {
+            fatal("OpticalChannel: width ", wavelengths,
+                  " wavelengths outside [1, ", maxWavelengths, "]");
+        }
+        if (propagation > maxPropagation) {
+            fatal("OpticalChannel: flight time ", propagation,
+                  " ps exceeds the ", maxPropagation, " ps field");
+        }
+        propagation_ = static_cast<std::uint32_t>(propagation);
+        widthDown_ = static_cast<std::uint16_t>(wavelengths);
+        active_ = static_cast<std::uint16_t>(wavelengths);
+    }
 
-    std::uint32_t wavelengths() const { return wavelengths_; }
+    std::uint32_t wavelengths() const { return widthDown_ & ~downBit; }
     Tick propagation() const { return propagation_; }
 
     /**
@@ -89,14 +115,21 @@ class OpticalChannel
     void
     maskWavelengths(std::uint32_t active)
     {
-        active_ = active < 1 ? 1
-                : active > wavelengths_ ? wavelengths_
-                : active;
+        active_ = static_cast<std::uint16_t>(
+            active < 1 ? 1
+            : active > wavelengths() ? wavelengths()
+            : active);
     }
 
     /** Hard channel failure: a down channel carries no traffic. */
-    void setDown(bool down) { down_ = down; }
-    bool down() const { return down_; }
+    void
+    setDown(bool down)
+    {
+        widthDown_ = static_cast<std::uint16_t>(
+            down ? widthDown_ | downBit : widthDown_ & ~downBit);
+    }
+
+    bool down() const { return (widthDown_ & downBit) != 0; }
 
     /** Channel bandwidth in bytes per nanosecond. */
     double
@@ -148,12 +181,21 @@ class OpticalChannel
     Tick busyTicks() const { return line_.busyTicks(); }
 
   private:
-    std::uint32_t wavelengths_;
-    std::uint32_t active_;
-    bool down_ = false;
-    Tick propagation_;
+    /** The down flag's bit in widthDown_, above the 15-bit width. */
+    static constexpr std::uint16_t downBit = 0x8000;
+
     BusyResource line_;
+    std::uint32_t propagation_;
+    /** Engineered width, and the down flag in bit 15: one word the
+     *  constructor writes whole (a bit-field would cost a
+     *  read-modify-write per channel built). */
+    std::uint16_t widthDown_;
+    std::uint16_t active_;
 };
+
+static_assert(sizeof(OpticalChannel) == 24,
+              "OpticalChannel is a 24-byte record: per-pair channel "
+              "arrays are sized by it");
 
 } // namespace macrosim
 

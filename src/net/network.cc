@@ -55,26 +55,32 @@ Network::inject(Message msg)
 }
 
 void
-Network::deliverAt(Message msg, Tick when)
+Network::deliverAt(const Message &msg, Tick when)
 {
-    if (pdes_) {
-        // Keyed even when the destination is local: same-tick
-        // deliveries must order by message id for every partition,
-        // including the degenerate single-LP one the determinism
-        // tests compare against.
-        static_assert(sizeof(Message) <= pdesMaxPayload,
-                      "Message must fit a cross-LP event payload");
-        PdesEvent ev;
-        ev.when = when;
-        ev.key = msg.id;
-        ev.apply = &Network::applyDeliver;
-        std::memcpy(ev.payload, &msg, sizeof(Message));
-        pdesRoute(msg.dst, ev, "net.deliver");
+    if (!pdes_) {
+        sim_.events().schedule(when, [this, m = msg]() mutable {
+            finishDelivery(m);
+        }, "net.deliver");
         return;
     }
-    sim_.events().schedule(when, [this, msg]() mutable {
-        finishDelivery(msg);
-    }, "net.deliver");
+    // Keyed even when the destination is local: same-tick deliveries
+    // must order by message id for every partition, including the
+    // degenerate single-LP one the determinism tests compare against.
+    if (ownsSite(msg.dst)) {
+        sim_.events().scheduleKeyed(when, msg.id,
+                                    [this, m = msg]() mutable {
+            finishDelivery(m);
+        }, "net.deliver");
+        return;
+    }
+    static_assert(sizeof(Message) <= pdesMaxPayload,
+                  "Message must fit a cross-LP event payload");
+    PdesEvent ev;
+    ev.when = when;
+    ev.key = msg.id;
+    ev.apply = &Network::applyDeliver;
+    std::memcpy(ev.payload, &msg, sizeof(Message));
+    pdesRoute(msg.dst, ev, "net.deliver");
 }
 
 void
@@ -131,7 +137,7 @@ Network::runHead(std::uint32_t fifo, Message &msg, Leg leg,
     });
     --queued_;
     if (leg == Leg::Deliver)
-        finishDelivery(std::move(msg));
+        finishDelivery(msg);
     else
         runLeg(leg, std::move(msg), arg);
 }
@@ -145,7 +151,7 @@ Network::runLeg(Leg leg, Message msg, std::uint32_t arg)
 }
 
 void
-Network::finishDelivery(Message msg)
+Network::finishDelivery(Message &msg)
 {
     msg.delivered = now();
     ++stats_.delivered;
@@ -200,10 +206,11 @@ Network::bindPdes(PdesScheduler &sched, std::uint32_t lp,
     pdesMinBytes_ = min_bytes;
     pdesSeq_.assign(config_.siteCount(), 0);
     sched.setTarget(lp, this);
+    dropForeignState();
 }
 
 void
-Network::pdesRoute(SiteId dst_site, PdesEvent ev, const char *tag)
+Network::pdesRoute(SiteId dst_site, PdesEvent &ev, const char *tag)
 {
     const std::uint32_t dst_lp = pdes_->lpOfSite(dst_site);
     if (dst_lp == pdesLp_) {

@@ -310,7 +310,8 @@ class Network
      * by id rather than insertion). A Colocated topology may only
      * bind to a single-LP scheduler. From then on inject() panics on
      * a message smaller than @p min_bytes, the size the scheduler's
-     * lookahead was derived from.
+     * lookahead was derived from. Last, the topology drops the state
+     * that other LPs' replicas own (dropForeignState()).
      */
     void bindPdes(PdesScheduler &sched, std::uint32_t lp,
                   std::uint32_t min_bytes);
@@ -326,6 +327,15 @@ class Network
     virtual void route(Message msg) = 0;
 
     /**
+     * Called once at the end of bindPdes(): free the state that only
+     * other LPs' replicas touch, such as the channels of sources this
+     * replica does not own (ownsSite() is live here). What a topology
+     * keeps must serve every event a bound replica can run. Default:
+     * keep everything.
+     */
+    virtual void dropForeignState() {}
+
+    /**
      * Self-register in the simulation-wide registry under
      * "net.<name()>" (uniquified per simulation, so a second network
      * of the same kind lands at "net.<name>#2"). Called by the
@@ -336,9 +346,12 @@ class Network
 
     /**
      * Schedule final delivery of @p msg at @p when, stamping
-     * timestamps and stats and invoking the site handler.
+     * timestamps and stats and invoking the site handler. A bound
+     * replica files it keyed by the message id: as one event holding
+     * the packet when this LP owns the destination, as a PdesEvent
+     * posted to the owner otherwise.
      */
-    void deliverAt(Message msg, Tick when);
+    void deliverAt(const Message &msg, Tick when);
 
     /**
      * Declare @p count arrival FIFOs for queueArrival(), numbered from
@@ -424,12 +437,13 @@ class Network
      * replica; both paths order by ev.key, so results do not depend
      * on the partition. @pre pdesBound().
      */
-    void pdesRoute(SiteId dst_site, PdesEvent ev, const char *tag);
+    void pdesRoute(SiteId dst_site, PdesEvent &ev, const char *tag);
 
   private:
-    /** Delivery epilogue: timestamps, stats, observer, site handler.
-     *  Runs at delivery time on the destination's LP. */
-    void finishDelivery(Message msg);
+    /** Delivery epilogue: stamps @p msg delivered in place, then
+     *  stats, observer, site handler. Runs at delivery time on the
+     *  destination's LP. */
+    void finishDelivery(Message &msg);
 
     /** PdesEvent apply thunk for final deliveries; payload is the
      *  Message, target the destination replica (as Network*). */

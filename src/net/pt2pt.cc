@@ -17,8 +17,10 @@ PointToPointNetwork::PointToPointNetwork(Simulator &sim,
               ")");
 
     const auto n = config.siteCount();
+    rowOf_.resize(n);
     channels_.reserve(static_cast<std::size_t>(n) * n);
     for (SiteId s = 0; s < n; ++s) {
+        rowOf_[s] = s * n;
         for (SiteId d = 0; d < n; ++d) {
             channels_.emplace_back(lambdas_,
                                    geometry().propagationDelay(s, d));
@@ -30,13 +32,39 @@ PointToPointNetwork::PointToPointNetwork(Simulator &sim,
 }
 
 void
+PointToPointNetwork::dropForeignState()
+{
+    // Any site -> LP map works: owned rows are packed in site order
+    // into an exact-sized array, and the full one is freed here.
+    const auto n = config().siteCount();
+    std::size_t rows = 0;
+    for (SiteId s = 0; s < n; ++s)
+        rows += ownsSite(s) ? 1 : 0;
+    if (rows == n)
+        return;
+    std::vector<OpticalChannel> owned;
+    owned.reserve(rows * n);
+    for (SiteId s = 0; s < n; ++s) {
+        if (!ownsSite(s)) {
+            rowOf_[s] = foreignRow;
+            continue;
+        }
+        const auto row = channels_.begin() + rowOf_[s];
+        rowOf_[s] = static_cast<std::uint32_t>(owned.size());
+        owned.insert(owned.end(), row, row + n);
+    }
+    channels_ = std::move(owned);
+}
+
+void
 PointToPointNetwork::registerStats(StatRegistry &registry,
                                    const std::string &prefix)
 {
     Network::registerStats(registry, prefix);
     // 4096 per-pair channels is too many columns for a snapshot CSV;
     // report the fleet-mean occupancy (busy time over wall time,
-    // averaged across channels) instead.
+    // averaged across channels) instead. A bound replica averages
+    // over the rows it holds.
     registry.add(prefix + ".occupancy", [this] {
         const Tick t = now();
         if (t == 0 || channels_.empty())
@@ -52,6 +80,15 @@ PointToPointNetwork::registerStats(StatRegistry &registry,
 const OpticalChannel &
 PointToPointNetwork::channel(SiteId src, SiteId dst) const
 {
+    const auto n = config().siteCount();
+    if (src >= n || dst >= n)
+        panic("PointToPoint::channel: pair ", src, "->", dst,
+              " out of range");
+    if (rowOf_[src] == foreignRow) {
+        panic("PointToPoint::channel: source ", src, " is owned by "
+              "another LP; this replica holds only its own sources' "
+              "channels");
+    }
     return channels_[channelIndex(src, dst)];
 }
 
@@ -72,8 +109,10 @@ bool
 PointToPointNetwork::applyLinkHealth(SiteId a, SiteId b,
                                      const LinkHealth &health)
 {
-    if (a >= config().siteCount() || b >= config().siteCount())
+    if (a >= config().siteCount() || b >= config().siteCount()
+        || rowOf_[a] == foreignRow) {
         return false;
+    }
     OpticalChannel &ch = channels_[channelIndex(a, b)];
     ch.setDown(health.down);
     ch.maskWavelengths(static_cast<std::uint32_t>(

@@ -41,10 +41,17 @@ class PointToPointNetwork : public Network
     /** Wavelengths (data-path bits) per site-pair channel. */
     std::uint32_t wavelengthsPerChannel() const { return lambdas_; }
 
-    /** Direct access for tests: the channel for an ordered pair. */
+    /** Direct access for tests: the channel for an ordered pair.
+     *  Panics on a pair whose source another LP's replica owns. */
     const OpticalChannel &channel(SiteId src, SiteId dst) const;
 
-    /** Every ordered pair owns a channel the fault model can degrade. */
+    /** Channels this replica holds: every ordered pair, or once bound
+     *  to an LP, only the rows of the sources that LP owns. */
+    std::size_t channelCount() const { return channels_.size(); }
+
+    /** Every ordered pair owns a channel the fault model can degrade;
+     *  a bound replica applies health only to its own sources' rows
+     *  (applyLinkHealth() returns false for the others). */
     std::vector<std::pair<SiteId, SiteId>> faultableLinks() const override;
 
     bool applyLinkHealth(SiteId a, SiteId b,
@@ -63,18 +70,29 @@ class PointToPointNetwork : public Network
   protected:
     void route(Message msg) override;
 
+    /** Keep only the rows of the sources this LP owns: a replica
+     *  transmits only on its own sources' channels. */
+    void dropForeignState() override;
+
   private:
-    /** Dense index of the (src, dst) channel, also its FIFO's. */
+    /** rowOf_ entry of a source whose row another replica holds. */
+    static constexpr std::uint32_t foreignRow = ~std::uint32_t{0};
+
+    /** Dense index of the (src, dst) channel, also its FIFO's.
+     *  @pre src's row is held here. */
     std::uint32_t
     channelIndex(SiteId src, SiteId dst) const
     {
-        return src * config().siteCount() + dst;
+        return rowOf_[src] + dst;
     }
 
     std::uint32_t lambdas_;
     /** Per-direction E-O + O-E conversion overhead (one cycle). */
     Tick interfaceOverhead_;
-    std::vector<OpticalChannel> channels_; // src * sites + dst
+    /** Per source: offset of its row of sites channels in channels_,
+     *  or foreignRow once bound to an LP that does not own it. */
+    std::vector<std::uint32_t> rowOf_;
+    std::vector<OpticalChannel> channels_; // rows of sites channels
 };
 
 } // namespace macrosim

@@ -37,7 +37,7 @@ class InlineCallback
 {
   public:
     /** Inline capture budget. Sized for the fattest in-tree captures,
-     *  104 bytes each: the PDES scheduler's CrossApply (a cross-LP
+     *  104 bytes each: the PDES scheduler's PdesApply (a cross-LP
      *  event's apply thunk, target and payload) and a channel FIFO
      *  head ([network, FIFO, Message, leg, argument]; the packets
      *  behind it wait in net/arrival_fifo.hh), with one pointer of

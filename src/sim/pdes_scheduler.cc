@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <thread>
 #include <utility>
@@ -14,33 +13,6 @@
 
 namespace macrosim
 {
-
-namespace
-{
-
-/** Drain-side callback capture: must fit InlineCallback's buffer. */
-struct CrossApply
-{
-    void (*apply)(void *, const void *);
-    void *target;
-    unsigned char payload[pdesMaxPayload];
-};
-
-static_assert(sizeof(CrossApply) <= EventQueue::Callback::inlineCapacity,
-              "cross-LP apply capture must stay inline");
-
-} // namespace
-
-void
-schedulePdesEvent(EventQueue &q, const PdesEvent &ev, const char *tag)
-{
-    CrossApply cap;
-    cap.apply = ev.apply;
-    cap.target = ev.target;
-    std::memcpy(cap.payload, ev.payload, pdesMaxPayload);
-    q.scheduleKeyed(ev.when, ev.key,
-                    [cap] { cap.apply(cap.target, cap.payload); }, tag);
-}
 
 PdesScheduler::PdesScheduler(std::uint32_t lp_count,
                              std::size_t threads, std::uint64_t seed)
@@ -202,14 +174,13 @@ PdesScheduler::publishPosts(std::uint32_t src_lp)
 }
 
 bool
-PdesScheduler::tryFinish()
+PdesScheduler::tryFinish(std::vector<std::uint64_t> &words)
 {
     // Snapshot every LP's versioned idle word, require nothing in
     // flight, then require the snapshot unchanged. LPs bump their
     // version before releasing in-flight counts (LogicalProcess::
     // step), so "in flight == 0" implies the words already reflect
     // whichever step drained the last message.
-    std::vector<std::uint64_t> words(lps_.size());
     for (std::size_t i = 0; i < lps_.size(); ++i) {
         words[i] = lps_[i]->stateWord();
         if ((words[i] & 1) == 0)
@@ -230,6 +201,9 @@ PdesScheduler::workerLoop(std::size_t worker, Tick limit)
 {
     const std::size_t stride = activeWorkers_;
     const std::uint32_t n = lpCount();
+    // tryFinish()'s snapshot: allocated once per worker, not on
+    // every pass that made no progress.
+    std::vector<std::uint64_t> words(n);
     while (!done_.load(std::memory_order_seq_cst)) {
         bool progress = false;
         for (std::uint32_t i = static_cast<std::uint32_t>(worker);
@@ -237,7 +211,7 @@ PdesScheduler::workerLoop(std::size_t worker, Tick limit)
             progress = lps_[i]->step(limit) || progress;
         }
         if (!progress) {
-            if (tryFinish())
+            if (tryFinish(words))
                 break;
             std::this_thread::yield();
         }

@@ -147,33 +147,53 @@ struct PdesLoadReport
 
 /** Payload bytes a cross-LP event can carry inline (a Message plus a
  *  little routing context must fit; checked by static_asserts at the
- *  senders). Sized so the drain-side callback capture — apply, target
- *  and payload — still fits InlineCallback's buffer. */
+ *  senders). Sized so the event's PdesApply still fits
+ *  InlineCallback's buffer. */
 constexpr std::size_t pdesMaxPayload = 88;
 
 /**
- * A timestamped cross-LP event: at tick `when`, call
- * `apply(target, payload)` on the destination LP. `key` orders
- * same-tick events deterministically (EventQueue::scheduleKeyed);
- * derive it from the payload's causal identity (e.g. the message id),
- * never from arrival order.
+ * What a cross-LP event does: call `apply(target, payload)` on the
+ * destination LP. It is also the callable the event runs as, copied
+ * straight from the channel's batch into its event slot.
  */
-struct PdesEvent
+struct PdesApply
+{
+    void (*apply)(void *target, const void *payload) = nullptr;
+    void *target = nullptr;
+    /** Not zero-filled: a sender copies in only the bytes its apply
+     *  function reads. */
+    unsigned char payload[pdesMaxPayload];
+
+    void operator()() { apply(target, payload); }
+};
+
+static_assert(sizeof(PdesApply) <= EventQueue::Callback::inlineCapacity,
+              "a cross-LP event's apply call must stay inline");
+
+/**
+ * A timestamped cross-LP event: at tick `when`, run its PdesApply on
+ * the destination LP. `key` orders same-tick events deterministically
+ * (EventQueue::scheduleKeyed); derive it from the payload's causal
+ * identity (e.g. the message id), never from arrival order.
+ */
+struct PdesEvent : PdesApply
 {
     Tick when = 0;
     std::uint64_t key = 0;
-    void (*apply)(void *target, const void *payload) = nullptr;
-    void *target = nullptr;
-    unsigned char payload[pdesMaxPayload] = {};
 };
 
 /**
- * Schedule @p ev into @p q as a keyed event. Shared by the drain side
- * and by senders whose destination happens to live on the local LP —
- * both paths must order identically for LP-count invariance.
+ * Schedule @p ev into @p q as a keyed event, building its PdesApply
+ * in the event slot. Used by the drain side and by senders whose
+ * destination happens to live on the local LP — both paths must order
+ * identically for LP-count invariance.
  */
-void schedulePdesEvent(EventQueue &q, const PdesEvent &ev,
-                       const char *tag);
+inline void
+schedulePdesEvent(EventQueue &q, const PdesEvent &ev, const char *tag)
+{
+    q.scheduleKeyed(ev.when, ev.key, static_cast<const PdesApply &>(ev),
+                    tag);
+}
 
 class PdesScheduler
 {
@@ -325,7 +345,9 @@ class PdesScheduler
     void publishPosts(std::uint32_t src_lp);
 
     void workerLoop(std::size_t worker, Tick limit);
-    bool tryFinish();
+    /** Termination check; @p words is the caller's lpCount()-entry
+     *  snapshot buffer. */
+    bool tryFinish(std::vector<std::uint64_t> &words);
 
     std::size_t threads_;
     /** Workers participating in the current run() (<= threads_). */

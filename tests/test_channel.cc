@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "net/channel.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace
@@ -114,6 +115,33 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SerializationProperty,
     ::testing::Combine(::testing::Values(1u, 2u, 8u, 16u, 32u, 128u),
                        ::testing::Values(1, 8, 64, 72, 1024, 4096)));
+
+TEST(OpticalChannel, RejectsWidthOrFlightTimeItsFieldsCannotHold)
+{
+    // 24 bytes (static_assert in channel.hh): a 15-bit width, a 32-bit
+    // flight time. Values past either are an error, not a wrap.
+    EXPECT_THROW(OpticalChannel(OpticalChannel::maxWavelengths + 1, 0),
+                 FatalError);
+    EXPECT_THROW(OpticalChannel(0, 0), FatalError);
+    EXPECT_THROW(OpticalChannel(2, OpticalChannel::maxPropagation + 1),
+                 FatalError);
+
+    OpticalChannel ch(OpticalChannel::maxWavelengths,
+                      OpticalChannel::maxPropagation);
+    EXPECT_EQ(ch.wavelengths(), 0x7fffu);
+    EXPECT_EQ(ch.activeWavelengths(), 0x7fffu);
+    EXPECT_EQ(ch.propagation(), 0xffffffffu);
+    // The down bit shares the width's word without touching it.
+    ch.setDown(true);
+    EXPECT_TRUE(ch.down());
+    EXPECT_EQ(ch.wavelengths(), 0x7fffu);
+    ch.maskWavelengths(1u << 20);
+    EXPECT_EQ(ch.activeWavelengths(), 0x7fffu);
+    ch.setDown(false);
+    EXPECT_FALSE(ch.down());
+    EXPECT_EQ(ch.wavelengths(), 0x7fffu);
+    EXPECT_EQ(ch.transmit(0, 1), ch.serialization(1) + 0xffffffffull);
+}
 
 TEST(OpticalChannel, FifoOrderUnderRandomArrivals)
 {

@@ -441,8 +441,9 @@ TEST(PdesInjector, BitIdenticalAcrossLpAndThreadCounts)
     // within the final-truncated-arrival slack of the request.
     EXPECT_NEAR(base.result.offeredMeasuredPct, 25.0, 0.5);
 
-    // 32 LPs: two sites each on the 8x8 model, 992 channels.
-    for (const std::uint32_t lps : {2u, 4u, 8u, 32u}) {
+    // 3 LPs: an uneven split (22/21/21 sites). 32 LPs: two sites each
+    // on the 8x8 model, 992 LP channels.
+    for (const std::uint32_t lps : {2u, 3u, 4u, 8u, 32u}) {
         for (const std::size_t threads : {std::size_t{1},
                                           std::size_t{3}}) {
             const PdesInjectorResult r =
@@ -521,6 +522,46 @@ TEST(BatchDifferential, PdesResultsIdenticalAcrossLpCounts)
         runOpenLoopPdes(factory, cfg, /*lps=*/4, /*threads=*/2);
     EXPECT_GE(four.effectiveLps, 1u);
     expectIdentical(one.result, four.result);
+}
+
+TEST(PdesReplica, BoundPointToPointHoldsOnlyItsSourcesRows)
+{
+    // A striped site -> LP map, not a block one: any map must work.
+    const MacrochipConfig cfg = simulatedConfig();
+    const std::uint32_t sites = cfg.siteCount();
+    std::vector<std::uint32_t> lp_of_site(sites);
+    for (std::uint32_t s = 0; s < sites; ++s)
+        lp_of_site[s] = s % 3 == 0 ? 0 : 1;
+    PdesScheduler sched(2, 1);
+    sched.setSitePartition(lp_of_site);
+    Simulator ref_sim;
+    const PointToPointNetwork whole(ref_sim, cfg);
+    EXPECT_EQ(whole.channelCount(),
+              static_cast<std::size_t>(sites) * sites);
+    std::vector<std::unique_ptr<PointToPointNetwork>> nets;
+    for (std::uint32_t lp = 0; lp < 2; ++lp) {
+        nets.push_back(std::make_unique<PointToPointNetwork>(
+            sched.simOf(lp), cfg));
+        nets.back()->bindPdes(sched, lp, 64);
+    }
+    const std::size_t owned0 = (sites + 2) / 3;
+    EXPECT_EQ(nets[0]->channelCount(), owned0 * sites);
+    EXPECT_EQ(nets[1]->channelCount(), (sites - owned0) * sites);
+    // Every owned pair keeps its own channel.
+    for (std::uint32_t s = 0; s < sites; ++s) {
+        const PointToPointNetwork &net = *nets[lp_of_site[s]];
+        for (std::uint32_t d = 0; d < sites; ++d) {
+            EXPECT_EQ(net.channel(s, d).propagation(),
+                      whole.channel(s, d).propagation())
+                << s << "->" << d;
+        }
+    }
+    EXPECT_DEATH(nets[0]->channel(1, 0), "source 1 is owned by another");
+    EXPECT_DEATH(nets[1]->channel(3, 4), "source 3 is owned by another");
+    // Fault health for a foreign row is not this replica's to apply.
+    EXPECT_FALSE(nets[1]->applyLinkHealth(3, 4, LinkHealth{true, 0.0}));
+    EXPECT_TRUE(nets[0]->applyLinkHealth(3, 4, LinkHealth{true, 0.0}));
+    EXPECT_TRUE(nets[0]->channel(3, 4).down());
 }
 
 // ------------------------------------------------- lookahead floor
