@@ -41,12 +41,18 @@
  * extra point included) is printed and pinned as peak_rss_mb: a
  * partition's replicas hold only their own sources' channels, so it
  * should follow the LP count only through per-LP state.
+ *
+ * Each point also times buildPdesModel() on its own, best of three
+ * builds, printed as build= and pinned as model_build_ms_<N>lp: the
+ * replicas' construction apart from the run and the process state
+ * around it.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -73,6 +79,7 @@ struct PdesBenchPoint
     std::uint32_t lps = 1;
     std::size_t threads = 1;
     PdesInjectorResult run;
+    double buildMs = 0.0;
     double wallSec = 0.0;
     double eventsPerSec = 0.0;
     std::string profile;
@@ -100,6 +107,24 @@ benchFactory()
     };
 }
 
+/** Fastest of three buildPdesModel() calls for the point, ms. */
+double
+modelBuildMs(const InjectorConfig &cfg, std::uint32_t lps,
+             std::size_t threads)
+{
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 3; ++i) {
+        const Clock::time_point t0 = Clock::now();
+        const PdesModel model = buildPdesModel(
+            benchFactory(), lps, threads, cfg.seed, cfg.packetBytes);
+        const Clock::time_point t1 = Clock::now();
+        best = std::min(
+            best,
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+    return best;
+}
+
 PdesBenchPoint
 timePoint(const InjectorConfig &cfg, std::uint32_t lps,
           std::size_t threads, const TelemetryOptions &topts)
@@ -107,6 +132,7 @@ timePoint(const InjectorConfig &cfg, std::uint32_t lps,
     PdesBenchPoint p;
     p.lps = lps;
     p.threads = threads;
+    p.buildMs = modelBuildMs(cfg, lps, threads);
     PdesObservability obs;
     obs.timing = true;
     obs.profile = topts.profile;
@@ -193,9 +219,10 @@ main(int argc, char **argv)
     bool ok = true;
     for (const PdesBenchPoint &p : points) {
         std::printf("pdes lp=%-2u threads=%-2zu  %10.6f s  "
-                    "%.3e events/s  cross=%llu  mean=%.3f ns  "
-                    "delivered=%.2f%%\n",
+                    "%.3e events/s  build=%.3f ms  cross=%llu  "
+                    "mean=%.3f ns  delivered=%.2f%%\n",
                     p.lps, p.threads, p.wallSec, p.eventsPerSec,
+                    p.buildMs,
                     static_cast<unsigned long long>(p.run.crossPosts),
                     p.run.result.meanLatencyNs,
                     p.run.result.deliveredPct);
@@ -281,6 +308,9 @@ main(int argc, char **argv)
         .number("events_per_sec_4lp", points[2].eventsPerSec)
         .number("speedup_2lp", speedup2)
         .number("speedup_4lp", speedup4)
+        .number("model_build_ms_1lp", points[0].buildMs)
+        .number("model_build_ms_2lp", points[1].buildMs)
+        .number("model_build_ms_4lp", points[2].buildMs)
         .number("spsc_peak_depth_2lp", peakDepth(p2.run.load))
         .number("cross_posts_4lp", static_cast<double>(p4.run.crossPosts))
         .number("spsc_peak_depth_4lp", peakDepth(load4))

@@ -1,5 +1,7 @@
 #include "arch/cache.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace macrosim
@@ -18,26 +20,40 @@ SetAssocCache::SetAssocCache(std::uint32_t size_bytes,
     sets_ = size_bytes / (associativity * line_bytes);
     if (sets_ == 0)
         fatal("SetAssocCache: zero sets");
-    lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+    // A set gets its ways on first install(): a cache that starts
+    // cold holds only this index until traffic reaches it.
+    rowIndex_.assign(sets_, 0);
 }
 
 SetAssocCache::Line *
-SetAssocCache::findLine(Addr addr)
+SetAssocCache::allocRow(std::uint32_t set)
 {
-    const std::uint32_t set = setIndex(addr);
+    if (rowIndex_[set] == 0) {
+        const std::uint32_t row = rowsHeld_++;
+        if (row % rowsPerChunk == 0) {
+            // Every line starts Invalid, so the first install picks
+            // way 0, as it would in a dense array.
+            const std::uint32_t rows = std::min(rowsPerChunk, sets_ - row);
+            chunks_.push_back(std::make_unique<Line[]>(
+                static_cast<std::size_t>(rows) * ways_));
+        }
+        rowIndex_[set] = row + 1;
+    }
+    return rowOf(set);
+}
+
+SetAssocCache::Line *
+SetAssocCache::findLine(Addr addr) const
+{
+    Line *base = rowOf(setIndex(addr));
+    if (base == nullptr)
+        return nullptr;
     const Addr tag = tagOf(addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
     for (std::uint32_t w = 0; w < ways_; ++w) {
         if (base[w].state != CacheState::Invalid && base[w].tag == tag)
             return &base[w];
     }
     return nullptr;
-}
-
-const SetAssocCache::Line *
-SetAssocCache::findLine(Addr addr) const
-{
-    return const_cast<SetAssocCache *>(this)->findLine(addr);
 }
 
 std::optional<CacheState>
@@ -74,7 +90,7 @@ SetAssocCache::install(Addr addr, CacheState state)
     }
 
     const std::uint32_t set = setIndex(addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * ways_];
+    Line *base = allocRow(set);
     Line *victim = nullptr;
     for (std::uint32_t w = 0; w < ways_; ++w) {
         if (base[w].state == CacheState::Invalid) {

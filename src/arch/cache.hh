@@ -11,6 +11,7 @@
 #define MACROSIM_ARCH_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -76,6 +77,9 @@ class SetAssocCache
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
+    /** Sets that hold a row of ways: those install() has reached. */
+    std::uint32_t setsHeld() const { return rowsHeld_; }
+
   private:
     struct Line
     {
@@ -83,6 +87,9 @@ class SetAssocCache
         CacheState state = CacheState::Invalid;
         std::uint64_t lastUse = 0;
     };
+
+    /** Rows of ways per storage chunk (a power of two). */
+    static constexpr std::uint32_t rowsPerChunk = 32;
 
     std::uint32_t
     setIndex(Addr addr) const
@@ -102,8 +109,22 @@ class SetAssocCache
         return (tag * sets_ + set) * lineBytes_;
     }
 
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
+    /** The set's row of ways, or nullptr if it was never installed
+     *  into. Rows never move, so this stays valid. */
+    Line *
+    rowOf(std::uint32_t set) const
+    {
+        const std::uint32_t r = rowIndex_[set];
+        if (r == 0)
+            return nullptr;
+        return &chunks_[(r - 1) / rowsPerChunk]
+                       [((r - 1) % rowsPerChunk) * ways_];
+    }
+
+    /** The set's row, carved from the chunks on first use. */
+    Line *allocRow(std::uint32_t set);
+
+    Line *findLine(Addr addr) const;
 
     std::uint32_t ways_;
     std::uint32_t sets_;
@@ -111,7 +132,12 @@ class SetAssocCache
     std::uint64_t useClock_ = 0;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t misses_ = 0;
-    std::vector<Line> lines_; // sets_ * ways_, row-major by set
+    /** Per set: 1 + its row in chunks_, or 0 while it holds no row. */
+    std::vector<std::uint32_t> rowIndex_;
+    std::uint32_t rowsHeld_ = 0;
+    /** Rows in first-install order, rowsPerChunk rows of ways_ lines
+     *  per chunk (the last chunk may be shorter). */
+    std::vector<std::unique_ptr<Line[]>> chunks_;
 };
 
 } // namespace macrosim

@@ -39,10 +39,8 @@ MacrochipGeometry::routeLengthCm(SiteId src, SiteId dst) const
 {
     const SiteCoord a = coordOf(src);
     const SiteCoord b = coordOf(dst);
-    const auto dr = static_cast<double>(
-        a.row > b.row ? a.row - b.row : b.row - a.row);
-    const auto dc = static_cast<double>(
-        a.col > b.col ? a.col - b.col : b.col - a.col);
+    const auto dr = static_cast<double>(hops(a.row, b.row));
+    const auto dc = static_cast<double>(hops(a.col, b.col));
     return (dr + dc) * pitchCm_;
 }
 
@@ -52,15 +50,24 @@ MacrochipGeometry::propagationDelay(SiteId src, SiteId dst) const
     return waveguideDelay(routeLengthCm(src, dst));
 }
 
+std::vector<Tick>
+MacrochipGeometry::flightTimes() const
+{
+    // k * pitch is the length routeLengthCm() computes for a pair k
+    // pitches apart: its (dr + dc) is the same small whole number.
+    std::vector<Tick> table(rows_ + cols_ - 1);
+    for (std::size_t k = 0; k < table.size(); ++k)
+        table[k] = waveguideDelay(static_cast<double>(k) * pitchCm_);
+    return table;
+}
+
 std::uint32_t
 MacrochipGeometry::torusHops(SiteId src, SiteId dst) const
 {
     const SiteCoord a = coordOf(src);
     const SiteCoord b = coordOf(dst);
-    const std::uint32_t dr =
-        a.row > b.row ? a.row - b.row : b.row - a.row;
-    const std::uint32_t dc =
-        a.col > b.col ? a.col - b.col : b.col - a.col;
+    const std::uint32_t dr = hops(a.row, b.row);
+    const std::uint32_t dc = hops(a.col, b.col);
     return std::min(dr, rows_ - dr) + std::min(dc, cols_ - dc);
 }
 

@@ -14,6 +14,7 @@
 #define MACROSIM_ARCH_GEOMETRY_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "photonics/components.hh"
 #include "sim/ticks.hh"
@@ -72,6 +73,21 @@ class MacrochipGeometry
 
     /** Optical propagation delay along the Manhattan route. */
     Tick propagationDelay(SiteId src, SiteId dst) const;
+
+    /**
+     * Flight time by Manhattan distance: entry k is the delay
+     * propagationDelay() gives a pair k site pitches apart, for k in
+     * [0, rows + cols - 1). Tables of per-pair channels index it
+     * instead of evaluating every pair's route.
+     */
+    std::vector<Tick> flightTimes() const;
+
+    /** Distance between two row (or column) indices, in pitches. */
+    static std::uint32_t
+    hops(std::uint32_t a, std::uint32_t b)
+    {
+        return a > b ? a - b : b - a;
+    }
 
     /** Propagation delay for a waveguide of the given length. */
     static Tick

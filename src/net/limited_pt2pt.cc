@@ -27,15 +27,26 @@ LimitedPointToPointNetwork::LimitedPointToPointNetwork(
                      * config.siteCount(),
                  noChannel)
 {
+    // A site's peers share its row or its column: walk them in
+    // destination order, flight times by distance.
+    const MacrochipGeometry &g = geometry();
+    const std::vector<Tick> flight = g.flightTimes();
     const auto n = config.siteCount();
+    channels_.reserve(static_cast<std::size_t>(n)
+                      * (g.rows() + g.cols() - 2));
     for (SiteId s = 0; s < n; ++s) {
-        for (SiteId d = 0; d < n; ++d) {
-            if (s == d || !arePeers(s, d))
-                continue;
-            channelOf_[static_cast<std::size_t>(s) * n + d] =
-                static_cast<std::uint32_t>(channels_.size());
-            channels_.emplace_back(lambdas_,
-                                   geometry().propagationDelay(s, d));
+        const std::uint32_t sr = s / g.cols(), sc = s % g.cols();
+        std::uint32_t *row = &channelOf_[static_cast<std::size_t>(s) * n];
+        for (std::uint32_t dr = 0; dr < g.rows(); ++dr) {
+            for (std::uint32_t dc = 0; dc < g.cols(); ++dc) {
+                if ((dr == sr) == (dc == sc))
+                    continue; // itself, or neither row nor column
+                row[dr * g.cols() + dc] =
+                    static_cast<std::uint32_t>(channels_.size());
+                channels_.emplace_back(
+                    lambdas_, flight[MacrochipGeometry::hops(sr, dr)
+                                     + MacrochipGeometry::hops(sc, dc)]);
+            }
         }
     }
     // One FIFO per channel, shared by its deliveries and forward legs:

@@ -47,6 +47,14 @@ class LimitedPointToPointNetwork : public Network
     /** Wavelengths per peer channel (8 -> 20 GB/s). */
     std::uint32_t wavelengthsPerChannel() const { return lambdas_; }
 
+    /** Direct access for tests: the channel for a peer pair.
+     *  Panics on a pair that is not peers. */
+    const OpticalChannel &
+    channel(SiteId src, SiteId dst) const
+    {
+        return channels_[peerIndex(src, dst)];
+    }
+
     /** The forwarding site for a non-peer pair. */
     SiteId forwarderFor(SiteId src, SiteId dst) const;
 

@@ -16,14 +16,22 @@ PointToPointNetwork::PointToPointNetwork(Simulator &sim,
               config.txPerSite, ") than sites (", config.siteCount(),
               ")");
 
+    // Walk each source's destinations by row and column, in site
+    // order; a pair's flight time depends only on its distance.
+    const MacrochipGeometry &g = geometry();
+    const std::vector<Tick> flight = g.flightTimes();
     const auto n = config.siteCount();
     rowOf_.resize(n);
     channels_.reserve(static_cast<std::size_t>(n) * n);
     for (SiteId s = 0; s < n; ++s) {
         rowOf_[s] = s * n;
-        for (SiteId d = 0; d < n; ++d) {
-            channels_.emplace_back(lambdas_,
-                                   geometry().propagationDelay(s, d));
+        const std::uint32_t sr = s / g.cols(), sc = s % g.cols();
+        for (std::uint32_t dr = 0; dr < g.rows(); ++dr) {
+            const Tick *row = &flight[MacrochipGeometry::hops(sr, dr)];
+            for (std::uint32_t dc = 0; dc < g.cols(); ++dc) {
+                channels_.emplace_back(
+                    lambdas_, row[MacrochipGeometry::hops(sc, dc)]);
+            }
         }
     }
     useArrivalFifos(channels_.size());

@@ -52,7 +52,8 @@ Accumulator::merge(const Accumulator &other)
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi),
       width_((hi - lo) / static_cast<double>(buckets)),
-      bins_(buckets, 0)
+      buckets_(buckets),
+      chunks_((buckets + chunkBuckets - 1) / chunkBuckets)
 {
     if (hi <= lo || buckets == 0)
         fatal("Histogram: invalid range [", lo, ", ", hi, ") with ",
@@ -76,8 +77,14 @@ Histogram::sample(double x)
     } else if (x >= hi_) {
         ++overflow_;
     } else {
-        const auto idx = static_cast<std::size_t>((x - lo_) / width_);
-        ++bins_[std::min(idx, bins_.size() - 1)];
+        const auto idx = std::min(
+            static_cast<std::size_t>((x - lo_) / width_), buckets_ - 1);
+        const std::size_t c = idx / chunkBuckets;
+        std::vector<std::uint64_t> &chunk = chunks_[c];
+        if (chunk.empty()) // the last chunk may be shorter
+            chunk.resize(std::min(chunkBuckets,
+                                  buckets_ - c * chunkBuckets));
+        ++chunk[idx % chunkBuckets];
     }
 }
 
@@ -91,13 +98,19 @@ Histogram::quantile(double q) const
     double running = static_cast<double>(underflow_);
     if (running >= target && underflow_ > 0)
         return lo_;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        const double in_bin = static_cast<double>(bins_[i]);
-        if (running + in_bin >= target && in_bin > 0) {
-            const double frac = (target - running) / in_bin;
-            return lo_ + (static_cast<double>(i) + frac) * width_;
+    // An absent chunk's buckets are all zero: they cannot hold the
+    // target and adding them would leave running unchanged.
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+        const std::vector<std::uint64_t> &chunk = chunks_[c];
+        for (std::size_t j = 0; j < chunk.size(); ++j) {
+            const double in_bin = static_cast<double>(chunk[j]);
+            if (running + in_bin >= target && in_bin > 0) {
+                const double frac = (target - running) / in_bin;
+                const std::size_t i = c * chunkBuckets + j;
+                return lo_ + (static_cast<double>(i) + frac) * width_;
+            }
+            running += in_bin;
         }
-        running += in_bin;
     }
     // The target lies beyond the last regular bucket: the true value
     // was clipped into overflow and any finite answer would
@@ -110,14 +123,21 @@ Histogram::quantile(double q) const
 void
 Histogram::merge(const Histogram &other)
 {
-    if (other.lo_ != lo_ || other.hi_ != hi_ ||
-        other.bins_.size() != bins_.size()) {
+    if (other.lo_ != lo_ || other.hi_ != hi_
+        || other.buckets_ != buckets_) {
         fatal("Histogram::merge: incompatible bucketing ([", lo_, ", ",
-              hi_, ") x", bins_.size(), " vs [", other.lo_, ", ",
-              other.hi_, ") x", other.bins_.size(), ")");
+              hi_, ") x", buckets_, " vs [", other.lo_, ", ",
+              other.hi_, ") x", other.buckets_, ")");
     }
-    for (std::size_t i = 0; i < bins_.size(); ++i)
-        bins_[i] += other.bins_[i];
+    for (std::size_t c = 0; c < chunks_.size(); ++c) {
+        const std::vector<std::uint64_t> &from = other.chunks_[c];
+        std::vector<std::uint64_t> &into = chunks_[c];
+        if (from.empty())
+            continue;
+        into.resize(from.size());
+        for (std::size_t j = 0; j < into.size(); ++j)
+            into[j] += from[j];
+    }
     underflow_ += other.underflow_;
     overflow_ += other.overflow_;
     nonfinite_ += other.nonfinite_;
@@ -125,10 +145,30 @@ Histogram::merge(const Histogram &other)
     acc_.merge(other.acc_);
 }
 
+std::vector<std::uint64_t>
+Histogram::buckets() const
+{
+    std::vector<std::uint64_t> dense(buckets_, 0);
+    for (std::size_t c = 0; c < chunks_.size(); ++c)
+        std::copy(chunks_[c].begin(), chunks_[c].end(),
+                  dense.begin()
+                      + static_cast<std::ptrdiff_t>(c * chunkBuckets));
+    return dense;
+}
+
+std::size_t
+Histogram::chunksHeld() const
+{
+    return static_cast<std::size_t>(std::count_if(
+        chunks_.begin(), chunks_.end(),
+        [](const std::vector<std::uint64_t> &c) { return !c.empty(); }));
+}
+
 void
 Histogram::reset()
 {
-    std::fill(bins_.begin(), bins_.end(), 0);
+    for (std::vector<std::uint64_t> &c : chunks_)
+        std::vector<std::uint64_t>().swap(c);
     underflow_ = overflow_ = nonfinite_ = total_ = 0;
     acc_.reset();
 }

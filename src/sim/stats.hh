@@ -74,10 +74,17 @@ class Accumulator
 /**
  * Fixed-width linear histogram with overflow bucket; supports quantile
  * estimation (linear interpolation within a bucket).
+ *
+ * Buckets live in chunks of chunkBuckets, each allocated by the first
+ * sample that lands in it, so a histogram costs memory only for the
+ * part of its range its samples reach.
  */
 class Histogram
 {
   public:
+    /** Buckets per storage chunk. */
+    static constexpr std::size_t chunkBuckets = 1024;
+
     /**
      * @param lo Lower bound of the first bucket.
      * @param hi Upper bound of the last regular bucket.
@@ -114,9 +121,13 @@ class Histogram
      */
     void merge(const Histogram &other);
 
-    const std::vector<std::uint64_t> &buckets() const { return bins_; }
+    /** Every regular bucket's count, in order (a dense copy). */
+    std::vector<std::uint64_t> buckets() const;
     double bucketWidth() const { return width_; }
     double lo() const { return lo_; }
+
+    /** Chunks that hold buckets: those a sample has reached. */
+    std::size_t chunksHeld() const;
 
     void reset();
 
@@ -124,7 +135,9 @@ class Histogram
     double lo_;
     double hi_;
     double width_;
-    std::vector<std::uint64_t> bins_;
+    std::size_t buckets_;
+    /** Bucket counts by chunk; empty until a sample lands in it. */
+    std::vector<std::vector<std::uint64_t>> chunks_;
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
     std::uint64_t nonfinite_ = 0;

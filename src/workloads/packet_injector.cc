@@ -162,8 +162,10 @@ namespace
  * the site as a *destination* (touched only by its owner LP's
  * delivery events) — so no field is ever written from two LPs, and
  * merging in global site order gives a partition-independent result.
+ * Each state fills whole cache lines, so the sites at a block
+ * partition's boundary do not share one between two LPs.
  */
-struct PdesSiteState
+struct alignas(64) PdesSiteState
 {
     Rng rng{0};
     /** Drift-free arrival clock: the exact (real-valued) ps of the
@@ -177,6 +179,22 @@ struct PdesSiteState
     std::uint64_t windowBytes = 0;
 };
 
+/**
+ * Per-LP state: each replica needs its own destination cursors and an
+ * (integer-binned, order-free) latency histogram. A shard fills
+ * whole cache lines, so one LP's samples never invalidate a line the
+ * next LP reads.
+ */
+struct alignas(64) PdesLpShard
+{
+    PdesLpShard(TrafficPattern pattern, const MacrochipGeometry &geom)
+        : dests(pattern, geom)
+    {}
+
+    DestinationGenerator dests;
+    Histogram hist{0.0, 4000.0, 80000}; // 50 ps buckets
+};
+
 struct PdesInjectorState
 {
     PdesModel model;
@@ -185,10 +203,7 @@ struct PdesInjectorState
     Tick stopAt = 0;
     double meanGapPs = 0.0;
     std::vector<PdesSiteState> sites;
-    /** Per-LP: replicas each need their own destination cursors and
-     *  an (integer-binned, order-free) latency histogram. */
-    std::vector<DestinationGenerator> dests;
-    std::vector<Histogram> hists;
+    std::vector<PdesLpShard> lps;
 
     void
     scheduleNext(std::uint32_t lp, SiteId src)
@@ -203,7 +218,7 @@ struct PdesInjectorState
                 PdesSiteState &s = sites[src];
                 Message m;
                 m.src = src;
-                m.dst = dests[lp].next(src, s.rng);
+                m.dst = lps[lp].dests.next(src, s.rng);
                 m.bytes = cfg.packetBytes;
                 m.cookie =
                     (model.net(lp).sim().now() >= windowStart) ? 1 : 0;
@@ -244,18 +259,16 @@ runOpenLoopPdes(const PdesNetworkFactory &make_net,
             deriveSeed(cfg.seed, "pdes-injector", std::to_string(s)));
     }
     const std::uint32_t n_lps = st.model.effectiveLps;
-    st.dests.reserve(n_lps);
-    st.hists.reserve(n_lps);
+    st.lps.reserve(n_lps);
     for (std::uint32_t i = 0; i < n_lps; ++i) {
-        st.dests.emplace_back(cfg.pattern, st.model.net(i).geometry());
-        st.hists.emplace_back(0.0, 4000.0, 80000); // 50 ps buckets
+        st.lps.emplace_back(cfg.pattern, st.model.net(i).geometry());
         st.model.net(i).setDefaultHandler(
             [&st, i](const Message &m) {
                 PdesSiteState &ss = st.sites[m.dst];
                 if (m.cookie == 1) {
                     const double lat_ns = ticksToNs(m.latency());
                     ss.latencyNs.sample(lat_ns);
-                    st.hists[i].sample(lat_ns);
+                    st.lps[i].hist.sample(lat_ns);
                     ++ss.measuredPackets;
                 }
                 if (m.delivered >= st.windowStart
@@ -287,8 +300,8 @@ runOpenLoopPdes(const PdesNetworkFactory &make_net,
         window_bytes += st.sites[s].windowBytes;
         injected += st.sites[s].injectedInWindow;
     }
-    for (std::uint32_t i = 0; i < n_lps; ++i)
-        hist.merge(st.hists[i]);
+    for (const PdesLpShard &shard : st.lps)
+        hist.merge(shard.hist);
 
     InjectorResult &res = out.result;
     res.offeredLoadPct = cfg.load * 100.0;

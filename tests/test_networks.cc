@@ -148,6 +148,40 @@ TEST(PointToPoint, ChannelWidthIsTwoWavelengths)
     EXPECT_DOUBLE_EQ(net.channel(0, 1).bandwidthBytesPerNs(), 5.0);
 }
 
+TEST(PointToPoint, ChannelFlightTimesEqualEveryPairsRouteDelay)
+{
+    // Both per-pair topologies fill their channels from a table by
+    // Manhattan distance; each entry must be what the pair's own
+    // route evaluates to, on square, flat and odd grids.
+    const std::pair<std::uint32_t, std::uint32_t> grids[] = {
+        {1, 1}, {1, 7}, {3, 5}, {8, 8}, {16, 16}, {24, 24}};
+    for (const auto &[rows, cols] : grids) {
+        SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+        const MacrochipConfig cfg = scaledConfig(rows, cols);
+        Simulator p2p_sim, lp2p_sim;
+        const PointToPointNetwork p2p(p2p_sim, cfg);
+        const LimitedPointToPointNetwork lp2p(lp2p_sim, cfg);
+        const MacrochipGeometry &g = p2p.geometry();
+        const SiteId n = cfg.siteCount();
+        ASSERT_EQ(p2p.channelCount(), std::size_t{n} * n);
+        std::size_t peers = 0;
+        for (SiteId s = 0; s < n; ++s) {
+            for (SiteId d = 0; d < n; ++d) {
+                const Tick want = MacrochipGeometry::waveguideDelay(
+                    g.routeLengthCm(s, d));
+                ASSERT_EQ(p2p.channel(s, d).propagation(), want)
+                    << s << "->" << d;
+                if (s == d || !lp2p.arePeers(s, d))
+                    continue;
+                ASSERT_EQ(lp2p.channel(s, d).propagation(), want)
+                    << s << "->" << d;
+                ++peers;
+            }
+        }
+        EXPECT_EQ(peers, std::size_t{n} * (rows + cols - 2));
+    }
+}
+
 TEST(PointToPoint, ZeroLoadLatencyArithmetic)
 {
     // 1 cycle E-O + 12.8 ns serialization (64 B at 5 B/ns) + 0.25 ns

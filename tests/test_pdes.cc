@@ -564,6 +564,49 @@ TEST(PdesReplica, BoundPointToPointHoldsOnlyItsSourcesRows)
     EXPECT_TRUE(nets[0]->channel(3, 4).down());
 }
 
+TEST(PdesReplica, BoundRowsEqualAnUnboundReplicas)
+{
+    // Block partitions of odd and square grids, with a remainder: each
+    // bound replica's rows are the unbound network's, channel by
+    // channel.
+    const struct { std::uint32_t rows, cols, lps; } cases[] = {
+        {3, 5, 4}, {16, 16, 5}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(testing::Message() << c.rows << "x" << c.cols
+                                        << " on " << c.lps << " LPs");
+        const MacrochipConfig cfg = scaledConfig(c.rows, c.cols);
+        Simulator ref_sim;
+        const PointToPointNetwork whole(ref_sim, cfg);
+        PdesModel model = buildPdesModel(
+            [&cfg](Simulator &sim) -> std::unique_ptr<Network> {
+                return std::make_unique<PointToPointNetwork>(sim, cfg);
+            },
+            c.lps, 1, 1, 64);
+        ASSERT_EQ(model.effectiveLps, c.lps);
+        const SiteId n = cfg.siteCount();
+        std::size_t rows_held = 0;
+        for (std::uint32_t lp = 0; lp < c.lps; ++lp) {
+            const auto &net =
+                dynamic_cast<const PointToPointNetwork &>(model.net(lp));
+            rows_held += net.channelCount() / n;
+            for (SiteId s = 0; s < n; ++s) {
+                if (model.sched->lpOfSite(s) != lp)
+                    continue;
+                for (SiteId d = 0; d < n; ++d) {
+                    const OpticalChannel &got = net.channel(s, d);
+                    const OpticalChannel &want = whole.channel(s, d);
+                    ASSERT_EQ(got.propagation(), want.propagation())
+                        << s << "->" << d;
+                    ASSERT_EQ(got.wavelengths(), want.wavelengths());
+                    ASSERT_EQ(got.activeWavelengths(),
+                              want.activeWavelengths());
+                }
+            }
+        }
+        EXPECT_EQ(rows_held, std::size_t{n});
+    }
+}
+
 // ------------------------------------------------- lookahead floor
 
 /** flight over one pitch + E-O + O-E + serializing @p bytes over

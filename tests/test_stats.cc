@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/telemetry/registry.hh"
 
@@ -236,6 +240,171 @@ TEST(Histogram, QuantileInOverflowReportsInf)
     EXPECT_TRUE(std::isfinite(h.quantile(0.5)));
     EXPECT_TRUE(std::isinf(h.quantile(0.99)));
     EXPECT_GT(h.quantile(0.99), 0.0); // +inf, not -inf
+}
+
+/** The dense histogram the chunked one replaced: every bucket in one
+ *  array from the start, the same binning and quantile walk. */
+struct DenseHistogram
+{
+    DenseHistogram(double lo_in, double hi_in, std::size_t buckets)
+        : lo(lo_in), hi(hi_in),
+          width((hi_in - lo_in) / static_cast<double>(buckets)),
+          bins(buckets, 0)
+    {}
+
+    void
+    sample(double x)
+    {
+        ++total;
+        if (!std::isfinite(x))
+            return;
+        if (x < lo) {
+            ++underflow;
+        } else if (x >= hi) {
+            ++overflow;
+        } else {
+            const auto idx = static_cast<std::size_t>((x - lo) / width);
+            ++bins[std::min(idx, bins.size() - 1)];
+        }
+    }
+
+    double
+    quantile(double q) const
+    {
+        if (total == 0)
+            return lo;
+        q = std::clamp(q, 0.0, 1.0);
+        const double target = q * static_cast<double>(total);
+        double running = static_cast<double>(underflow);
+        if (running >= target && underflow > 0)
+            return lo;
+        for (std::size_t i = 0; i < bins.size(); ++i) {
+            const double in_bin = static_cast<double>(bins[i]);
+            if (running + in_bin >= target && in_bin > 0) {
+                const double frac = (target - running) / in_bin;
+                return lo + (static_cast<double>(i) + frac) * width;
+            }
+            running += in_bin;
+        }
+        if (overflow > 0)
+            return std::numeric_limits<double>::infinity();
+        return hi;
+    }
+
+    double lo, hi, width;
+    std::vector<std::uint64_t> bins;
+    std::uint64_t underflow = 0, overflow = 0, total = 0;
+};
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+const double quantilesChecked[] = {0.0, 1e-9, 0.5, 0.99, 0.999, 1.0};
+
+/** Bucket edges, chunk seams, the range ends, non-finite values and a
+ *  sparse random cloud, for a histogram over [lo, hi) x buckets. */
+std::vector<double>
+edgeSamples(double lo, double hi, std::size_t buckets, std::uint64_t seed)
+{
+    const double width = (hi - lo) / static_cast<double>(buckets);
+    std::vector<double> xs = {
+        lo, hi, std::nextafter(hi, lo), std::nextafter(lo, hi),
+        lo - width, hi + width,
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()};
+    for (const std::size_t i :
+         {std::size_t{1}, std::size_t{1023}, std::size_t{1024},
+          std::size_t{1025}, std::size_t{2048}, buckets - 1, buckets}) {
+        if (i <= buckets) {
+            const double edge = lo + static_cast<double>(i) * width;
+            xs.push_back(edge);
+            xs.push_back(std::nextafter(edge, lo));
+        }
+    }
+    // A cloud over the first and last tenths only, so middle chunks
+    // stay untouched on the wide histograms.
+    Rng rng(seed);
+    for (int k = 0; k < 400; ++k) {
+        const double u = rng.uniform() * 0.1;
+        xs.push_back(k % 2 ? lo + u * (hi - lo) : hi - u * (hi - lo));
+    }
+    return xs;
+}
+
+TEST(HistogramChunks, MatchesDenseModel)
+{
+    struct Shape { double lo, hi; std::size_t buckets; };
+    const Shape shapes[] = {{0.0, 4000.0, 80000}, {0.0, 10.0, 5},
+                            {-3.5, 7.25, 3000}, {0.0, 1.0, 1024},
+                            {0.0, 1.0, 1025}};
+    for (const Shape &sh : shapes) {
+        SCOPED_TRACE(testing::Message() << "[" << sh.lo << ", " << sh.hi
+                                        << ") x " << sh.buckets);
+        Histogram h(sh.lo, sh.hi, sh.buckets);
+        DenseHistogram ref(sh.lo, sh.hi, sh.buckets);
+        EXPECT_EQ(h.chunksHeld(), 0u);
+        for (const double q : quantilesChecked)
+            EXPECT_TRUE(sameBits(h.quantile(q), ref.quantile(q))) << q;
+        for (const double x : edgeSamples(sh.lo, sh.hi, sh.buckets,
+                                          sh.buckets)) {
+            h.sample(x);
+            ref.sample(x);
+        }
+        EXPECT_EQ(h.count(), ref.total);
+        EXPECT_EQ(h.underflow(), ref.underflow);
+        EXPECT_EQ(h.overflow(), ref.overflow);
+        EXPECT_EQ(h.nonfinite(), 3u);
+        EXPECT_EQ(h.buckets(), ref.bins);
+        for (const double q : quantilesChecked) {
+            EXPECT_TRUE(sameBits(h.quantile(q), ref.quantile(q)))
+                << q << ": " << h.quantile(q) << " vs " << ref.quantile(q);
+        }
+        // Only the chunks a sample reached hold buckets.
+        std::size_t reached = 0;
+        for (std::size_t c = 0; c * Histogram::chunkBuckets < sh.buckets;
+             ++c) {
+            const auto first = ref.bins.begin()
+                + static_cast<std::ptrdiff_t>(c * Histogram::chunkBuckets);
+            const auto last = ref.bins.begin() + static_cast<std::ptrdiff_t>(
+                std::min(sh.buckets, (c + 1) * Histogram::chunkBuckets));
+            reached += std::any_of(first, last,
+                                   [](std::uint64_t n) { return n > 0; });
+        }
+        EXPECT_EQ(h.chunksHeld(), reached);
+        h.reset();
+        EXPECT_EQ(h.chunksHeld(), 0u);
+    }
+}
+
+TEST(HistogramChunks, ShardsMergedInFixedOrderEqualOneHistogram)
+{
+    Histogram whole(0.0, 4000.0, 80000);
+    std::vector<Histogram> shards(3, Histogram(0.0, 4000.0, 80000));
+    std::size_t k = 0;
+    for (const double x : edgeSamples(0.0, 4000.0, 80000, 7)) {
+        whole.sample(x);
+        shards[k++ % shards.size()].sample(x);
+    }
+    Histogram merged(0.0, 4000.0, 80000);
+    for (const Histogram &s : shards)
+        merged.merge(s);
+    EXPECT_EQ(merged.count(), whole.count());
+    EXPECT_EQ(merged.underflow(), whole.underflow());
+    EXPECT_EQ(merged.overflow(), whole.overflow());
+    EXPECT_EQ(merged.nonfinite(), whole.nonfinite());
+    EXPECT_EQ(merged.buckets(), whole.buckets());
+    EXPECT_EQ(merged.chunksHeld(), whole.chunksHeld());
+    for (const double q : quantilesChecked)
+        EXPECT_TRUE(sameBits(merged.quantile(q), whole.quantile(q))) << q;
+    // The same shards folded in the same order give the same bits.
+    Histogram again(0.0, 4000.0, 80000);
+    for (const Histogram &s : shards)
+        again.merge(s);
+    EXPECT_TRUE(sameBits(again.mean(), merged.mean()));
 }
 
 TEST(StatGroup, DumpsNamesAndValues)
